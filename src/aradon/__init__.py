@@ -17,7 +17,6 @@ _EXPORTS = {
     "tau_angular_jump": "geometry",
     "classify_boundary_pair": "geometry",
     "AngularGrid": "harmonics",
-    "make_angular_grid": "xray",
     "ModeTrace": "harmonics",
     "ModeSeq": "harmonics",
     "project_minus": "harmonics",

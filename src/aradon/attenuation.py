@@ -31,7 +31,7 @@ from .bukhgeim import (
     reconstruct_f0,
     range_residual_0,
 )
-from .xray import QuadSettings, radon_profile, _batch_line_spans, _directions
+from .xray import QuadSettings, radon_profile, _directions
 
 
 def _fft_linear_convolve(a, b):
@@ -225,8 +225,7 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_grid=None,
         h_b[:, j] = da_b - 0.5 * (ra_spline(s_b) - 1.0j * hr_spline(s_b))
 
         if int_pts is not None and len(int_pts):
-            _, t_fwd, ok = _batch_line_spans(boundary, int_pts, th)
-            tau_fwd = np.where(ok, t_fwd, 0.0)
+            _, tau_fwd, _ = boundary.line_spans(int_pts, th)
             da_i = _chord_integrals(a, int_pts, tau_fwd, th, quad)
             s_i = int_pts @ perp
             h_i[:, j] = da_i - 0.5 * (ra_spline(s_i) - 1.0j * hr_spline(s_i))

@@ -38,10 +38,11 @@ import numpy as np
 
 from .errors import AradonError, ConfigError, GridMismatch, InconsistentInput
 from .config import load_config, parse_config
+from .geometry import KIND_ALIASES
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
 from .bukhgeim import range_residual_0, reconstruct_f0
-from .attenuation import build_h, range_residual_a, reconstruct_f_attenuated
+from .attenuation import build_h, default_s_grid, range_residual_a, reconstruct_f_attenuated
 from . import io as aio
 
 
@@ -109,17 +110,12 @@ def _get_factors(cfg, args, boundary, angular, quad, need_interior):
     grid = cfg.make_grid(boundary) if need_interior else None
     factors = build_h(
         a, boundary, angular, cfg.n_modes, quad=quad,
-        s_grid=np.linspace(*_s_span(boundary), cfg.s_samples),
+        s_grid=default_s_grid(boundary, cfg.s_samples),
         interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
     )
     if cache:
         aio.write_factors_cache(cache, factors, config_hash=cfg.config_hash)
     return factors
-
-
-def _s_span(boundary):
-    radius = float(np.max(np.hypot(*boundary.positions.T)))
-    return -1.2 * radius, 1.2 * radius
 
 
 def _plain(obj):
@@ -169,9 +165,7 @@ def cmd_forward(cfg, args):
 
 
 def _check_sino_grids(cfg, sino):
-    want_kind = {"disk": "unit-disk", "table": "generic"}.get(
-        cfg.boundary_kind, cfg.boundary_kind
-    )
+    want_kind = KIND_ALIASES.get(cfg.boundary_kind, cfg.boundary_kind)
     if sino.boundary.n_nodes != cfg.n_nodes or sino.boundary.kind != want_kind:
         raise GridMismatch(
             "sinogram has %s/%d nodes, config wants %s/%d"
@@ -280,7 +274,7 @@ def cmd_factors(cfg, args):
     grid = cfg.make_grid(boundary)
     factors = build_h(
         a, boundary, angular, cfg.n_modes, quad=quad,
-        s_grid=np.linspace(*_s_span(boundary), cfg.s_samples),
+        s_grid=default_s_grid(boundary, cfg.s_samples),
         interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
     )
     aio.write_factors_cache(cache, factors, config_hash=cfg.config_hash)
@@ -341,7 +335,7 @@ def cmd_sweep(cfg, args):
                 if args.attenuated:
                     factors = build_h(
                         a, boundary, angular, rung.n_modes, quad=quad,
-                        s_grid=np.linspace(*_s_span(boundary), rung.s_samples),
+                        s_grid=default_s_grid(boundary, rung.s_samples),
                         interior_grid=grid, tol_neg=rung.tol_neg,
                         tol_identity=rung.tol_identity,
                     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import make_boundary
+from .geometry import KIND_ALIASES, make_boundary
 from .harmonics import AngularGrid
 from .xray import QuadSettings, phantom
 from .bukhgeim import CartesianGrid
@@ -128,9 +128,9 @@ def parse_config(doc):
     b = _expect_mapping(doc, "boundary", "config")
     _reject_unknown(b, ("kind", "n_nodes", "a", "b", "table_path"), "config.boundary")
     kind = b.get("kind", "disk")
-    if kind not in ("disk", "unit-disk", "ellipse", "table", "generic"):
-        raise ConfigError("config.boundary.kind: unknown kind %r" % kind)
-    kind = {"unit-disk": "disk", "generic": "table"}.get(kind, kind)
+    if kind not in ("ellipse", *KIND_ALIASES, *KIND_ALIASES.values()):
+        raise ConfigError("config.boundary.kind: unknown kind %r" % (kind,))
+    kind = {v: k for k, v in KIND_ALIASES.items()}.get(kind, kind)
     n_nodes = _get_num(b, "n_nodes", "config.boundary", 512, lo=16, integer=True)
     ba = _get_num(b, "a", "config.boundary", 1.0, lo=0.0)
     bb = _get_num(b, "b", "config.boundary", 1.0, lo=0.0)

@@ -3,11 +3,18 @@
 A domain is represented by its boundary curve, discretized at uniformly
 spaced parameter values on [0, 2pi).  Three kinds are supported: the unit
 disk, axis-aligned ellipses, and generic convex curves given as point
-tables (interpolated with periodic cubic splines).  On top of the curve
-data the module provides ray casting, chords with their two travel times
-tau_plus / tau_minus, the radial parametrization of the boundary seen from
-an interior point, and the numerically estimated jump of the chord-length
-derivative across tangential directions.
+tables (interpolated with periodic cubic splines).
+
+Every chord comes from one primitive, ConvexBoundary.line_spans, which
+returns the two crossings of many parallel lines with the curve.  It
+works in two ways: disks and ellipses solve the quadric in closed form;
+point tables use that s(u) = theta x w(u) is monotone on the two arcs
+between its extrema, so each crossing is bracketed by a searchsorted on
+one arc and polished by Newton kept inside the bracket.  Node chord
+lengths, chords with their two travel times tau_plus / tau_minus, the
+radial parametrization of the boundary seen from an interior point and
+the jump of the chord-length derivative across tangential directions
+are all built on it.
 
 Conventions: curves are traversed counterclockwise; the outward normal is
 the tangent rotated clockwise by 90 degrees; angles phi always refer to
@@ -24,8 +31,13 @@ from .errors import NonConvex, TooFewNodes, OutsideDomain, NoIntersection
 # Tolerances shared by the geometric predicates.
 ON_BOUNDARY_TOL = 1e-9     # distance below which a point counts as lying on the curve
 TOL_TANGENT = 1e-9         # |n . theta| below this is tangential (variety Z)
-BISECT_ITERS = 60          # bisection refinement count for parameter root finding
+EXTREMUM_ITERS = 8         # cap on Newton steps refining the extrema of s(u) on point tables
+ROOT_ITERS = 60            # cap on safeguarded Newton steps per arc crossing
+ROOT_STEP_TOL = 1e-13      # parameter step below which a Newton iterate counts as converged
 CURVATURE_FLOOR = 1e-6     # strictly positive curvature bound delta
+
+# Config-file spellings of the boundary kinds.
+KIND_ALIASES = {"disk": "unit-disk", "table": "generic"}
 
 
 def _as_point(p):
@@ -38,6 +50,11 @@ def _as_point(p):
 def _cross(u, v):
     """z-component of the 2-D cross product u x v."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _dot(u, v):
+    """Dot product over the last axis, broadcasting the others."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
 @dataclass(frozen=True)
@@ -86,8 +103,7 @@ class ConvexBoundary:
         self.a = float(a)
         self.b = float(b)
         self.params = 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
-        self._spline_x = None
-        self._spline_y = None
+        self._spline = None
 
         if kind == "generic":
             pts = np.asarray(table, dtype=float)
@@ -99,8 +115,7 @@ class ConvexBoundary:
                 pts = pts[::-1]
             ts = 2.0 * np.pi * np.arange(len(pts) + 1) / len(pts)
             closed = np.vstack([pts, pts[:1]])
-            self._spline_x = CubicSpline(ts, closed[:, 0], bc_type="periodic")
-            self._spline_y = CubicSpline(ts, closed[:, 1], bc_type="periodic")
+            self._spline = CubicSpline(ts, closed, bc_type="periodic")
 
         t = self.params
         self.positions = self.position_at(t)
@@ -136,7 +151,7 @@ class ConvexBoundary:
         if self.kind == "ellipse":
             return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
         tm = np.mod(t, 2.0 * np.pi)
-        return np.stack([self._spline_x(tm), self._spline_y(tm)], axis=-1)
+        return self._spline(tm)
 
     def _derivative_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -145,7 +160,7 @@ class ConvexBoundary:
         if self.kind == "ellipse":
             return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
         tm = np.mod(t, 2.0 * np.pi)
-        return np.stack([self._spline_x(tm, 1), self._spline_y(tm, 1)], axis=-1)
+        return self._spline(tm, 1)
 
     def _second_derivative_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -154,7 +169,7 @@ class ConvexBoundary:
         if self.kind == "ellipse":
             return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
         tm = np.mod(t, 2.0 * np.pi)
-        return np.stack([self._spline_x(tm, 2), self._spline_y(tm, 2)], axis=-1)
+        return self._spline(tm, 2)
 
     # ------------------------------------------------------------------
     # membership and distance
@@ -234,177 +249,106 @@ class ConvexBoundary:
         return n_spacings * self.perimeter / self.n_nodes
 
     # ------------------------------------------------------------------
-    # ray casting
+    # line crossings
 
-    def forward_hit(self, base, direction):
-        """Distance and hit point of the forward ray from an interior base.
+    def line_spans(self, points, direction):
+        """Crossings of the lines points + t * direction with the curve.
 
-        For the unit disk the quadratic closed form is used; other kinds
-        bracket the boundary-parameter root between the two straddling
-        nodes and bisect.  The base must be strictly inside; boundary
-        bases are handled by the chord routines.
+        points is an (m, 2) array and direction one vector; disks and
+        ellipses also take any pair of (..., 2) arrays that broadcast.
+        Returns (t_lo, t_hi, hit), one entry per line: the two crossing
+        coordinates t_lo <= t_hi, and hit False (with both coordinates 0)
+        where the line misses the closed domain or only touches it.
+        Points may lie anywhere.  Disks and ellipses solve the quadric
+        x^2/a^2 + y^2/b^2 = 1 in closed form; point tables search the two
+        monotone arcs of s(u) = direction x w(u).
         """
-        p = _as_point(base)
-        d = _as_point(direction)
-        if self.kind == "unit-disk":
-            pd = p @ d
-            disc = pd * pd - p @ p + 1.0
-            if disc < 0.0:
-                raise NoIntersection("ray misses the unit circle")
-            l = -pd + np.sqrt(disc)
-            return float(l), p + l * d
+        p = np.asarray(points, dtype=float)
+        d = np.asarray(direction, dtype=float)
+        if self.kind == "generic":
+            hit, (r1, r2) = self._arc_crossings(np.atleast_2d(p), d)
+        else:
+            # Stable quadratic A t^2 + 2 B t + C = 0 in scaled coordinates:
+            # roots q / A and C / q with q = -(B + sign(B) sqrt(B^2 - A C)).
+            scale = np.array([self.a, self.b])
+            ps = p / scale
+            ds = d / scale
+            A = _dot(ds, ds)
+            B = _dot(ps, ds)
+            C = _dot(ps, ps) - 1.0
+            disc = B * B - A * C
+            hit = disc > 0.0
+            q = -(B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r1, r2 = q / A, C / q
+        return (np.where(hit, np.minimum(r1, r2), 0.0),
+                np.where(hit, np.maximum(r1, r2), 0.0), hit)
 
-        s = _cross(d, self.positions - p)
-        s = np.where(s == 0.0, 1e-300, s)
-        flips = np.nonzero(s * np.roll(s, -1) < 0.0)[0]
-        hit = None
-        for i in flips:
-            lo = self.params[i]
-            hi = lo + 2.0 * np.pi / self.n_nodes
-            slo = s[i]
-            for _ in range(BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                sm = _cross(d, self.position_at(mid) - p)
-                if sm == 0.0:
-                    lo = hi = mid
-                    break
-                if (sm > 0.0) == (slo > 0.0):
-                    lo = mid
-                    slo = sm
-                else:
-                    hi = mid
-            u = 0.5 * (lo + hi)
-            w = self.position_at(u)
-            l = float((w - p) @ d)
-            if l > 0.0 and (hit is None or l < hit[0]):
-                hit = (l, w)
-        if hit is None:
-            raise NoIntersection("forward ray cast found no boundary crossing")
-        return hit
-
-    def line_chord(self, p0, direction):
-        """Both crossings of the full line p0 + t*direction with the curve.
-
-        Returns (t_lo, t_hi) in line coordinates, or None when the line
-        misses the closed domain.  p0 may lie outside.
-        """
-        p = _as_point(p0)
-        d = _as_point(direction)
-        if self.kind == "unit-disk":
-            pd = p @ d
-            disc = pd * pd - p @ p + 1.0
-            if disc <= 0.0:
-                return None
-            r = np.sqrt(disc)
-            return float(-pd - r), float(-pd + r)
-
-        s = _cross(d, self.positions - p)
-        s = np.where(s == 0.0, 1e-300, s)
-        flips = np.nonzero(s * np.roll(s, -1) < 0.0)[0]
-        if len(flips) < 2:
-            return None
-        ts = []
-        for i in flips:
-            lo = self.params[i]
-            hi = lo + 2.0 * np.pi / self.n_nodes
-            slo = s[i]
-            for _ in range(BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                sm = _cross(d, self.position_at(mid) - p)
-                if sm == 0.0:
-                    lo = hi = mid
-                    break
-                if (sm > 0.0) == (slo > 0.0):
-                    lo = mid
-                    slo = sm
-                else:
-                    hi = mid
-            w = self.position_at(0.5 * (lo + hi))
-            ts.append(float((w - p) @ d))
-        return min(ts), max(ts)
-
-    def chord_through_node(self, node_index, direction):
-        """Full chord length through boundary node `node_index` along +-direction.
-
-        The self-intersection at the node makes bracketed bisection
-        degenerate for near-tangential directions (both parameter roots
-        fall inside one node interval), so closed-kind curves use the
-        quadratic with the known root t=0 factored out.
-        """
-        d = _as_point(direction)
-        z = self.positions[node_index]
-        if self.kind == "unit-disk":
-            return float(2.0 * abs(z @ d))
-        if self.kind == "ellipse":
-            dp = np.array([d[0] / self.a, d[1] / self.b])
-            zp = np.array([z[0] / self.a, z[1] / self.b])
-            aa = dp @ dp
-            bb = 2.0 * zp @ dp
-            return float(abs(bb) / aa)
-        return self._generic_chord_from_boundary(self.params[node_index], z, d)
-
-    def _generic_chord_from_boundary(self, u0, z, d):
-        # Far root of cross(d, w(u) - z) = 0, excluding the self root at u0.
-        m = 4096
-        t = np.mod(u0 + np.linspace(0.0, 2.0 * np.pi, m, endpoint=False), 2.0 * np.pi)
-        s = _cross(d, self.position_at(t) - z)
-        # A sample can land exactly on the far root (table nodes divide the
-        # scan grid); keep its sign information instead of a hard zero.
-        s = np.where(s == 0.0, 1e-300, s)
-        gap = 2.0 * np.pi / m
-        mask = np.minimum(np.abs(t - u0), 2.0 * np.pi - np.abs(t - u0)) > 2.0 * gap
-        sm = np.where(mask, s, np.nan)
-        idx = None
-        for i in range(m - 1):
-            if np.isfinite(sm[i]) and np.isfinite(sm[i + 1]) and (sm[i] > 0.0) != (sm[i + 1] > 0.0):
-                idx = i
+    def _arc_crossings(self, p, d):
+        # s(u) = d x w(u) has one minimum and one maximum on a strictly
+        # convex curve and is monotone on the two arcs between them; the
+        # line through p crosses where s(u) = d x p, once on each arc.
+        s_nodes = _cross(d, self.positions)
+        u_ext = self.params[[np.argmin(s_nodes), np.argmax(s_nodes)]]
+        dt = 2.0 * np.pi / self.n_nodes
+        for _ in range(EXTREMUM_ITERS):
+            g = _cross(d, self._derivative_at(u_ext))
+            h = _cross(d, self._second_derivative_at(u_ext))
+            step = np.clip(g / h, -dt, dt)
+            u_ext = u_ext - step
+            if np.max(np.abs(step)) <= ROOT_STEP_TOL:
                 break
-        if idx is None:
-            # Near-tangential: polish with Newton from the osculating estimate.
-            du = self._derivative_at(u0)
-            sp = float(np.hypot(du[0], du[1]))
-            k = float(
-                (du[0] * self._second_derivative_at(u0)[1] - du[1] * self._second_derivative_at(u0)[0])
-                / sp ** 3
-            )
-            tang = du / sp
-            sinpsi = _cross(tang, d)
-            est = 2.0 * abs(sinpsi) / (k * sp) if k > 0 else 0.0
-            if est == 0.0:
-                return 0.0
-            best = 0.0
-            for sign in (1.0, -1.0):
-                u = u0 + sign * est
-                for _ in range(40):
-                    su = _cross(d, self.position_at(u) - z)
-                    dsu = _cross(d, self._derivative_at(u))
-                    if abs(dsu) < 1e-300:
-                        break
-                    step = su / dsu
-                    u = u - step
-                    if abs(step) < 1e-15:
-                        break
-                w = self.position_at(u)
-                du_final = np.mod(u - u0, 2.0 * np.pi)
-                if min(du_final, 2.0 * np.pi - du_final) > 1e-12:
-                    best = max(best, float(np.hypot(*(w - z))))
-            return best
-        lo = t[idx]
-        hi = t[idx] + gap
-        slo = sm[idx]
-        for _ in range(BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            smid = _cross(d, self.position_at(mid) - z)
-            if smid == 0.0:
-                lo = hi = mid
+        s_ext = _cross(d, self.position_at(u_ext))       # (s_min, s_max)
+        c = _cross(d, p)
+        hit = (c > s_ext[0]) & (c < s_ext[1])
+
+        # Arc k runs counterclockwise from extremum k to the other one,
+        # and sign[k] * s increases along it.  Each crossing is bracketed
+        # by a searchsorted on the arc's nodes and started by linear
+        # interpolation.  Roundoff can put a node a hair past a refined
+        # extremum, hence the running maximum.
+        sign = np.array([[1.0], [-1.0]])
+        target = sign * c[hit]
+        lo, hi, u = np.empty((3,) + target.shape)
+        for k in (0, 1):
+            u0 = u_ext[k]
+            off = np.mod(self.params - u0, 2.0 * np.pi)
+            span = np.mod(u_ext[1 - k] - u0, 2.0 * np.pi)
+            inner = (off > 0.0) & (off < span)
+            order = np.argsort(off[inner])
+            u_arc = u0 + np.concatenate([[0.0], off[inner][order], [span]])
+            g_arc = np.maximum.accumulate(
+                sign[k] * np.concatenate([[s_ext[k]], s_nodes[inner][order], [s_ext[1 - k]]]))
+            j = np.clip(np.searchsorted(g_arc, target[k]), 1, len(g_arc) - 1)
+            lo[k], hi[k] = u_arc[j - 1], u_arc[j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = np.clip((target[k] - g_arc[j - 1]) / (g_arc[j] - g_arc[j - 1]), 0.0, 1.0)
+            u[k] = lo[k] + (hi[k] - lo[k]) * np.nan_to_num(frac, nan=0.5)
+
+        u = self._polish_roots(d, sign, target, lo, hi, u)
+        ts = np.zeros((2, len(p)))
+        ts[:, hit] = _dot(self.position_at(u) - p[hit], d)
+        return hit, ts
+
+    def _polish_roots(self, d, sign, target, lo, hi, u):
+        # Newton on sign * s(u) = target, kept inside [lo, hi] (bisection
+        # when a step leaves it).  A residual within a few roundoffs of s
+        # cannot shrink further, so such a root is final.
+        f_tol = 2.0 * np.finfo(float).eps * np.max(np.abs(self.positions))
+        for _ in range(ROOT_ITERS):
+            f = sign * _cross(d, self.position_at(u)) - target
+            lo = np.where(f < 0.0, u, lo)
+            hi = np.where(f > 0.0, u, hi)
+            fp = sign * _cross(d, self._derivative_at(u))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = u - f / fp
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            final = np.abs(f) <= f_tol
+            done = final | (np.abs(nxt - u) <= ROOT_STEP_TOL)
+            u = np.where(final, u, nxt)
+            if np.all(done):
                 break
-            if (smid > 0.0) == (slo > 0.0):
-                lo = mid
-                slo = smid
-            else:
-                hi = mid
-        w = self.position_at(0.5 * (lo + hi))
-        return float(np.hypot(*(w - z)))
+        return u
 
     def node_chord_lengths(self, directions):
         """Full chord lengths through every node for every direction.
@@ -415,21 +359,18 @@ class ConvexBoundary:
 
         Returns
         -------
-        (n_nodes, M) array of chord lengths.
+        (n_nodes, M) array of chord lengths, 0 on tangential pairs
+        (|n . theta| <= TOL_TANGENT).
         """
         dirs = np.asarray(directions, dtype=float)
-        if self.kind == "unit-disk":
-            return 2.0 * np.abs(self.positions @ dirs.T)
-        if self.kind == "ellipse":
-            dp = dirs / np.array([self.a, self.b])
-            zp = self.positions / np.array([self.a, self.b])
-            aa = np.sum(dp * dp, axis=1)
-            bb = 2.0 * zp @ dp.T
-            return np.abs(bb) / aa
-        out = np.empty((self.n_nodes, len(dirs)))
-        for j, d in enumerate(dirs):
-            for i in range(self.n_nodes):
-                out[i, j] = self.chord_through_node(i, d)
+        if self.kind == "generic":
+            t_lo, t_hi = np.zeros((2, self.n_nodes, len(dirs)))
+            for j, d in enumerate(dirs):
+                t_lo[:, j], t_hi[:, j], _ = self.line_spans(self.positions, d)
+        else:
+            t_lo, t_hi, _ = self.line_spans(self.positions[:, None, :], dirs[None, :, :])
+        out = t_hi - t_lo
+        out[np.abs(self.normals @ dirs.T) <= TOL_TANGENT] = 0.0
         return out
 
     # ------------------------------------------------------------------
@@ -464,7 +405,7 @@ def make_boundary(kind, n_nodes, a=1.0, b=1.0, table=None):
     n_nodes : int
         Node count, at least 16.
     """
-    kind = {"disk": "unit-disk", "table": "generic"}.get(kind, kind)
+    kind = KIND_ALIASES.get(kind, kind)
     if kind == "unit-disk":
         return ConvexBoundary("unit-disk", n_nodes)
     if kind == "ellipse":
@@ -490,50 +431,39 @@ def cast_chord(boundary, x, theta):
     p = _as_point(x)
     d = _as_point(theta)
     d = d / np.hypot(d[0], d[1])
-    if not boundary.contains(p):
-        raise OutsideDomain("chord base %s lies outside the closed domain" % (p,))
-
-    if boundary.distance_to_boundary(p[None, :])[0] <= ON_BOUNDARY_TOL:
-        u0 = boundary.nearest_param(p)
-        dw = boundary._derivative_at(u0)
-        sp = np.hypot(dw[0], dw[1])
-        normal = np.array([dw[1], -dw[0]]) / sp
-        c = float(normal @ d)
-        if abs(c) <= TOL_TANGENT:
-            tau_p, tau_m = 0.0, 0.0
-        else:
-            idx = int(np.argmin(np.sum((boundary.positions - p) ** 2, axis=1)))
-            if np.hypot(*(boundary.positions[idx] - p)) <= ON_BOUNDARY_TOL:
-                full = boundary.chord_through_node(idx, d)
-            else:
-                full = boundary._generic_chord_from_boundary(u0, p, d) \
-                    if boundary.kind == "generic" else _closed_form_boundary_chord(boundary, p, d)
-            if c > 0.0:
-                tau_p, tau_m = 0.0, full
-            else:
-                tau_p, tau_m = full, 0.0
-    else:
-        lp, _ = boundary.forward_hit(p, d)
-        lm, _ = boundary.forward_hit(p, -d)
-        tau_p, tau_m = lp, lm
-
+    tau_p, tau_m = _travel_times(boundary, p, d, "chord base")
     return Chord(
         base=p,
         direction=d,
-        tau_plus=float(tau_p),
-        tau_minus=float(tau_m),
+        tau_plus=tau_p,
+        tau_minus=tau_m,
         end_plus=p + tau_p * d,
         end_minus=p - tau_m * d,
     )
 
 
-def _closed_form_boundary_chord(boundary, z, d):
-    # Chord length from a boundary point, t=0 root factored out.
-    if boundary.kind == "unit-disk":
-        return float(2.0 * abs(z @ d))
-    dp = np.array([d[0] / boundary.a, d[1] / boundary.b])
-    zp = np.array([z[0] / boundary.a, z[1] / boundary.b])
-    return float(abs(2.0 * zp @ dp) / (dp @ dp))
+def _travel_times(boundary, p, d, what):
+    """(tau_plus, tau_minus) from a closed-domain point p along +-d.
+
+    A boundary point (within ON_BOUNDARY_TOL) carries the full chord on
+    the inward side and 0 on the outward side; a line through it that
+    is tangential or too close to tangential to cross gives (0, 0).
+    """
+    if not boundary.contains(p):
+        raise OutsideDomain("%s %s lies outside the closed domain" % (what, p))
+    t_lo, t_hi, hit = boundary.line_spans(p[None, :], d)
+    if boundary.distance_to_boundary(p[None, :])[0] <= ON_BOUNDARY_TOL:
+        dw = boundary._derivative_at(boundary.nearest_param(p))
+        c = float(_cross(d, dw)) / np.hypot(dw[0], dw[1])   # outward normal . d
+        full = float(t_hi[0] - t_lo[0])
+        if c > TOL_TANGENT:
+            return 0.0, full
+        if c < -TOL_TANGENT:
+            return full, 0.0
+        return 0.0, 0.0
+    if not hit[0]:
+        raise NoIntersection("the line through %s along %s misses the boundary" % (p, d))
+    return float(t_hi[0]), float(-t_lo[0])
 
 
 def radial_parametrization(boundary, xi, phi):
@@ -542,27 +472,9 @@ def radial_parametrization(boundary, xi, phi):
     Returns (l, w) with w = xi + l (cos phi, sin phi) on the curve.
     """
     p = _as_point(xi)
-    if not boundary.contains(p):
-        raise OutsideDomain("radial parametrization base lies outside the domain")
     d = np.array([np.cos(phi), np.sin(phi)])
-    if boundary.distance_to_boundary(p[None, :])[0] <= ON_BOUNDARY_TOL:
-        u0 = boundary.nearest_param(p)
-        dw = boundary._derivative_at(u0)
-        sp = np.hypot(dw[0], dw[1])
-        normal = np.array([dw[1], -dw[0]]) / sp
-        c = float(normal @ d)
-        if c >= -TOL_TANGENT:
-            return 0.0, p
-        idx = int(np.argmin(np.sum((boundary.positions - p) ** 2, axis=1)))
-        if np.hypot(*(boundary.positions[idx] - p)) <= ON_BOUNDARY_TOL:
-            l = boundary.chord_through_node(idx, d)
-        elif boundary.kind == "generic":
-            l = boundary._generic_chord_from_boundary(u0, p, d)
-        else:
-            l = _closed_form_boundary_chord(boundary, p, d)
-        return float(l), p + l * d
-    l, w = boundary.forward_hit(p, d)
-    return float(l), w
+    l, _ = _travel_times(boundary, p, d, "radial parametrization base")
+    return l, p + l * d
 
 
 def tau_angular_jump(boundary, z0, h_phi=1e-3):
@@ -581,10 +493,9 @@ def tau_angular_jump(boundary, z0, h_phi=1e-3):
         if np.hypot(*(boundary.positions[idx] - z)) > 1e-8:
             raise OutsideDomain("z0 is not a boundary node")
     tang = boundary.tangents[idx]
-    phi0 = np.arctan2(tang[1], tang[0])
-    tp = boundary.chord_through_node(idx, np.array([np.cos(phi0 + h_phi), np.sin(phi0 + h_phi)]))
-    tm = boundary.chord_through_node(idx, np.array([np.cos(phi0 - h_phi), np.sin(phi0 - h_phi)]))
-    return float((tp + tm) / h_phi)
+    phis = np.arctan2(tang[1], tang[0]) + np.array([h_phi, -h_phi])
+    taus = boundary.node_chord_lengths(np.column_stack([np.cos(phis), np.sin(phis)]))
+    return float(np.sum(taus[idx]) / h_phi)
 
 
 def classify_boundary_pair(boundary, z, theta, tol_tangent=TOL_TANGENT):

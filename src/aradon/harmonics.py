@@ -251,15 +251,3 @@ def lemma21_identity(c):
     rhs_ii = float(np.sum(j * c))
     return lhs_i, rhs_i, lhs_ii, rhs_ii
 
-
-def bernstein_growth(v, order=1):
-    """Cumulative weighted mode sums, a smoothness diagnostic.
-
-    Returns the curve C_m = sup over nodes of sum_{n<=m} n^order |v_{-n}|
-    for m = 0..N.  A curve still climbing at m = N signals that the
-    truncation level is too small for the data's smoothness.
-    """
-    mat, _ = _mode_matrix(v)
-    k = np.arange(mat.shape[0], dtype=float) ** order
-    weighted = k[:, None] * np.abs(mat)
-    return np.max(np.cumsum(weighted, axis=0), axis=1)

@@ -2,12 +2,15 @@
 
 The divergence beam transform integrates the attenuation from a point to
 the boundary along a ray; the full-line transform integrates across the
-whole domain.  forward_sinogram produces the canonical boundary data of
-an attenuated ray transform: on outgoing node/direction pairs it carries
-the attenuated ray integral of the source over the full chord, on
-incoming and tangential pairs it is zero.  verify_radon_identity checks
-any sinogram against the defining chord identity with quadrature and
-interpolation independent of the forward code paths.
+whole domain, on many parallel lines at once.  No crossing is solved
+here: every chord and line span comes from the geometry's one primitive,
+ConvexBoundary.line_spans.  forward_sinogram produces the canonical
+boundary data of an attenuated ray transform: on outgoing node/direction
+pairs it carries the attenuated ray integral of the source over the full
+chord, on incoming and tangential pairs it is zero.
+verify_radon_identity checks any sinogram against the defining chord
+identity with quadrature and interpolation independent of the forward
+code paths.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +20,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import OutsideDomain, UnknownPhantom, SupportViolation
 from .geometry import cast_chord, TOL_TANGENT
-from .harmonics import AngularGrid
 
 
 @dataclass(frozen=True)
@@ -188,88 +190,20 @@ def radon_full_line(a, s, theta, quad=QuadSettings()):
     counterclockwise rotation of theta; returns 0 on lines missing the
     domain.
     """
-    th = np.asarray(theta, float)
-    perp = np.array([-th[1], th[0]])
-    p0 = s * perp
-    span = a.boundary.line_chord(p0, th)
-    if span is None:
-        return 0.0
-    t_lo, t_hi = span
-    if t_hi <= t_lo:
-        return 0.0
-    nodes, weights = quad.nodes_weights()
-    ts = t_lo + (t_hi - t_lo) * nodes
-    pts = p0[None, :] + ts[:, None] * th[None, :]
-    return float((t_hi - t_lo) * np.dot(weights, a(pts)))
-
-
-def _batch_line_spans(boundary, p0s, direction):
-    """Vectorized line/boundary intersection for many parallel lines.
-
-    Returns (t_lo, t_hi, valid): line-coordinate spans, valid False for
-    misses.  Non-disk kinds bisect the boundary parameter on the node
-    brackets straddling each crossing.
-    """
-    d = np.asarray(direction, float)
-    p0s = np.asarray(p0s, float)
-    m = len(p0s)
-    t_lo = np.zeros(m)
-    t_hi = np.zeros(m)
-    if boundary.kind == "unit-disk":
-        pd = p0s @ d
-        disc = pd ** 2 - np.sum(p0s * p0s, axis=1) + 1.0
-        valid = disc > 0.0
-        r = np.sqrt(np.where(valid, disc, 0.0))
-        t_lo = -pd - r
-        t_hi = -pd + r
-        return t_lo, t_hi, valid
-
-    w = boundary.positions
-    s_mat = d[0] * (w[None, :, 1] - p0s[:, 1:2]) - d[1] * (w[None, :, 0] - p0s[:, 0:1])
-    s_mat = np.where(s_mat == 0.0, 1e-300, s_mat)
-    flips = s_mat * np.roll(s_mat, -1, axis=1) < 0.0
-    counts = np.sum(flips, axis=1)
-    valid = counts == 2
-    rows, cols = np.nonzero(flips[valid])
-    if len(rows) == 0:
-        return t_lo, t_hi, valid
-    first = np.r_[True, rows[1:] != rows[:-1]]
-    idx_a = cols[first]
-    idx_b = cols[~first]
-    dt = 2.0 * np.pi / boundary.n_nodes
-    sub_p0 = p0s[valid]
-    spans = np.empty((int(np.sum(valid)), 2))
-    for side, idx in enumerate((idx_a, idx_b)):
-        lo = boundary.params[idx]
-        hi = lo + dt
-        slo = s_mat[valid, idx]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            wm = boundary.position_at(mid)
-            sm = d[0] * (wm[:, 1] - sub_p0[:, 1]) - d[1] * (wm[:, 0] - sub_p0[:, 0])
-            sm = np.where(sm == 0.0, 1e-300, sm)
-            same = (sm > 0.0) == (slo > 0.0)
-            lo = np.where(same, mid, lo)
-            slo = np.where(same, sm, slo)
-            hi = np.where(same, hi, mid)
-        wm = boundary.position_at(0.5 * (lo + hi))
-        spans[:, side] = (wm - sub_p0) @ d
-    t_lo[valid] = np.min(spans, axis=1)
-    t_hi[valid] = np.max(spans, axis=1)
-    return t_lo, t_hi, valid
+    return float(radon_profile(a, a.boundary, theta, [s], quad)[0])
 
 
 def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
-    """radon_full_line evaluated on a whole vector of offsets at once."""
+    """Full-line integrals of `a` on a whole vector of offsets at once."""
     th = np.asarray(theta, float)
     perp = np.array([-th[1], th[0]])
     s_values = np.asarray(s_values, float)
     if a.is_zero:
         return np.zeros(len(s_values))
     p0s = s_values[:, None] * perp[None, :]
-    t_lo, t_hi, valid = _batch_line_spans(boundary, p0s, th)
+    t_lo, t_hi, _ = boundary.line_spans(p0s, th)
     nodes, weights = quad.nodes_weights()
-    spans = np.where(valid, t_hi - t_lo, 0.0)
+    spans = t_hi - t_lo
     ts = t_lo[:, None] + spans[:, None] * nodes[None, :]
     pts = p0s[:, None, :] + ts[:, :, None] * th[None, None, :]
     vals = a(pts)
@@ -399,6 +333,3 @@ def verify_radon_identity(g, f, a, n_probes=100, seed=1234):
         worst = max(worst, defect)
     return worst
 
-
-def make_angular_grid(n_angles):
-    return AngularGrid(n_angles)

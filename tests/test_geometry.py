@@ -23,6 +23,17 @@ def ellipse_chord_oracle(a, b, z, d):
     return abs(B) / A
 
 
+@pytest.fixture(scope="module")
+def table256(ellipse256):
+    return make_boundary("table", 256, table=ellipse256.positions)
+
+
+@pytest.fixture(scope="module")
+def kinds(disk256, ellipse256, table256):
+    """(boundary, semi-axis along x, semi-axis along y) for every kind."""
+    return ((disk256, 1.0, 1.0), (ellipse256, 2.0, 1.0), (table256, 2.0, 1.0))
+
+
 class TestMakeBoundary:
     def test_disk_curvature_one(self, disk256):
         assert np.max(np.abs(disk256.curvatures - 1.0)) < 1e-12
@@ -80,9 +91,17 @@ class TestCastChord:
         with pytest.raises(OutsideDomain):
             cast_chord(disk256, np.array([1.2, 0.0]), np.array([1.0, 0.0]))
 
-    def test_swap_symmetry(self, disk256, ellipse256):
+    def test_missed_line_from_accepted_base(self, ellipse256):
+        # inside the membership tolerance but off the curve by more than
+        # the on-boundary distance: the vertical line misses the ellipse
+        p = np.array([2.0 + 1.5e-9, 0.0])
+        assert ellipse256.contains(p)
+        with pytest.raises(NoIntersection):
+            cast_chord(ellipse256, p, np.array([0.0, 1.0]))
+
+    def test_swap_symmetry(self, disk256, ellipse256, table256):
         rng = np.random.default_rng(11)
-        for b in (disk256, ellipse256):
+        for b in (disk256, ellipse256, table256):
             for _ in range(25):
                 x = rng.uniform(-0.4, 0.4, 2)
                 phi = rng.uniform(0, 2 * np.pi)
@@ -92,14 +111,15 @@ class TestCastChord:
                 assert np.linalg.norm(c1.end_plus - c2.end_minus) < 1e-10
                 assert np.linalg.norm(c1.end_minus - c2.end_plus) < 1e-10
 
-    def test_midpoints_interior(self, ellipse256):
+    def test_midpoints_interior(self, ellipse256, table256):
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            x = rng.uniform(-0.5, 0.5, 2)
-            phi = rng.uniform(0, 2 * np.pi)
-            ch = cast_chord(ellipse256, x, np.array([np.cos(phi), np.sin(phi)]))
-            mid = 0.5 * (ch.end_plus + ch.end_minus)
-            assert ellipse256.contains(mid)
+        for b in (ellipse256, table256):
+            for _ in range(25):
+                x = rng.uniform(-0.5, 0.5, 2)
+                phi = rng.uniform(0, 2 * np.pi)
+                ch = cast_chord(b, x, np.array([np.cos(phi), np.sin(phi)]))
+                mid = 0.5 * (ch.end_plus + ch.end_minus)
+                assert b.contains(mid)
 
     def test_generic_node_chords_match_closed_form(self, ellipse256):
         """Spline-table chords through boundary nodes against the quadratic."""
@@ -121,7 +141,7 @@ class TestCastChord:
         t = np.linspace(0, 2 * np.pi, 256, endpoint=False)
         pts = np.stack([2 * np.cos(t), np.sin(t)], axis=1)
         table = make_boundary("table", 256, table=pts)
-        got = table.chord_through_node(24, np.array([1.0, 0.0]))
+        got = table.node_chord_lengths(np.array([[1.0, 0.0]]))[24, 0]
         ref = ellipse_chord_oracle(2.0, 1.0, pts[24], np.array([1.0, 0.0]))
         assert ref > 1.0  # a genuine transversal chord, not a grazing one
         assert abs(got - ref) < 1e-8
@@ -204,13 +224,46 @@ class TestTangentialBehaviour:
                 assert tau / (2.0 * r0 * abs(np.sin(dphi))) <= 1.5
 
 
-class TestRayErrors:
-    def test_no_intersection(self, ellipse256):
-        # exterior base pointing away from the domain: no crossing at all
-        with pytest.raises(NoIntersection):
-            ellipse256.forward_hit(np.array([3.0, 0.0]), np.array([1.0, 0.0]))
+class TestLineSpans:
+    def test_missing_lines(self, kinds):
+        for b, a_x, b_y in kinds:
+            pts = np.array([[0.0, 1.2 * b_y], [0.0, -3.0], [5.0, 1.01 * b_y]])
+            t_lo, t_hi, hit = b.line_spans(pts, np.array([1.0, 0.0]))
+            assert not hit.any()
+            assert np.all(t_lo == 0.0) and np.all(t_hi == 0.0)
+            _, _, hit = b.line_spans(np.array([[1.1 * a_x, 0.0]]), np.array([0.0, 1.0]))
+            assert not hit.any()
 
-    def test_ray_hit_interior(self, disk256):
-        l, w = disk256.forward_hit(np.array([0.3, 0.0]), np.array([1.0, 0.0]))
-        assert abs(l - 0.7) < 1e-12
-        assert np.allclose(w, [1.0, 0.0], atol=1e-12)
+    def test_exterior_ray_points_away(self, kinds):
+        # exterior base pointing away from the domain: both crossings behind it
+        for b, a_x, _ in kinds:
+            t_lo, t_hi, hit = b.line_spans(np.array([[a_x + 1.0, 0.0]]), np.array([1.0, 0.0]))
+            assert hit[0]
+            assert t_hi[0] < 0.0
+            assert abs(t_hi[0] + 1.0) < 1e-12
+            assert abs(t_lo[0] + 2.0 * a_x + 1.0) < 1e-12
+
+    def test_interior_hit(self, kinds):
+        for b, a_x, _ in kinds:
+            p = np.array([a_x - 0.7, 0.0])
+            t_lo, t_hi, hit = b.line_spans(p[None, :], np.array([1.0, 0.0]))
+            assert hit[0]
+            assert abs(t_hi[0] - 0.7) < 1e-12
+            assert np.allclose(p + t_hi[0] * np.array([1.0, 0.0]), [a_x, 0.0], atol=1e-12)
+            assert abs(t_lo[0] + 2.0 * a_x - 0.7) < 1e-12
+
+    def test_node_chords_near_tangent(self, kinds):
+        for b, a_x, b_y in kinds:
+            for idx in (0, 17, 64, 100, 128, 200):
+                z = b.positions[idx]
+                tang = b.tangents[idx]
+                phi0 = np.arctan2(tang[1], tang[0])
+                for dphi in (1e-3, -1e-3, 1e-5, -1e-5):
+                    d = np.array([np.cos(phi0 + dphi), np.sin(phi0 + dphi)])
+                    t_lo, t_hi, hit = b.line_spans(z[None, :], d)
+                    ref = ellipse_chord_oracle(a_x, b_y, z, d)
+                    tol = 1e-8 if ref > 0.5 else 1e-6
+                    assert hit[0]
+                    assert abs((t_hi[0] - t_lo[0]) - ref) < tol
+                    assert abs(b.node_chord_lengths(d[None, :])[idx, 0] - ref) < tol
+
