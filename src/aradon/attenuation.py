@@ -13,6 +13,8 @@ the convolution identity and the negative modes of e^{+-h} must vanish
 to tolerance, otherwise the build raises instead of guessing at signs.
 """
 
+import warnings
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -309,8 +311,6 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
 
     check = range_residual_a(g, factors)
     if check.relative > gate:
-        import warnings
-
         warnings.warn(
             "attenuated range residual %.3g exceeds the gate %.3g"
             % (check.relative, gate),
@@ -335,6 +335,7 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     eval_mask = grid.valid & inter.inside
     pts = grid.points_all[eval_mask]
     v = cauchy_build(ag_trace, pts, margin=margin)
+    fd_ok = ~fd_zeroed_mask(factors, grid)[eval_mask]
 
     # factor rows mapped onto the full picture for finite differences
     ny, nx = grid.ny, grid.nx
@@ -347,7 +348,7 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     dby[:, 1:-1, :] = (beta_pic[:, 2:, :] - beta_pic[:, :-2, :]) / (2.0 * grid.hy)
     del_beta_pic = 0.5 * (dbx - 1.0j * dby)
     del_beta = del_beta_pic.reshape(n_modes + 1, ny * nx)[:, eval_mask]
-    fd_ok = np.all(np.isfinite(del_beta), axis=0)
+    del_beta = np.where(fd_ok, del_beta, 0.0)
 
     # positions of the eval points inside the interior-point list
     inside_idx = np.cumsum(inter.inside) - 1
@@ -357,15 +358,30 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
 
     u0 = np.real(np.sum(beta_here * v.data, axis=0))
 
-    del_u1 = np.zeros(len(pts), dtype=complex)
-    for k in range(0, n_modes):
-        dv = del_v_minus(ag_trace, 1 + k, pts, margin=margin)
-        del_u1 += beta_here[k] * dv
-        db = np.where(fd_ok, del_beta[k], 0.0)
-        del_u1 += db * v.data[1 + k]
+    dv = del_v_minus(ag_trace, range(1, n_modes + 1), pts, margin=margin)
+    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v.data[1:], axis=0)
 
     f_vals = 2.0 * np.real(del_u1) + a_here * u0
     f_vals = np.where(fd_ok, f_vals, 0.0)
     out = np.zeros(ny * nx)
     out[eval_mask] = f_vals
     return out.reshape(ny, nx)
+
+
+def fd_zeroed_mask(factors, grid):
+    """Grid points where reconstruct_f_attenuated evaluates but returns 0.
+
+    The derivative of beta comes from centred differences of the interior
+    factor grid; at an evaluated point whose four neighbours do not all
+    carry factor data (including the picture's edge) there is none, and
+    the reconstruction sets f to 0 there.  Returns a flat boolean mask
+    over the grid, all False on the zero-attenuation route, which
+    evaluates no differences.
+    """
+    if factors.zero_attenuation:
+        return np.zeros(grid.ny * grid.nx, dtype=bool)
+    inside = factors.interior.inside
+    pic = inside.reshape(grid.ny, grid.nx)
+    fd_ok = np.zeros_like(pic)
+    fd_ok[1:-1, 1:-1] = pic[1:-1, 2:] & pic[1:-1, :-2] & pic[2:, 1:-1] & pic[:-2, 1:-1]
+    return grid.valid & inside & ~fd_ok.ravel()

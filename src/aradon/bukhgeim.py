@@ -10,6 +10,13 @@ trapezoid rule on the uniform boundary parameter (spectrally accurate
 for smooth periodic integrands), builds the interior map from its trace,
 and evaluates the derivative formula recovering the source as
 f = 2 Re(d v_{-1}).
+
+Both coupling kernels are power series in r = conj(w - xi)/(w - xi) over
+the trace rows two apart, evaluated by downward recurrences: G by
+Horner, and d v_{-d} of every order d at once through
+A_d = row_d + r (A_{d+2} + E_{d+2}) and E_d = row_d + r E_{d+2} (see
+del_v_minus).  Interior evaluations run over the target points in
+chunks of TARGET_CHUNK, updating the (chunk x nodes) arrays in place.
 """
 
 import warnings
@@ -60,6 +67,12 @@ class RangeResidual:
 
 
 EPS_FLOOR = 1e-12
+TARGET_CHUNK = 128   # target points per pass of the (points x nodes) kernels
+
+
+def _chunks(n):
+    """Slices covering range(n) in runs of TARGET_CHUNK."""
+    return (slice(lo, min(lo + TARGET_CHUNK, n)) for lo in range(0, n, TARGET_CHUNK))
 
 
 def _require_interior(boundary, points, margin):
@@ -118,8 +131,10 @@ def _C_apply(g_data, boundary, targets):
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
     dt = 2.0 * np.pi / boundary.n_nodes
-    kernel = wd[None, :] / (w[None, :] - targets[:, None])
-    out = np.einsum("ki,pi->kp", g_data, kernel, optimize=False)
+    out = np.empty((g_data.shape[0], len(targets)), dtype=complex)
+    for sl in _chunks(len(targets)):
+        kernel = wd[None, :] / (w[None, :] - targets[sl, None])
+        out[:, sl] = g_data @ kernel.T
     return out * (dt / (2.0j * np.pi))
 
 
@@ -183,18 +198,25 @@ def _G_kernel(boundary, targets, node_targets):
 
 
 def _G_apply(g_data, boundary, targets, node_targets=None):
-    """Apply G at arbitrary targets; Horner recursion over the j-powers."""
+    """Apply G at arbitrary targets; Horner recursion over the j-powers.
+
+    Row k is the base-weighted node sum of r (g_{k+2} + r (g_{k+4} + ...))
+    with r the mode-coupling ratio; one accumulator per parity of k
+    carries the bracket down the rows, chunk by chunk of targets.
+    """
     n_rows = g_data.shape[0]
     if node_targets is None:
         node_targets = np.full(len(targets), -1, dtype=int)
-    base, ratio = _G_kernel(boundary, targets, node_targets)
     out = np.zeros((n_rows, len(targets)), dtype=complex)
-    acc = {0: None, 1: None}
-    for k in range(n_rows - 3, -1, -1):
-        par = k % 2
-        term = np.broadcast_to(g_data[k + 2][None, :], ratio.shape)
-        acc[par] = ratio * (term if acc[par] is None else term + acc[par])
-        out[k] = np.sum(base * acc[par], axis=1)
+    for sl in _chunks(len(targets)):
+        base, ratio = _G_kernel(boundary, targets[sl], node_targets[sl])
+        base = base.astype(complex)      # one dtype keeps einsum on its fast loop
+        acc = np.zeros((2,) + ratio.shape, dtype=complex)
+        for k in range(n_rows - 3, -1, -1):
+            a = acc[k % 2]
+            a += g_data[k + 2]
+            a *= ratio
+            out[k, sl] = np.einsum("pi,pi->p", a, base)
     # rows N-1, N and any row without partners two above stay zero
     return out
 
@@ -328,29 +350,59 @@ def del_v_minus(g, d, points, margin=None):
 
     2 pi i times the value is the j-sum of dw-integrals with kernels
     j conj(w-xi)^{j-1}/(w-xi)^{j+1} against trace rows d + 2j - 2, minus
-    the dconj(w)-integrals with (j-1) conj(w-xi)^{j-2}/(w-xi)^j.
+    the dconj(w)-integrals with (j-1) conj(w-xi)^{j-2}/(w-xi)^j.  With
+    r = conj(w-xi)/(w-xi) and the sums
+
+        A_d = sum_j j row_{d+2j-2} r^{j-1},   E_d = sum_j row_{d+2j-2} r^{j-1},
+
+    the integrand is (w' A_d - conj(w') A_{d+2}) / (w-xi)^2, and
+
+        A_d = row_d + r (A_{d+2} + E_{d+2}),   E_d = row_d + r E_{d+2},
+
+    so one downward sweep from row N, per parity of the orders asked
+    for, gives every order at once in O(N P n) for P points and n nodes.
+
+    d is one order, giving shape (P,), or a sequence of orders, giving
+    shape (len(d), P) in the order asked.
     """
     _require_interior(g.boundary, points, margin)
+    orders = np.atleast_1d(np.asarray(d, dtype=int))
+    if np.any(orders < 0):
+        raise ValueError("derivative orders must be nonnegative")
     boundary = g.boundary
     targets = _as_complex_points(points)
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
     dt = 2.0 * np.pi / boundary.n_nodes
-    u = w[None, :] - targets[:, None]
-    ratio = np.conj(u) / u
-    acc = np.zeros_like(ratio)
-    power = np.ones_like(ratio)          # ratio^(j-1)
-    j = 1
-    while d + 2 * j - 2 <= g.n_modes:
-        row = g.data[d + 2 * j - 2]
-        acc += (row * (j * wd))[None, :] * power
-        if j >= 2:
-            prev = power / ratio         # ratio^(j-2)
-            acc -= (row * ((j - 1) * np.conj(wd)))[None, :] * prev
-        power = power * ratio
-        j += 1
-    out = np.sum(acc / (u * u), axis=1) * dt
-    return out / (2.0j * np.pi)
+    weights = np.stack([wd, np.conj(wd)], axis=1)
+    top = g.n_modes
+    lowest = {par: int(np.min(orders[orders % 2 == par]))
+              for par in (0, 1) if np.any(orders % 2 == par)}
+    out = np.zeros((len(orders), len(targets)), dtype=complex)
+    for sl in _chunks(len(targets)):
+        u = w[None, :] - targets[sl, None]
+        ratio = np.conj(u) / u
+        inv_u2 = 1.0 / (u * u)
+        a = np.empty_like(ratio)
+        e = np.empty_like(ratio)
+        t = np.empty_like(ratio)
+        for par, low in lowest.items():
+            a.fill(0.0)
+            e.fill(0.0)
+            c_above = 0.0                # conj(w')-sum of A_{d+2}
+            for k in range(top - (top - par) % 2, low - 1, -2):
+                row = g.data[k]
+                a += e
+                a *= ratio
+                a += row
+                e *= ratio
+                e += row
+                np.multiply(a, inv_u2, out=t)
+                b, c = (t @ weights).T
+                out[orders == k, sl] = b - c_above
+                c_above = c
+    out *= dt / (2.0j * np.pi)
+    return out[0] if np.ndim(d) == 0 else out
 
 
 def reconstruct_f0(g, grid, margin=None, gate=0.05):

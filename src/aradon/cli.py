@@ -42,7 +42,13 @@ from .geometry import KIND_ALIASES
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
 from .bukhgeim import range_residual_0, reconstruct_f0
-from .attenuation import build_h, default_s_grid, range_residual_a, reconstruct_f_attenuated
+from .attenuation import (
+    build_h,
+    default_s_grid,
+    fd_zeroed_mask,
+    range_residual_a,
+    reconstruct_f_attenuated,
+)
 from . import io as aio
 
 
@@ -230,6 +236,7 @@ def cmd_reconstruct(cfg, args):
     trace = project_minus(sino, cfg.n_modes)
     attenuated = args.attenuated or sino.attenuated
     flagged = 0
+    zeroed = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", InconsistentInput)
         if attenuated:
@@ -237,6 +244,7 @@ def cmd_reconstruct(cfg, args):
             factors = _get_factors(cfg, args, boundary, sino.angular, quad,
                                    need_interior=True)
             pic = reconstruct_f_attenuated(trace, factors, grid, gate=cfg.recon_gate)
+            zeroed = int(np.sum(fd_zeroed_mask(factors, grid)))
         else:
             pic = reconstruct_f0(trace, grid, gate=cfg.recon_gate)
         flagged = sum(1 for w in caught if issubclass(w.category, InconsistentInput))
@@ -247,6 +255,7 @@ def cmd_reconstruct(cfg, args):
         "config_hash": cfg.config_hash,
         "attenuated": bool(attenuated),
         "consistency_flag": int(flagged),
+        "fd_zeroed_points": zeroed,
         "grid": {"nx": grid.nx, "ny": grid.ny, "margin": grid.margin},
     }
     if cfg.phantom_f["name"] != "zero":

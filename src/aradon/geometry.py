@@ -35,6 +35,7 @@ EXTREMUM_ITERS = 8         # cap on Newton steps refining the extrema of s(u) on
 ROOT_ITERS = 60            # cap on safeguarded Newton steps per arc crossing
 ROOT_STEP_TOL = 1e-13      # parameter step below which a Newton iterate counts as converged
 CURVATURE_FLOOR = 1e-6     # strictly positive curvature bound delta
+POINT_CHUNK = 128          # points per pass of the (points x candidates) nearest-node search
 
 # Config-file spellings of the boundary kinds.
 KIND_ALIASES = {"disk": "unit-disk", "table": "generic"}
@@ -207,10 +208,14 @@ class ConvexBoundary:
             return d if np.asarray(points).ndim == 2 else float(d[0])
         t = np.linspace(0.0, 2.0 * np.pi, 8 * self.n_nodes, endpoint=False)
         cand = self.position_at(t)
-        d2 = (pts[:, 0][:, None] - cand[None, :, 0]) ** 2 + (
-            pts[:, 1][:, None] - cand[None, :, 1]
-        ) ** 2
-        u = t[np.argmin(d2, axis=1)]
+        nearest = np.empty(len(pts), dtype=int)
+        for lo in range(0, len(pts), POINT_CHUNK):
+            p = pts[lo:lo + POINT_CHUNK]
+            d2 = (p[:, 0][:, None] - cand[None, :, 0]) ** 2 + (
+                p[:, 1][:, None] - cand[None, :, 1]
+            ) ** 2
+            nearest[lo:lo + POINT_CHUNK] = np.argmin(d2, axis=1)
+        u = t[nearest]
         # Newton on d/du |w(u) - p|^2 = 0.
         for _ in range(6):
             w = self.position_at(u)

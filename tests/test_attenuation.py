@@ -4,6 +4,7 @@ import pytest
 
 from aradon.attenuation import (
     build_h,
+    fd_zeroed_mask,
     finite_hilbert,
     hilbert_Ha,
     range_residual_a,
@@ -169,6 +170,18 @@ class TestAttenuatedReconstruction:
         )
         with pytest.raises(GridMismatch):
             reconstruct_f_attenuated(att_setup["g"], fac, other)
+
+    def test_fd_zeroed_points(self, disk256, att_setup):
+        """Evaluated points without centred factor differences are exactly the zeros."""
+        grid = CartesianGrid(disk256, 12, 12, margin=0.08)
+        fac = build_h(
+            att_setup["a"], disk256, att_setup["ang"], 16, interior_grid=grid
+        )
+        pic = reconstruct_f_attenuated(att_setup["g"], fac, grid).ravel()
+        zeroed = fd_zeroed_mask(fac, grid)
+        assert 0 < zeroed.sum() < grid.valid.sum()
+        assert np.all(pic[zeroed] == 0.0)
+        assert np.all(pic[grid.valid & ~zeroed] != 0.0)
 
     def test_gate_warns(self, disk256, att_setup):
         grid = CartesianGrid(disk256, 12, 12, margin=0.12)

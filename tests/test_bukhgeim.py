@@ -1,8 +1,11 @@
 """Boundary-integral operators, Cauchy extension, and source recovery."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aradon.bukhgeim import (
+    TARGET_CHUNK,
     CartesianGrid,
     aanaliticity_defect,
     cauchy_build,
@@ -16,8 +19,58 @@ from aradon.bukhgeim import (
     trace_plus,
 )
 from aradon.errors import OutsideDomain, TooCloseToBoundary
-from aradon.xray import phantom
+from aradon.geometry import make_boundary
+from aradon.harmonics import AngularGrid, ModeTrace, project_minus
+from aradon.xray import forward_sinogram, phantom
 from conftest import algebraic_trace
+
+
+@pytest.fixture(scope="module")
+def ellipse_wide256():
+    return make_boundary("ellipse", 256, a=1.5, b=1.0)
+
+
+@pytest.fixture(scope="module")
+def ellipse_wide512():
+    return make_boundary("ellipse", 512, a=1.5, b=1.0)
+
+
+@pytest.fixture(scope="module")
+def ellipse_polybump_trace(ellipse_wide512):
+    """Non-attenuated boundary data of the radial bump on the 1.5 x 1 ellipse."""
+    b = ellipse_wide512
+    sino = forward_sinogram(phantom("poly-bump", b), phantom("zero", b), b, AngularGrid(128))
+    return project_minus(sino, 32)
+
+
+def random_trace(boundary, n_modes, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_modes + 1, boundary.n_nodes)
+    return ModeTrace(boundary, n_modes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def interior_points(boundary, count, seed, shrink=0.7):
+    """Random complex points inside the boundary scaled about the origin by `shrink`."""
+    rng = np.random.default_rng(seed)
+    nodes = boundary.complex_nodes()
+    pick = nodes[rng.integers(0, len(nodes), count)]
+    return shrink * np.sqrt(rng.uniform(0.0, 1.0, count)) * pick
+
+
+def power_sum_del_v(g, d, targets):
+    """d v_{-d} by the explicit j-sum with each ratio power taken directly."""
+    b = g.boundary
+    w = b.complex_nodes()
+    wd = b.complex_velocity()
+    u = w[None, :] - targets[:, None]
+    ratio = np.conj(u) / u
+    acc = np.zeros_like(u)
+    for j in range(1, (g.n_modes - d) // 2 + 2):
+        row = g.data[d + 2 * j - 2][None, :]
+        acc += j * wd * row * ratio ** (j - 1)
+        if j >= 2:
+            acc -= (j - 1) * np.conj(wd) * row * ratio ** (j - 2)
+    return np.sum(acc / u ** 2, axis=1) * (2.0 * np.pi / b.n_nodes) / (2.0j * np.pi)
 
 
 class TestOpS:
@@ -153,27 +206,62 @@ class TestDelVMinus:
         d = del_v_minus(g, 1, pts)
         assert np.max(np.abs(d - 1.0)) < 1e-10
 
-    def test_against_finite_differences(self, polybump_trace):
+    def test_against_finite_differences(self, polybump_trace, ellipse_polybump_trace):
         """Analytic kernels vs 4th-order centered differences of the field."""
         h = 1e-3
         pts = np.array([0.15 + 0.1j, -0.2 + 0.3j])
-        for depth in (1, 2):
-            exact = del_v_minus(polybump_trace, depth, pts)
-            stencil = np.array([-2, -1, 1, 2])
-            wx = np.array([1, -8, 8, -1]) / (12 * h)
-            vx = np.stack(
-                [cauchy_build(polybump_trace, pts + s * h).data[depth] for s in stencil]
-            )
-            vy = np.stack(
-                [
-                    cauchy_build(polybump_trace, pts + 1j * s * h).data[depth]
-                    for s in stencil
-                ]
-            )
-            dx = np.einsum("s,sp->p", wx, vx)
-            dy = np.einsum("s,sp->p", wx, vy)
-            fd = 0.5 * (dx - 1j * dy)
-            assert np.max(np.abs(exact - fd)) < 1e-9
+        depths = (1, 2, 3, 4)
+        stencil = np.array([-2, -1, 1, 2])
+        wx = np.array([1, -8, 8, -1]) / (12 * h)
+        for trace in (polybump_trace, ellipse_polybump_trace):
+            exact = del_v_minus(trace, depths, pts)
+            vx = np.stack([cauchy_build(trace, pts + s * h).data for s in stencil])
+            vy = np.stack([cauchy_build(trace, pts + 1j * s * h).data for s in stencil])
+            for i, depth in enumerate(depths):
+                dx = np.einsum("s,sp->p", wx, vx[:, depth])
+                dy = np.einsum("s,sp->p", wx, vy[:, depth])
+                fd = 0.5 * (dx - 1j * dy)
+                assert np.max(np.abs(exact[i] - fd)) < 1e-9
+
+    @pytest.mark.parametrize("which", ["disk", "ellipse"])
+    def test_all_orders_match_power_sums(self, which, disk256, ellipse_wide256):
+        """One multi-order call agrees with the direct power sum of every order."""
+        boundary = disk256 if which == "disk" else ellipse_wide256
+        g = random_trace(boundary, 12, seed=5)
+        pts = interior_points(boundary, TARGET_CHUNK + 37, seed=6)
+        orders = list(range(1, g.n_modes + 1))
+        swept = del_v_minus(g, orders, pts)
+        assert swept.shape == (len(orders), len(pts))
+        for i, d in enumerate(orders):
+            ref = power_sum_del_v(g, d, pts)
+            assert np.max(np.abs(swept[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_order_selection(self, disk256):
+        """Single orders, one parity, repeats and any order give the same rows."""
+        g = random_trace(disk256, 9, seed=7)
+        pts = interior_points(disk256, 20, seed=8)
+        full = del_v_minus(g, range(1, 10), pts)
+        assert np.array_equal(del_v_minus(g, 4, pts), full[3])
+        assert np.array_equal(del_v_minus(g, [7, 3, 7], pts), full[[6, 2, 6]])
+        assert np.all(del_v_minus(g, [12], pts) == 0.0)
+        with pytest.raises(ValueError):
+            del_v_minus(g, [-1, 2], pts)
+
+    def test_memory_bounded(self, ellipse_wide512):
+        """Kernels over 4096 points x 512 nodes stay far below one dense (P x n) array."""
+        g = random_trace(ellipse_wide512, 32, seed=9)
+        pts = interior_points(ellipse_wide512, 4096, seed=10)
+        for run in (
+            lambda: del_v_minus(g, range(1, g.n_modes + 1), pts),
+            lambda: cauchy_build(g, pts),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32e6
 
 
 class TestAAnalyticity:

@@ -140,6 +140,7 @@ class TestReconstructCommand:
         with open(out / "recon_report.json") as fh:
             doc = json.load(fh)
         assert doc["consistency_flag"] == 0
+        assert doc["fd_zeroed_points"] == 0
         assert doc["relative_l2_error"] < 0.05
         assert doc["grid"] == {"nx": 20, "ny": 20,
                                "margin": doc["grid"]["margin"]}
@@ -211,6 +212,29 @@ class TestFactorsAndCache:
         assert os.path.getmtime(cache) == before  # reused, not rebuilt
         with open(tmp_path / "chk" / "residual.json") as fh:
             assert json.load(fh)["attenuated"] is True
+
+    def test_reconstruct_reports_zeroed_points(self, tmp_path):
+        """On a grid coarser than the margin some points lack factor differences."""
+        coarse = write_config(
+            tmp_path / "coarse.json", grid={"nx": 12, "ny": 12},
+            phantoms={"f": {"name": "poly-bump"},
+                      "a": {"name": "poly-bump", "params": {"amplitude": 0.2}}},
+        )
+        out = tmp_path / "fw"
+        assert main(["forward", "--config", coarse, "--out", str(out),
+                     "--attenuated"]) == 0
+        rec = tmp_path / "rec"
+        assert main(["reconstruct", "--config", coarse, "--out", str(rec),
+                     str(out / "sinogram.bin")]) == 0
+        with open(rec / "recon_report.json") as fh:
+            zeroed = json.load(fh)["fd_zeroed_points"]
+        _, _, pic = aio.read_field_csv(str(rec / "reconstruction.csv"))
+        cfg = load_config(coarse)
+        boundary = cfg.make_boundary()
+        grid = cfg.make_grid(boundary)
+        evaluated = grid.valid & boundary.contains(grid.points_all)
+        assert zeroed > 0
+        assert zeroed == int(np.sum(pic.ravel()[evaluated] == 0.0))
 
     def test_cache_attenuation_mismatch_exits_two(self, att_cfg, tmp_path):
         cache = tmp_path / "factors.bin"

@@ -1,4 +1,6 @@
 """Boundary curves, chord casting, and tangential-direction behaviour."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,32 @@ class TestLineSpans:
                     assert abs((t_hi[0] - t_lo[0]) - ref) < tol
                     assert abs(b.node_chord_lengths(d[None, :])[idx, 0] - ref) < tol
 
+
+class TestDistanceToBoundary:
+    def test_chunked_search_exact_and_bounded(self):
+        """4096 points on the 512-node 1.5 x 1 ellipse: small peak, unchanged values."""
+        b = make_boundary("ellipse", 512, a=1.5, b=1.0)
+        xs, ys = np.meshgrid(np.linspace(-1.6, 1.6, 64), np.linspace(-1.1, 1.1, 64))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        tracemalloc.start()
+        try:
+            d = b.distance_to_boundary(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+        # reference: the nearest of 8n candidates for each point on its own,
+        # then the Newton polish over all points in one piece
+        t = np.linspace(0.0, 2.0 * np.pi, 8 * b.n_nodes, endpoint=False)
+        cand = b.position_at(t)
+        u = t[[np.argmin((x - cand[:, 0]) ** 2 + (y - cand[:, 1]) ** 2) for x, y in pts]]
+        for _ in range(6):
+            r = b.position_at(u) - pts
+            dw = b._derivative_at(u)
+            g = np.sum(r * dw, axis=1)
+            gp = np.sum(dw * dw, axis=1) + np.sum(r * b._second_derivative_at(u), axis=1)
+            step = g / np.where(np.abs(gp) > 1e-300, gp, 1e-300)
+            u = u - np.clip(step, -0.5, 0.5)
+        ref = np.hypot(*(b.position_at(u) - pts).T)
+        assert np.array_equal(d, ref)
