@@ -33,7 +33,7 @@ from .bukhgeim import (
     reconstruct_f0,
     range_residual_0,
 )
-from .xray import QuadSettings, radon_profile, _directions
+from .xray import QuadSettings, radon_profile, ray_points, _directions
 
 
 def _fft_linear_convolve(a, b):
@@ -151,9 +151,7 @@ def default_s_grid(boundary, n_samples=2048):
 def _chord_integrals(a, starts, taus, direction, quad):
     """Ray integrals of `a` from each start over length tau, one direction."""
     frac, wts = quad.nodes_weights()
-    s = taus[:, None] * frac[None, :]
-    pts = starts[:, None, :] + s[:, :, None] * direction[None, None, :]
-    vals = a(pts)
+    vals = a(ray_points(starts, direction, taus[:, None] * frac[None, :]))
     return taus * np.einsum("mk,k->m", vals, wts, optimize=False)
 
 

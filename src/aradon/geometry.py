@@ -35,7 +35,7 @@ EXTREMUM_ITERS = 8         # cap on Newton steps refining the extrema of s(u) on
 ROOT_ITERS = 60            # cap on safeguarded Newton steps per arc crossing
 ROOT_STEP_TOL = 1e-13      # parameter step below which a Newton iterate counts as converged
 CURVATURE_FLOOR = 1e-6     # strictly positive curvature bound delta
-POINT_CHUNK = 128          # points per pass of the (points x candidates) nearest-node search
+POINT_CHUNK = 128          # points per pass of the (points x polyline samples) searches
 
 # Config-file spellings of the boundary kinds.
 KIND_ALIASES = {"disk": "unit-disk", "table": "generic"}
@@ -193,12 +193,14 @@ class ConvexBoundary:
         poly = self.position_at(t)
         x0, y0 = poly[:, 0], poly[:, 1]
         x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-        px = pts[:, 0][:, None]
-        py = pts[:, 1][:, None]
-        crosses = ((y0 > py) != (y1 > py)) & (
-            px < (x1 - x0) * (py - y0) / (y1 - y0 + 1e-300) + x0
-        )
-        return np.sum(crosses, axis=1) % 2 == 1
+        inside = np.empty(len(pts), dtype=bool)
+        for lo in range(0, len(pts), POINT_CHUNK):
+            px, py = pts[lo:lo + POINT_CHUNK, 0, None], pts[lo:lo + POINT_CHUNK, 1, None]
+            crosses = ((y0 > py) != (y1 > py)) & (
+                px < (x1 - x0) * (py - y0) / (y1 - y0 + 1e-300) + x0
+            )
+            inside[lo:lo + POINT_CHUNK] = np.sum(crosses, axis=1) % 2 == 1
+        return inside
 
     def distance_to_boundary(self, points):
         """Unsigned distance from each point to the curve (Newton-polished)."""
@@ -209,12 +211,13 @@ class ConvexBoundary:
         t = np.linspace(0.0, 2.0 * np.pi, 8 * self.n_nodes, endpoint=False)
         cand = self.position_at(t)
         nearest = np.empty(len(pts), dtype=int)
+        d2, dy = np.empty((2, min(len(pts), POINT_CHUNK), len(cand)))  # reused: no page faults per chunk
         for lo in range(0, len(pts), POINT_CHUNK):
             p = pts[lo:lo + POINT_CHUNK]
-            d2 = (p[:, 0][:, None] - cand[None, :, 0]) ** 2 + (
-                p[:, 1][:, None] - cand[None, :, 1]
-            ) ** 2
-            nearest[lo:lo + POINT_CHUNK] = np.argmin(d2, axis=1)
+            k = len(p)
+            np.square(np.subtract.outer(p[:, 0], cand[:, 0], out=d2[:k]), out=d2[:k])
+            np.square(np.subtract.outer(p[:, 1], cand[:, 1], out=dy[:k]), out=dy[:k])
+            nearest[lo:lo + POINT_CHUNK] = np.argmin(np.add(d2[:k], dy[:k], out=d2[:k]), axis=1)
         u = t[nearest]
         # Newton on d/du |w(u) - p|^2 = 0.
         for _ in range(6):

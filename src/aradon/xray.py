@@ -4,16 +4,20 @@ The divergence beam transform integrates the attenuation from a point to
 the boundary along a ray; the full-line transform integrates across the
 whole domain, on many parallel lines at once.  No crossing is solved
 here: every chord and line span comes from the geometry's one primitive,
-ConvexBoundary.line_spans.  forward_sinogram produces the canonical
-boundary data of an attenuated ray transform: on outgoing node/direction
-pairs it carries the attenuated ray integral of the source over the full
-chord, on incoming and tangential pairs it is zero.
+ConvexBoundary.line_spans, and every chord quadrature samples its rays
+with one helper, ray_points, which fills one coordinate per pass (a
+broadcast over the length-2 point axis costs several times more).
+forward_sinogram produces the canonical boundary data of an attenuated
+ray transform: on outgoing node/direction pairs it carries the
+attenuated ray integral of the source over the full chord, on incoming
+and tangential pairs it is zero.
 verify_radon_identity checks any sinogram against the defining chord
 identity with quadrature and interpolation independent of the forward
 code paths.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,12 +34,30 @@ class QuadSettings:
     points: int = 8
 
     def nodes_weights(self):
-        """Nodes and weights on [0, 1], composite over equal panels."""
-        x, w = leggauss(self.points)
-        offs = np.arange(self.panels)[:, None]
-        nodes = ((offs + (x[None, :] + 1.0) / 2.0) / self.panels).ravel()
-        weights = np.tile(w / (2.0 * self.panels), self.panels)
-        return nodes, weights
+        """Nodes and weights on [0, 1], composite over equal panels (read-only)."""
+        return _composite_rule(self.panels, self.points)
+
+
+@lru_cache(maxsize=None)  # keyed by (panels, points): a handful per process
+def _composite_rule(panels, points):
+    x, w = leggauss(points)
+    nodes = ((np.arange(panels)[:, None] + (x[None, :] + 1.0) / 2.0) / panels).ravel()
+    weights = np.tile(w / (2.0 * panels), panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def ray_points(starts, direction, t):
+    """starts + t * direction as a t.shape + (2,) array, one coordinate per pass.
+
+    starts is one point (2,) or one per row of t (m, 2); every element gets
+    the same multiply and add as in the broadcast expression.
+    """
+    pts = np.empty(np.shape(t) + (2,))
+    for c in range(2):
+        np.multiply(t, direction[c], out=pts[..., c])
+        pts[..., c] += starts[..., c, None]
+    return pts
 
 
 class ScalarField:
@@ -171,15 +193,11 @@ def _directions(angles):
 
 def divergence_beam(a, x, theta, quad=QuadSettings()):
     """Integral of `a` from x to the boundary along direction theta."""
-    if a.is_zero:
-        chord = cast_chord(a.boundary, x, theta)  # still validates membership
-        return 0.0
-    chord = cast_chord(a.boundary, x, theta)
-    tau = chord.tau_plus
-    if tau == 0.0:
+    tau = cast_chord(a.boundary, x, theta).tau_plus  # validates membership for a = 0 too
+    if a.is_zero or tau == 0.0:
         return 0.0
     nodes, weights = quad.nodes_weights()
-    pts = np.asarray(x, float)[None, :] + (tau * nodes)[:, None] * np.asarray(theta, float)[None, :]
+    pts = ray_points(np.asarray(x, float), np.asarray(theta, float), tau * nodes)
     return float(tau * np.dot(weights, a(pts)))
 
 
@@ -205,8 +223,7 @@ def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
     nodes, weights = quad.nodes_weights()
     spans = t_hi - t_lo
     ts = t_lo[:, None] + spans[:, None] * nodes[None, :]
-    pts = p0s[:, None, :] + ts[:, :, None] * th[None, None, :]
-    vals = a(pts)
+    vals = a(ray_points(p0s, th, ts))
     return spans * np.einsum("sq,q->s", vals, weights, optimize=False)
 
 
@@ -240,13 +257,10 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
             continue
         tau = taus[out_mask, j]                       # (m,)
         entry = boundary.positions[out_mask] - tau[:, None] * th[None, :]
-        s_gl = tau[:, None] * gl_frac[None, :]        # (m, K)
-        pts = entry[:, None, :] + s_gl[:, :, None] * th[None, None, :]
-        fv = f(pts)
+        fv = f(ray_points(entry, th, tau[:, None] * gl_frac[None, :]))   # (m, K)
         if attenuated:
             s_u = tau[:, None] * frac_union[None, :]
-            pts_u = entry[:, None, :] + s_u[:, :, None] * th[None, None, :]
-            av = a(pts_u)
+            av = a(ray_points(entry, th, s_u))
             seg = 0.5 * (av[:, 1:] + av[:, :-1]) * np.diff(s_u, axis=1)
             cum = np.concatenate([np.zeros((len(tau), 1)), np.cumsum(seg, axis=1)], axis=1)
             da_from = cum[:, -1:] - cum[:, gl_pos]    # Da at the GL nodes

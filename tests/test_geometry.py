@@ -6,6 +6,7 @@ import pytest
 
 from aradon.errors import NonConvex, NoIntersection, OutsideDomain, TooFewNodes
 from aradon.geometry import (
+    ON_BOUNDARY_TOL,
     cast_chord,
     classify_boundary_pair,
     make_boundary,
@@ -298,3 +299,31 @@ class TestDistanceToBoundary:
             u = u - np.clip(step, -0.5, 0.5)
         ref = np.hypot(*(b.position_at(u) - pts).T)
         assert np.array_equal(d, ref)
+
+
+class TestContains:
+    def test_memory_bounded(self):
+        """1024 points on a 512-node table: small peak, unchanged membership."""
+        ell = make_boundary("ellipse", 512, a=1.5, b=1.0)
+        b = make_boundary("table", 512, table=ell.positions)
+        xs, ys = np.meshgrid(np.linspace(-1.6, 1.6, 32), np.linspace(-1.1, 1.1, 32))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        tracemalloc.start()
+        try:
+            inside = b.contains(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+        # reference: crossing parity against the 8n-sample polyline in one piece
+        poly = b.position_at(np.linspace(0.0, 2.0 * np.pi, 8 * b.n_nodes, endpoint=False))
+        x0, y0 = poly[:, 0], poly[:, 1]
+        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+        px, py = pts[:, 0][:, None], pts[:, 1][:, None]
+        crosses = ((y0 > py) != (y1 > py)) & (
+            px < (x1 - x0) * (py - y0) / (y1 - y0 + 1e-300) + x0
+        )
+        ref = (np.sum(crosses, axis=1) % 2 == 1) | (b.distance_to_boundary(pts) <= ON_BOUNDARY_TOL)
+        assert np.array_equal(inside, ref)
+        assert 0 < np.sum(inside) < len(pts)

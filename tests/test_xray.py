@@ -1,9 +1,12 @@
 """Phantoms, ray integrals, forward boundary data, and the chord identity."""
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
+from aradon.attenuation import _chord_integrals
 from aradon.errors import SupportViolation, UnknownPhantom
+from aradon.geometry import TOL_TANGENT, make_boundary
 from aradon.harmonics import AngularGrid
 from aradon.xray import (
     QuadSettings,
@@ -14,6 +17,7 @@ from aradon.xray import (
     phantom,
     radon_full_line,
     radon_profile,
+    ray_points,
     verify_radon_identity,
 )
 
@@ -223,3 +227,115 @@ class TestChordIdentity:
         )
         d1 = verify_radon_identity(shifted, f, a, n_probes=40)
         assert abs(d1 - d0) <= 1e-9
+
+
+def composite_rule(panels, points):
+    """Composite Gauss-Legendre nodes and weights on [0, 1], built afresh."""
+    x, w = leggauss(points)
+    nodes = np.concatenate([(k + (x + 1.0) / 2.0) / panels for k in range(panels)])
+    return nodes, np.tile(w / (2.0 * panels), panels)
+
+
+def broadcast_points(starts, direction, t):
+    """Ray sample points by one broadcast over the coordinate axis."""
+    return starts[:, None, :] + t[:, :, None] * direction[None, None, :]
+
+
+def reference_profile(a, boundary, th, s_values, quad):
+    perp = np.array([-th[1], th[0]])
+    p0s = s_values[:, None] * perp[None, :]
+    t_lo, t_hi, _ = boundary.line_spans(p0s, th)
+    nodes, weights = composite_rule(quad.panels, quad.points)
+    spans = t_hi - t_lo
+    ts = t_lo[:, None] + spans[:, None] * nodes[None, :]
+    vals = a(broadcast_points(p0s, th, ts))
+    return spans * np.einsum("sq,q->s", vals, weights, optimize=False)
+
+
+def reference_forward(f, a, boundary, angular, quad):
+    """Forward data with every sample point from broadcast_points."""
+    dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
+    taus = boundary.node_chord_lengths(dirs)
+    normal_dot = boundary.normals @ dirs.T
+    gl_frac, gl_w = composite_rule(quad.panels, quad.points)
+    n_da = 8 * len(gl_frac)
+    frac_union = np.unique(np.concatenate([np.arange(n_da + 1) / n_da, gl_frac]))
+    gl_pos = np.searchsorted(frac_union, gl_frac)
+    data = np.zeros((boundary.n_nodes, angular.n_angles))
+    for j, th in enumerate(dirs):
+        out = normal_dot[:, j] > TOL_TANGENT
+        if not np.any(out):
+            continue
+        tau = taus[out, j]
+        entry = boundary.positions[out] - tau[:, None] * th[None, :]
+        fv = f(broadcast_points(entry, th, tau[:, None] * gl_frac[None, :]))
+        if not a.is_zero:
+            s_u = tau[:, None] * frac_union[None, :]
+            av = a(broadcast_points(entry, th, s_u))
+            seg = 0.5 * (av[:, 1:] + av[:, :-1]) * np.diff(s_u, axis=1)
+            cum = np.concatenate([np.zeros((len(tau), 1)), np.cumsum(seg, axis=1)], axis=1)
+            fv = fv * np.exp(-(cum[:, -1:] - cum[:, gl_pos]))
+        data[out, j] = tau * np.einsum("mk,k->m", fv, gl_w, optimize=False)
+    return data
+
+
+class TestRaySampler:
+    """Every chord quadrature samples through ray_points, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def boundaries(self, disk256, ellipse256):
+        table = make_boundary("table", 96, table=make_boundary("ellipse", 96, a=2.0, b=1.0).positions)
+        return (disk256, ellipse256, table)
+
+    def test_ray_points_match_broadcast(self):
+        rng = np.random.default_rng(7)
+        starts = rng.normal(size=(13, 2))
+        direction = rng.normal(size=2)
+        t = rng.normal(size=(13, 21))
+        assert ray_points(starts, direction, t).shape == (13, 21, 2)
+        assert np.array_equal(ray_points(starts, direction, t),
+                              broadcast_points(starts, direction, t))
+        x, t1 = starts[0], t[0]
+        assert np.array_equal(ray_points(x, direction, t1),
+                              x[None, :] + t1[:, None] * direction[None, :])
+
+    def test_nodes_weights_cached_read_only(self):
+        for quad in (QuadSettings(), QuadSettings(panels=5, points=3)):
+            nodes, weights = quad.nodes_weights()
+            ref_nodes, ref_weights = composite_rule(quad.panels, quad.points)
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(weights, ref_weights)
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
+            assert quad.nodes_weights()[0] is nodes
+
+    def test_radon_profile_and_chords_exact(self, boundaries):
+        quad = QuadSettings(panels=4, points=6)
+        for b in boundaries:
+            a = phantom("shifted-poly-bump", b, params={"center": (-0.2, 0.1), "radius": 0.6})
+            th = np.array([np.cos(0.9), np.sin(0.9)])
+            s_vals = np.linspace(-1.1, 1.1, 41)
+            assert np.array_equal(radon_profile(a, b, th, s_vals, quad),
+                                  reference_profile(a, b, th, s_vals, quad))
+            starts = np.random.default_rng(3).uniform(-0.6, 0.6, size=(17, 2))
+            _, taus, _ = b.line_spans(starts, th)
+            nodes, weights = composite_rule(quad.panels, quad.points)
+            ref = taus * np.einsum("mk,k->m", a(broadcast_points(starts, th, taus[:, None] * nodes)),
+                                   weights, optimize=False)
+            assert np.array_equal(_chord_integrals(a, starts, taus, th, quad), ref)
+            x = starts[0]
+            tau = taus[0]
+            ref = tau * np.dot(weights, a(x[None, :] + (tau * nodes)[:, None] * th[None, :]))
+            assert divergence_beam(a, x, th, quad) == float(ref)
+
+    def test_forward_exact(self, boundaries):
+        ang = AngularGrid(12)
+        quad = QuadSettings(panels=4, points=6)
+        for b in boundaries:
+            f = phantom("shifted-poly-bump", b)
+            for a in (phantom("zero", b),
+                      phantom("shifted-poly-bump", b,
+                              params={"center": (-0.2, 0.1), "radius": 0.6, "amplitude": 0.3})):
+                got = forward_sinogram(f, a, b, ang, quad).data
+                assert np.array_equal(got, reference_forward(f, a, b, ang, quad))
