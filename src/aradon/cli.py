@@ -1,5 +1,10 @@
 """Batch front-end: phantom, forward, check, reconstruct, factors, sweep.
 
+Every subcommand and every `sweep` rung runs the paper's chain through
+the stage helpers of this module, `_forward`, `_build_factors`, `_load`,
+`_residual` and `_reconstruct`, each the one caller of its library
+routines; the subcommands add only arguments, files and printed lines.
+
 Exit codes: 0 consistent / success, 1 inconsistent (range test failed),
 2 usage, config, or file-format error, 3 numeric failure.
 
@@ -91,12 +96,39 @@ def _outdir(cfg, args):
     return out
 
 
-def _get_factors(cfg, args, boundary, angular, quad, need_interior):
-    """Build the integrating factors, honoring the cache flag."""
-    a = cfg.make_phantom("a", boundary)
+def _plain(obj):
+    """Mirror JSON round-tripping: tuples to lists, for comparisons."""
+    return json.loads(json.dumps(obj))
+
+
+def _forward(cfg, attenuated):
+    """Boundary data of the configured source, through `a` or through zero."""
+    boundary = cfg.make_boundary()
+    angular = cfg.make_angular()
+    f = cfg.make_phantom("f", boundary)
+    a = cfg.make_phantom("a", boundary) if attenuated else phantom("zero", boundary)
+    return forward_sinogram(f, a, boundary, angular, quad=cfg.make_quad())
+
+
+def _build_factors(cfg, boundary, angular, grid):
+    """Integrating factors of the configured `a`; interior data on `grid` if given."""
+    return build_h(
+        cfg.make_phantom("a", boundary), boundary, angular, cfg.n_modes,
+        quad=cfg.make_quad(), s_grid=default_s_grid(boundary, cfg.s_samples),
+        interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
+    )
+
+
+def _get_factors(cfg, args, sino, grid):
+    """Integrating factors for `sino`, honoring the cache flag.
+
+    A cache read for reconstruction (`grid` given) must carry interior data.
+    """
     cache = args.factors_cache
     if cache and os.path.exists(cache):
-        factors = aio.read_factors_cache(cache, boundary=boundary, angular=angular)
+        a = cfg.make_phantom("a", sino.boundary)
+        factors = aio.read_factors_cache(cache, boundary=sino.boundary,
+                                         angular=sino.angular)
         if factors.a_info != {"name": a.name, "params": _plain(a.params)}:
             raise ConfigError(
                 "factors cache %s was built for attenuation %s, config says %s"
@@ -107,26 +139,85 @@ def _get_factors(cfg, args, boundary, angular, quad, need_interior):
                 "factors cache has N=%d, config wants N=%d"
                 % (factors.n_modes, cfg.n_modes)
             )
-        if need_interior and factors.interior is None:
+        if grid is not None and factors.interior is None:
             raise ConfigError(
                 "factors cache %s has no interior data; rebuild with the "
                 "factors subcommand" % cache
             )
         return factors
-    grid = cfg.make_grid(boundary) if need_interior else None
-    factors = build_h(
-        a, boundary, angular, cfg.n_modes, quad=quad,
-        s_grid=default_s_grid(boundary, cfg.s_samples),
-        interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
-    )
+    factors = _build_factors(cfg, sino.boundary, sino.angular, grid)
     if cache:
         aio.write_factors_cache(cache, factors, config_hash=cfg.config_hash)
     return factors
 
 
-def _plain(obj):
-    """Mirror JSON round-tripping: tuples to lists, for comparisons."""
-    return json.loads(json.dumps(obj))
+def _check_sino_grids(cfg, sino):
+    want_kind = KIND_ALIASES.get(cfg.boundary_kind, cfg.boundary_kind)
+    sb = sino.boundary
+    if sb.n_nodes != cfg.n_nodes or sb.kind != want_kind:
+        raise GridMismatch(
+            "sinogram has %s/%d nodes, config wants %s/%d"
+            % (sb.kind, sb.n_nodes, cfg.boundary_kind, cfg.n_nodes)
+        )
+    # Table contents go unchecked: comparing them would spline the table.
+    if sb.kind == "ellipse" and (sb.a, sb.b) != (cfg.boundary_a, cfg.boundary_b):
+        raise GridMismatch(
+            "sinogram has the ellipse a=%r b=%r, config wants a=%r b=%r"
+            % (sb.a, sb.b, cfg.boundary_a, cfg.boundary_b)
+        )
+    if sino.angular.n_angles != cfg.n_angles:
+        raise GridMismatch(
+            "sinogram has %d angles, config wants %d"
+            % (sino.angular.n_angles, cfg.n_angles)
+        )
+
+
+def _load(cfg, args, interior):
+    """The sinogram argument's modes, the grid (for `interior` only) and the
+    factors (None unless the file or --attenuated says attenuated)."""
+    sino = aio.read_sinogram(args.sinogram)
+    _check_sino_grids(cfg, sino)
+    grid = cfg.make_grid(sino.boundary) if interior else None
+    trace = project_minus(sino, cfg.n_modes)
+    factors = None
+    if args.attenuated or sino.attenuated:
+        factors = _get_factors(cfg, args, sino, grid)
+    return trace, grid, factors
+
+
+def _residual(trace, factors):
+    """Range test of the trace: the attenuated one when there are factors."""
+    if factors is None:
+        return range_residual_0(trace)
+    return range_residual_a(trace, factors)
+
+
+def _reconstruct(cfg, trace, factors, grid):
+    """Picture, InconsistentInput warning count, points zeroed for want of
+    differences of the interior factors (0 without attenuation)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", InconsistentInput)
+        if factors is None:
+            pic = reconstruct_f0(trace, grid, gate=cfg.recon_gate)
+        else:
+            pic = reconstruct_f_attenuated(trace, factors, grid, gate=cfg.recon_gate)
+    flagged = sum(1 for w in caught if issubclass(w.category, InconsistentInput))
+    zeroed = 0 if factors is None else int(np.sum(fd_zeroed_mask(factors, grid)))
+    return pic, flagged, zeroed
+
+
+def _recon_error(cfg, grid, pic, truth_field):
+    """Relative L2 error against the named phantom on the gated interior."""
+    mask_pic = grid.valid.reshape(grid.ny, grid.nx)
+    r = np.hypot(grid.points_all[:, 0], grid.points_all[:, 1]).reshape(grid.ny, grid.nx)
+    region = mask_pic & (r <= cfg.error_radius)
+    truth = np.zeros(grid.ny * grid.nx)
+    truth[grid.valid] = truth_field(grid.points)
+    truth = truth.reshape(grid.ny, grid.nx)
+    denom = float(np.sqrt(np.sum(truth[region] ** 2)))
+    if denom == 0.0:
+        return float(np.sqrt(np.sum(pic[region] ** 2)))
+    return float(np.sqrt(np.sum((pic[region] - truth[region]) ** 2)) / denom)
 
 
 def cmd_phantom(cfg, args):
@@ -148,16 +239,12 @@ def cmd_phantom(cfg, args):
 
 def cmd_forward(cfg, args):
     out = _outdir(cfg, args)
-    boundary = cfg.make_boundary()
-    angular = cfg.make_angular()
-    quad = cfg.make_quad()
-    f = cfg.make_phantom("f", boundary)
-    a = cfg.make_phantom("a", boundary) if args.attenuated else phantom("zero", boundary)
-    sino = forward_sinogram(f, a, boundary, angular, quad=quad)
+    sino = _forward(cfg, args.attenuated)
     path = os.path.join(out, "sinogram.bin")
     aio.write_sinogram(path, sino, config_hash=cfg.config_hash)
     if getattr(args, "csv", False):
         aio.sinogram_to_csv(os.path.join(out, "sinogram.csv"), sino)
+    boundary, angular = sino.boundary, sino.angular
     dirs = np.stack([np.cos(angular.angles), np.sin(angular.angles)], axis=1)
     incoming = (boundary.normals @ dirs.T) < 0.0
     max_incoming = float(np.max(np.abs(sino.data[incoming]))) if incoming.any() else 0.0
@@ -170,97 +257,40 @@ def cmd_forward(cfg, args):
     return 0
 
 
-def _check_sino_grids(cfg, sino):
-    want_kind = KIND_ALIASES.get(cfg.boundary_kind, cfg.boundary_kind)
-    if sino.boundary.n_nodes != cfg.n_nodes or sino.boundary.kind != want_kind:
-        raise GridMismatch(
-            "sinogram has %s/%d nodes, config wants %s/%d"
-            % (sino.boundary.kind, sino.boundary.n_nodes, cfg.boundary_kind,
-               cfg.n_nodes)
-        )
-    if sino.angular.n_angles != cfg.n_angles:
-        raise GridMismatch(
-            "sinogram has %d angles, config wants %d"
-            % (sino.angular.n_angles, cfg.n_angles)
-        )
-
-
 def cmd_check(cfg, args):
     out = _outdir(cfg, args)
-    sino = aio.read_sinogram(args.sinogram)
-    _check_sino_grids(cfg, sino)
-    trace = project_minus(sino, cfg.n_modes)
-    attenuated = args.attenuated or sino.attenuated
-    if attenuated:
-        quad = cfg.make_quad()
-        factors = _get_factors(cfg, args, sino.boundary, sino.angular, quad,
-                               need_interior=False)
-        rr = range_residual_a(trace, factors)
-    else:
-        rr = range_residual_0(trace)
+    trace, _, factors = _load(cfg, args, interior=False)
+    rr = _residual(trace, factors)
     consistent = rr.relative <= cfg.residual_gate
-    report = rr.report()
     extra = {
         "config_hash": cfg.config_hash,
-        "attenuated": bool(attenuated),
+        "attenuated": factors is not None,
         "gate": cfg.residual_gate,
         "verdict": "consistent" if consistent else "inconsistent",
     }
     path = os.path.join(out, "residual.json")
-    aio.write_residual_report(path, report, extra=extra)
+    aio.write_residual_report(path, rr.report(), extra=extra)
     print("range residual: relative %.6g (gate %.3g) -> %s [%s]"
           % (rr.relative, cfg.residual_gate, path, extra["verdict"]))
     return 0 if consistent else 1
 
 
-def _recon_error(cfg, boundary, grid, pic, truth_field):
-    """Relative L2 error against the named phantom on the gated interior."""
-    mask_pic = grid.valid.reshape(grid.ny, grid.nx)
-    r = np.hypot(grid.points_all[:, 0], grid.points_all[:, 1]).reshape(grid.ny, grid.nx)
-    region = mask_pic & (r <= cfg.error_radius)
-    truth = np.zeros(grid.ny * grid.nx)
-    truth[grid.valid] = truth_field(grid.points)
-    truth = truth.reshape(grid.ny, grid.nx)
-    denom = float(np.sqrt(np.sum(truth[region] ** 2)))
-    if denom == 0.0:
-        return float(np.sqrt(np.sum(pic[region] ** 2)))
-    return float(np.sqrt(np.sum((pic[region] - truth[region]) ** 2)) / denom)
-
-
 def cmd_reconstruct(cfg, args):
     out = _outdir(cfg, args)
-    sino = aio.read_sinogram(args.sinogram)
-    _check_sino_grids(cfg, sino)
-    boundary = sino.boundary
-    grid = cfg.make_grid(boundary)
-    trace = project_minus(sino, cfg.n_modes)
-    attenuated = args.attenuated or sino.attenuated
-    flagged = 0
-    zeroed = 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", InconsistentInput)
-        if attenuated:
-            quad = cfg.make_quad()
-            factors = _get_factors(cfg, args, boundary, sino.angular, quad,
-                                   need_interior=True)
-            pic = reconstruct_f_attenuated(trace, factors, grid, gate=cfg.recon_gate)
-            zeroed = int(np.sum(fd_zeroed_mask(factors, grid)))
-        else:
-            pic = reconstruct_f0(trace, grid, gate=cfg.recon_gate)
-        flagged = sum(1 for w in caught if issubclass(w.category, InconsistentInput))
-
+    trace, grid, factors = _load(cfg, args, interior=True)
+    pic, flagged, zeroed = _reconstruct(cfg, trace, factors, grid)
     path = os.path.join(out, "reconstruction.csv")
     aio.write_field_csv(path, grid.xs, grid.ys, pic)
     report = {
         "config_hash": cfg.config_hash,
-        "attenuated": bool(attenuated),
-        "consistency_flag": int(flagged),
+        "attenuated": factors is not None,
+        "consistency_flag": flagged,
         "fd_zeroed_points": zeroed,
         "grid": {"nx": grid.nx, "ny": grid.ny, "margin": grid.margin},
     }
     if cfg.phantom_f["name"] != "zero":
-        truth = cfg.make_phantom("f", boundary)
-        err = _recon_error(cfg, boundary, grid, pic, truth)
+        truth = cfg.make_phantom("f", trace.boundary)
+        err = _recon_error(cfg, grid, pic, truth)
         report["relative_l2_error"] = err
         report["error_radius"] = cfg.error_radius
         print("reconstruction error %.4g (|xi| <= %.3g) consistency_flag=%d -> %s"
@@ -276,21 +306,13 @@ def cmd_reconstruct(cfg, args):
 def cmd_factors(cfg, args):
     out = _outdir(cfg, args)
     boundary = cfg.make_boundary()
-    angular = cfg.make_angular()
-    quad = cfg.make_quad()
     cache = args.factors_cache or os.path.join(out, "factors.bin")
-    a = cfg.make_phantom("a", boundary)
-    grid = cfg.make_grid(boundary)
-    factors = build_h(
-        a, boundary, angular, cfg.n_modes, quad=quad,
-        s_grid=default_s_grid(boundary, cfg.s_samples),
-        interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
-    )
+    factors = _build_factors(cfg, boundary, cfg.make_angular(), cfg.make_grid(boundary))
     aio.write_factors_cache(cache, factors, config_hash=cfg.config_hash)
     print(
         "factors for a=%s: max negative mode %.3g (tol %.3g), "
         "alpha*beta identity deviation %.3g -> %s"
-        % (a.name, factors.max_neg_mode, factors.tol_neg,
+        % (factors.a_info["name"], factors.max_neg_mode, factors.tol_neg,
            factors.max_identity_dev, cache)
     )
     return 0
@@ -332,29 +354,15 @@ def cmd_sweep(cfg, args):
             t0 = time.perf_counter()
             try:
                 rung = _rung_config(cfg, args.axis, value)
-                boundary = rung.make_boundary()
-                angular = rung.make_angular()
-                quad = rung.make_quad()
-                f = rung.make_phantom("f", boundary)
-                a = rung.make_phantom("a", boundary) if args.attenuated \
-                    else phantom("zero", boundary)
-                sino = forward_sinogram(f, a, boundary, angular, quad=quad)
+                sino = _forward(rung, args.attenuated)
                 trace = project_minus(sino, rung.n_modes)
-                grid = rung.make_grid(boundary)
+                grid = rung.make_grid(sino.boundary)
+                factors = None
                 if args.attenuated:
-                    factors = build_h(
-                        a, boundary, angular, rung.n_modes, quad=quad,
-                        s_grid=default_s_grid(boundary, rung.s_samples),
-                        interior_grid=grid, tol_neg=rung.tol_neg,
-                        tol_identity=rung.tol_identity,
-                    )
-                    rr = range_residual_a(trace, factors)
-                    pic = reconstruct_f_attenuated(trace, factors, grid,
-                                                   gate=rung.recon_gate)
-                else:
-                    rr = range_residual_0(trace)
-                    pic = reconstruct_f0(trace, grid, gate=rung.recon_gate)
-                err = _recon_error(rung, boundary, grid, pic, f)
+                    factors = _build_factors(rung, sino.boundary, sino.angular, grid)
+                rr = _residual(trace, factors)
+                pic, _, _ = _reconstruct(rung, trace, factors, grid)
+                err = _recon_error(rung, grid, pic, rung.make_phantom("f", sino.boundary))
             except (AradonError, ValueError) as exc:
                 failed = "rung %s=%d failed: %s" % (args.axis, value, exc)
                 break

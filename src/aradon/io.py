@@ -16,14 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatch
 from .geometry import make_boundary
-from .harmonics import ModeTrace, AngularGrid
+from .harmonics import AngularGrid
 from .xray import Sinogram
-from .bukhgeim import ModeField, CartesianGrid
+from .bukhgeim import CartesianGrid
 from .attenuation import IntegratingFactor, InteriorFactors
 
-_TRACE_FORMAT = "aradon-mode-trace"
 _SINO_FORMAT = "aradon-sinogram"
-_FIELD_FORMAT = "aradon-mode-field"
 _FACTORS_FORMAT = "aradon-factors"
 
 
@@ -59,10 +57,6 @@ def _read_container(path, expect_format):
     return header, payload
 
 
-def boundary_descriptor(boundary):
-    return boundary.descriptor()
-
-
 def boundary_from_descriptor(desc):
     kind = desc["kind"]
     if kind == "generic":
@@ -70,25 +64,6 @@ def boundary_from_descriptor(desc):
                              table=np.asarray(desc["table"], dtype=float))
     return make_boundary(kind, desc["n_nodes"],
                          a=desc.get("a", 1.0), b=desc.get("b", 1.0))
-
-
-def write_mode_trace(path, trace):
-    header = {
-        "format": _TRACE_FORMAT,
-        "version": 1,
-        "n_modes": trace.n_modes,
-        "n_nodes": trace.boundary.n_nodes,
-        "boundary": trace.boundary.descriptor(),
-    }
-    _write_container(path, header, np.ascontiguousarray(trace.data, dtype="<c16").tobytes())
-
-
-def read_mode_trace(path):
-    header, payload = _read_container(path, _TRACE_FORMAT)
-    boundary = boundary_from_descriptor(header["boundary"])
-    n_modes = int(header["n_modes"])
-    data = np.frombuffer(payload, dtype="<c16").reshape(n_modes + 1, int(header["n_nodes"]))
-    return ModeTrace(boundary, n_modes, data.copy())
 
 
 def write_sinogram(path, sino, config_hash=None):
@@ -131,24 +106,6 @@ def sinogram_to_csv(path, sino):
                     "%.17g" % pos[i, 0], "%.17g" % pos[i, 1],
                     "%.17g" % angles[j], "%.17g" % sino.data[i, j],
                 ])
-
-
-def write_mode_field(path, field):
-    header = {
-        "format": _FIELD_FORMAT,
-        "version": 1,
-        "n_modes": field.n_modes,
-        "points": [[float(p[0]), float(p[1])] for p in np.asarray(field.points)],
-    }
-    _write_container(path, header, np.ascontiguousarray(field.data, dtype="<c16").tobytes())
-
-
-def read_mode_field(path):
-    header, payload = _read_container(path, _FIELD_FORMAT)
-    points = np.asarray(header["points"], dtype=float)
-    n_modes = int(header["n_modes"])
-    data = np.frombuffer(payload, dtype="<c16").reshape(n_modes + 1, len(points))
-    return ModeField(points, n_modes, data.copy())
 
 
 def write_residual_report(path, report, extra=None):

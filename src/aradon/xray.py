@@ -63,19 +63,16 @@ def ray_points(starts, direction, t):
 class ScalarField:
     """Scalar function on the closed domain, zero outside.
 
-    backend "analytic" wraps a vectorized formula whose own support lies
-    inside the domain; backend "grid" interpolates a Cartesian value grid
-    bilinearly and clamps to zero outside the domain.
+    Wraps a vectorized formula.  With `mask_domain` its values are set to
+    zero outside the domain, for formulas whose own support reaches past
+    it; `support` says whether the field vanishes on the boundary nodes.
     """
 
-    def __init__(self, func, boundary, name="", params=None, backend="analytic",
-                 smoothness_note="", mask_domain=False):
+    def __init__(self, func, boundary, name="", params=None, mask_domain=False):
         self._func = func
         self.boundary = boundary
         self.name = name
         self.params = dict(params or {})
-        self.backend = backend
-        self.smoothness_note = smoothness_note
         self._mask_domain = mask_domain
         vals = np.abs(self(boundary.positions))
         self.support = bool(np.max(vals) <= 1e-12)
@@ -98,9 +95,10 @@ class ScalarField:
 def phantom(name, boundary, params=None):
     """Named analytic test field on the given domain.
 
-    poly-bump          (1 - |x|^2)^2 on the unit disk, 0 outside it
+    poly-bump          (1 - |x|^2)^2 on the unit disk, 0 outside it (C^{1,1})
     shifted-poly-bump  same profile moved to `center`, support radius `radius`
-    gaussian-truncated amplitude * exp(-|x-center|^2 / sigma^2)
+    gaussian-truncated amplitude * exp(-|x-center|^2 / sigma^2), cut off
+                       at the boundary
     zero               identically 0
     """
     p = dict(params or {})
@@ -111,8 +109,7 @@ def phantom(name, boundary, params=None):
             r2 = x[:, 0] ** 2 + x[:, 1] ** 2
             return amp * np.maximum(1.0 - r2, 0.0) ** 2
         _check_disk_support(boundary, np.zeros(2), 1.0, name)
-        return ScalarField(f, boundary, name=name, params={"amplitude": amp},
-                           smoothness_note="C^{1,1}, vanishes with gradient at support edge")
+        return ScalarField(f, boundary, name=name, params={"amplitude": amp})
     if name == "shifted-poly-bump":
         c = np.asarray(p.get("center", (0.3, 0.15)), dtype=float)
         r = float(p.get("radius", 0.55))
@@ -122,8 +119,7 @@ def phantom(name, boundary, params=None):
         def f(x):
             r2 = (x[:, 0] - c[0]) ** 2 + (x[:, 1] - c[1]) ** 2
             return amp * np.maximum(1.0 - r2 / r ** 2, 0.0) ** 2
-        return ScalarField(f, boundary, name=name, params={"center": tuple(c), "radius": r, "amplitude": amp},
-                           smoothness_note="C^{1,1}, vanishes with gradient at support edge")
+        return ScalarField(f, boundary, name=name, params={"center": tuple(c), "radius": r, "amplitude": amp})
     if name == "gaussian-truncated":
         c = np.asarray(p.get("center", (0.0, 0.0)), dtype=float)
         sig = float(p.get("sigma", 0.18))
@@ -134,11 +130,9 @@ def phantom(name, boundary, params=None):
             return amp * np.exp(-r2 / sig ** 2)
         return ScalarField(f, boundary, name=name,
                            params={"center": tuple(c), "sigma": sig, "amplitude": amp},
-                           backend="analytic", mask_domain=True,
-                           smoothness_note="smooth; support flag reflects boundary decay")
+                           mask_domain=True)
     if name == "zero":
-        return ScalarField(lambda x: np.zeros(len(x)), boundary, name="zero",
-                           smoothness_note="identically zero")
+        return ScalarField(lambda x: np.zeros(len(x)), boundary, name="zero")
     raise UnknownPhantom("unknown phantom %r" % (name,))
 
 
@@ -152,20 +146,6 @@ def _check_disk_support(boundary, center, radius, name):
             "%s support disk (center %s, radius %g) leaks outside the domain"
             % (name, tuple(center), radius)
         )
-
-
-def grid_field(xs, ys, values, boundary, smoothness_note=""):
-    """Grid-backed ScalarField with bilinear interpolation."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        (np.asarray(xs, float), np.asarray(ys, float)),
-        np.asarray(values, float),
-        method="linear", bounds_error=False, fill_value=0.0,
-    )
-    return ScalarField(lambda p: interp(p), boundary, name="grid",
-                       backend="grid", mask_domain=True,
-                       smoothness_note=smoothness_note)
 
 
 class Sinogram:

@@ -129,6 +129,26 @@ class TestCheckCommand:
         assert main(["check", "--config", other, "--out",
                      str(tmp_path / "chk"), sino_path]) == 2
 
+    def test_ellipse_axes_mismatch_exits_two(self, tmp_path, capsys):
+        wide = write_config(tmp_path / "wide.json",
+                            boundary={"kind": "ellipse", "n_nodes": 128,
+                                      "a": 2.0, "b": 1.0})
+        assert main(["forward", "--config", wide, "--out", str(tmp_path / "fw")]) == 0
+        sino = str(tmp_path / "fw" / "sinogram.bin")
+        other = write_config(tmp_path / "other.json",
+                             boundary={"kind": "ellipse", "n_nodes": 128,
+                                       "a": 1.5, "b": 1.0})
+        capsys.readouterr()
+        assert main(["check", "--config", other, "--out",
+                     str(tmp_path / "chk"), sino]) == 2
+        assert "ellipse" in capsys.readouterr().err
+        assert main(["reconstruct", "--config", other, "--out",
+                     str(tmp_path / "rec"), sino]) == 2
+        # the matching config runs the range test (this coarse 2x1 ellipse
+        # sits above the gate, so either verdict is a pass here)
+        assert main(["check", "--config", wide, "--out",
+                     str(tmp_path / "chk"), sino]) in (0, 1)
+
 
 class TestReconstructCommand:
     def test_outputs_and_error_report(self, cfg_path, sino_path, tmp_path):
@@ -270,6 +290,37 @@ class TestSweepCommand:
         assert all(r < 0.01 for r in residuals)
         assert errors[1] < 0.01 * errors[0]
         assert all(float(r[3]) > 0.0 for r in rows)
+
+    def test_attenuated_rung_matches_cycle(self, tmp_path):
+        """A sweep rung reports what forward, check and reconstruct report."""
+        cfg = write_config(
+            tmp_path / "run.json", grid={"nx": 16, "ny": 16},
+            phantoms={"f": {"name": "poly-bump"},
+                      "a": {"name": "poly-bump", "params": {"amplitude": 0.3}}},
+            sweep={"values": [8]},
+        )
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--attenuated", "modes"]) == 0
+        rows = (out / "sweep_modes.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 1
+        _, residual, recon_error, _ = rows[0].split(",")
+
+        fw = tmp_path / "fw"
+        assert main(["forward", "--config", cfg, "--out", str(fw),
+                     "--attenuated"]) == 0
+        sino = str(fw / "sinogram.bin")
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "chk"),
+                     sino]) == 0
+        assert main(["reconstruct", "--config", cfg, "--out",
+                     str(tmp_path / "rec"), sino]) == 0
+        with open(tmp_path / "chk" / "residual.json") as fh:
+            check = json.load(fh)
+        with open(tmp_path / "rec" / "recon_report.json") as fh:
+            recon = json.load(fh)
+        assert check["attenuated"] and recon["attenuated"]
+        assert residual == "%.12g" % check["relative"]
+        assert recon_error == "%.12g" % recon["relative_l2_error"]
 
     def test_failing_rung_keeps_partial_csv(self, tmp_path, capsys):
         # second rung violates the angular sampling requirement

@@ -3,55 +3,21 @@ import numpy as np
 import pytest
 
 from aradon.attenuation import build_h
-from aradon.bukhgeim import CartesianGrid, cauchy_build
+from aradon.bukhgeim import CartesianGrid
 from aradon.errors import ConfigError, GridMismatch
-from aradon.harmonics import AngularGrid, ModeTrace
+from aradon.harmonics import AngularGrid
 from aradon.io import (
     read_boundary_table,
     read_factors_cache,
     read_field_csv,
-    read_mode_field,
-    read_mode_trace,
     read_sinogram,
     sinogram_to_csv,
     write_factors_cache,
     write_field_csv,
-    write_mode_field,
-    write_mode_trace,
     write_residual_report,
     write_sinogram,
 )
 from aradon.xray import forward_sinogram, phantom
-
-
-class TestModeTraceRoundTrip:
-    def test_round_trip(self, tmp_path, disk256):
-        rng = np.random.default_rng(1)
-        data = rng.standard_normal((9, 256)) + 1j * rng.standard_normal((9, 256))
-        g = ModeTrace(disk256, 8, data)
-        p = tmp_path / "trace.bin"
-        write_mode_trace(p, g)
-        back = read_mode_trace(p)
-        assert back.n_modes == 8
-        assert back.boundary.kind == "unit-disk"
-        assert back.boundary.n_nodes == 256
-        assert np.array_equal(back.data, g.data)
-
-    def test_checksum_detects_corruption(self, tmp_path, disk256):
-        g = ModeTrace(disk256, 2, np.ones((3, 256), dtype=complex))
-        p = tmp_path / "trace.bin"
-        write_mode_trace(p, g)
-        blob = bytearray(p.read_bytes())
-        blob[-5] ^= 0xFF
-        p.write_bytes(bytes(blob))
-        with pytest.raises(ConfigError):
-            read_mode_trace(p)
-
-    def test_wrong_format_rejected(self, tmp_path, disk256, polybump_sino):
-        p = tmp_path / "sino.bin"
-        write_sinogram(p, polybump_sino)
-        with pytest.raises(ConfigError):
-            read_mode_trace(p)
 
 
 class TestSinogram:
@@ -63,6 +29,15 @@ class TestSinogram:
         assert back.attenuated == polybump_sino.attenuated
         assert back.meta.get("config_hash") == "abc123"
         assert back.angular.n_angles == polybump_sino.angular.n_angles
+
+    def test_checksum_detects_corruption(self, tmp_path, polybump_sino):
+        p = tmp_path / "sino.bin"
+        write_sinogram(p, polybump_sino)
+        blob = bytearray(p.read_bytes())
+        blob[-5] ^= 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError):
+            read_sinogram(p)
 
     def test_csv_export_parses_back(self, tmp_path, disk256):
         ang = AngularGrid(16)
@@ -79,18 +54,6 @@ class TestSinogram:
         assert rows[k, 5] == sino.data[i, j]
         assert abs(rows[k, 4] - ang.angles[j]) < 1e-15
         assert np.allclose(rows[k, 2:4], disk256.positions[i], atol=1e-15)
-
-
-class TestModeField:
-    def test_round_trip(self, tmp_path, disk256, polybump_trace):
-        g = ModeTrace(disk256, 4, polybump_trace.data[:5, ::2].copy())
-        pts = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]])
-        field = cauchy_build(g, pts)
-        p = tmp_path / "field.bin"
-        write_mode_field(p, field)
-        back = read_mode_field(p)
-        assert np.array_equal(back.data, field.data)
-        assert np.allclose(back.points, pts, atol=0)
 
 
 class TestFieldCsv:
@@ -145,6 +108,12 @@ class TestFactorsCache:
         assert np.array_equal(back.interior.alpha, fac.interior.alpha)
         assert np.array_equal(back.interior.inside, fac.interior.inside)
         assert back.interior.grid.nx == 12
+
+    def test_wrong_format_rejected(self, tmp_path, polybump_sino):
+        p = tmp_path / "sino.bin"
+        write_sinogram(p, polybump_sino)
+        with pytest.raises(ConfigError):
+            read_factors_cache(p)
 
     def test_grid_mismatch_on_read(self, tmp_path, disk256, disk512):
         ang = AngularGrid(64)

@@ -13,7 +13,6 @@ from aradon.xray import (
     Sinogram,
     divergence_beam,
     forward_sinogram,
-    grid_field,
     phantom,
     radon_full_line,
     radon_profile,
@@ -42,15 +41,6 @@ class TestPhantoms:
         a = phantom("zero", disk256)
         assert a.is_zero
         assert np.all(a(np.random.default_rng(0).uniform(-1, 1, (10, 2))) == 0.0)
-
-    def test_grid_field_bilinear(self, disk256):
-        xs = np.linspace(-1.2, 1.2, 81)
-        ys = np.linspace(-1.2, 1.2, 81)
-        vals = np.add.outer(xs, 2.0 * ys)  # plane x + 2y, exactly bilinear
-        f = grid_field(xs, ys, vals, disk256)
-        pts = np.array([[0.13, -0.41], [0.5, 0.25], [-0.7, 0.6]])
-        assert np.max(np.abs(f(pts) - (pts[:, 0] + 2.0 * pts[:, 1]))) < 1e-12
-        assert f(np.array([1.4, 0.0])) == 0.0  # clamped outside
 
 
 class TestDivergenceBeam:
@@ -151,9 +141,7 @@ class TestForwardSinogram:
 
     def test_table_boundary_parity(self, ellipse256):
         """Spline-table forward data matches the closed-form ellipse."""
-        table_b = __import__("aradon").make_boundary(
-            "table", 256, table=ellipse256.positions
-        )
+        table_b = make_boundary("table", 256, table=ellipse256.positions)
         ang = AngularGrid(32)
         st = forward_sinogram(
             phantom("poly-bump", table_b), phantom("zero", table_b), table_b, ang
