@@ -8,12 +8,17 @@ non-attenuated one: H_a = beta * H_0 (alpha * .), the attenuated range
 condition is (I + i H_a) applied to the nonpositive projection, and the
 source is recovered from u = beta * v via f = 2 Re(d u_{-1}) + a u_0.
 
+build_h computes Ra and its finite Hilbert transform on the symmetric
+offset grid of `s_samples` points once per direction pair theta,
+theta + pi: Ra(s, theta + pi) = Ra(-s, theta).
+
 Factor builds validate their own algebra: alpha * beta must reproduce
 the convolution identity and the negative modes of e^{+-h} must vanish
 to tolerance, otherwise the build raises instead of guessing at signs.
 """
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -36,12 +41,17 @@ from .bukhgeim import (
 from .xray import QuadSettings, radon_profile, ray_points, _directions
 
 
-def _fft_linear_convolve(a, b):
-    n = len(a) + len(b) - 1
+@lru_cache(maxsize=None)  # keyed by sample count: one per offset grid
+def _hilbert_kernel_spectrum(n):
+    """FFT length and read-only rfft of the 1/k kernel on shifts 1-n..n-1."""
+    shifts = np.arange(1 - n, n, dtype=float)
+    kern = np.where(shifts == 0.0, 0.0, 1.0 / np.where(shifts == 0.0, 1.0, shifts))
     nfft = 1
-    while nfft < n:
+    while nfft < 3 * n - 2:  # linear convolution of n samples with 2n-1 taps
         nfft *= 2
-    return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:n]
+    spectrum = np.fft.rfft(kern, nfft)
+    spectrum.flags.writeable = False
+    return nfft, spectrum
 
 
 def finite_hilbert(samples):
@@ -65,9 +75,8 @@ def finite_hilbert(samples):
         raise SupportTouchesEdge(
             "endpoint samples are %.3g / %.3g, expected 0" % (f[0], f[-1])
         )
-    shifts = np.arange(1 - n, n, dtype=float)
-    kern = np.where(shifts == 0.0, 0.0, 1.0 / np.where(shifts == 0.0, 1.0, shifts))
-    pair_sum = _fft_linear_convolve(f, kern)[n - 1:2 * n - 1]
+    nfft, spectrum = _hilbert_kernel_spectrum(n)
+    pair_sum = np.fft.irfft(np.fft.rfft(f, nfft) * spectrum, nfft)[n - 1:2 * n - 1]
     corr = np.zeros(n)
     corr[1:-1] = (f[2:] - f[:-2]) / 2.0
     corr[0] = f[1] / 2.0
@@ -155,7 +164,7 @@ def _chord_integrals(a, starts, taus, direction, quad):
     return taus * np.einsum("mk,k->m", vals, wts, optimize=False)
 
 
-def build_h(a, boundary, angular, n_modes, quad=None, s_grid=None,
+def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
             interior_grid=None, tol_neg=1e-6, tol_identity=1e-8):
     """Integrating factor of the attenuation on the boundary cylinder.
 
@@ -163,8 +172,13 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_grid=None,
     theta) at every boundary node and direction (and on the inside points
     of `interior_grid` when reconstruction needs interior factors), then
     projects e^{-+h} onto their nonnegative mode sequences.  The finite
-    Hilbert transform runs per direction on the offset grid `s_grid`
-    (default 2048 samples across 1.2x the domain radius).
+    Hilbert transform runs on the symmetric offset grid
+    `default_s_grid(boundary, s_samples)`.  With an even number of
+    angles, direction j + M/2 is theta_j + pi, so it reads the profile of
+    direction j at -s with the Hilbert column negated (Ra(s, theta + pi)
+    = Ra(-s, theta), and H is odd under the flip): Ra and HRa are
+    computed for the first M/2 directions only.  Da is integrated for
+    every direction.
     """
     quad = quad or QuadSettings()
     angular.check_modes(n_modes)
@@ -191,9 +205,7 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_grid=None,
             interior,
         )
 
-    if s_grid is None:
-        s_grid = default_s_grid(boundary)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = default_s_grid(boundary, s_samples)
     dirs = _directions(angular.angles)
     taus = boundary.node_chord_lengths(dirs)
     normal_dot = boundary.normals @ dirs.T
@@ -205,30 +217,32 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_grid=None,
         h_i = np.zeros((len(int_pts), m_ang), dtype=complex)
 
     h_b = np.zeros((n, m_ang), dtype=complex)
-    for j in range(m_ang):
-        th = dirs[j]
-        perp = np.array([-th[1], th[0]])
-        ra = radon_profile(a, boundary, th, s_grid, quad)
-        hr = finite_hilbert(ra)
-        ra_spline = CubicSpline(s_grid, ra)
-        hr_spline = CubicSpline(s_grid, hr)
+    paired = m_ang % 2 == 0
+    n_base = m_ang // 2 if paired else m_ang
+    for j in range(n_base):
+        ra = radon_profile(a, boundary, dirs[j], s_grid, quad)
+        profile = CubicSpline(s_grid, np.column_stack([ra, finite_hilbert(ra)]))
+        # (direction, sign): the opposite direction reads the profile at -s
+        for k, sign in ((j, 1.0), (j + n_base, -1.0)) if paired else ((j, 1.0),):
+            th = dirs[k]
+            perp = np.array([-th[1], th[0]])
 
-        # Da at boundary nodes: zero on outgoing/tangential rays, the
-        # full chord integral on incoming ones.
-        da_b = np.zeros(n)
-        incoming = normal_dot[:, j] < 0.0
-        if np.any(incoming):
-            da_b[incoming] = _chord_integrals(
-                a, boundary.positions[incoming], taus[incoming, j], th, quad
-            )
-        s_b = boundary.positions @ perp
-        h_b[:, j] = da_b - 0.5 * (ra_spline(s_b) - 1.0j * hr_spline(s_b))
+            # Da at boundary nodes: zero on outgoing/tangential rays, the
+            # full chord integral on incoming ones.
+            da_b = np.zeros(n)
+            incoming = normal_dot[:, k] < 0.0
+            if np.any(incoming):
+                da_b[incoming] = _chord_integrals(
+                    a, boundary.positions[incoming], taus[incoming, k], th, quad
+                )
+            ra_b, hr_b = profile(sign * (boundary.positions @ perp)).T
+            h_b[:, k] = da_b - 0.5 * (ra_b - 1.0j * sign * hr_b)
 
-        if int_pts is not None and len(int_pts):
-            _, tau_fwd, _ = boundary.line_spans(int_pts, th)
-            da_i = _chord_integrals(a, int_pts, tau_fwd, th, quad)
-            s_i = int_pts @ perp
-            h_i[:, j] = da_i - 0.5 * (ra_spline(s_i) - 1.0j * hr_spline(s_i))
+            if int_pts is not None and len(int_pts):
+                _, tau_fwd, _ = boundary.line_spans(int_pts, th)
+                da_i = _chord_integrals(a, int_pts, tau_fwd, th, quad)
+                ra_i, hr_i = profile(sign * (int_pts @ perp)).T
+                h_i[:, k] = da_i - 0.5 * (ra_i - 1.0j * sign * hr_i)
 
     alpha, beta, neg = _factor_modes(h_b, n_modes, tol_neg, "boundary")
     dev = _seq_product_deviation(alpha, beta)

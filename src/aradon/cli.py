@@ -49,7 +49,6 @@ from .xray import forward_sinogram, phantom
 from .bukhgeim import range_residual_0, reconstruct_f0
 from .attenuation import (
     build_h,
-    default_s_grid,
     fd_zeroed_mask,
     range_residual_a,
     reconstruct_f_attenuated,
@@ -114,7 +113,7 @@ def _build_factors(cfg, boundary, angular, grid):
     """Integrating factors of the configured `a`; interior data on `grid` if given."""
     return build_h(
         cfg.make_phantom("a", boundary), boundary, angular, cfg.n_modes,
-        quad=cfg.make_quad(), s_grid=default_s_grid(boundary, cfg.s_samples),
+        quad=cfg.make_quad(), s_samples=cfg.s_samples,
         interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
     )
 
@@ -159,7 +158,13 @@ def _check_sino_grids(cfg, sino):
             "sinogram has %s/%d nodes, config wants %s/%d"
             % (sb.kind, sb.n_nodes, cfg.boundary_kind, cfg.n_nodes)
         )
-    # Table contents go unchecked: comparing them would spline the table.
+    # A missing checksum (a sinogram older than the field) fails too.
+    if sb.kind == "generic" and \
+            sino.meta.get("table_checksum") != aio.table_checksum(cfg.table_path):
+        raise GridMismatch(
+            "sinogram has no checksum of the boundary table %s, or another "
+            "table's; re-run forward with this config" % cfg.table_path
+        )
     if sb.kind == "ellipse" and (sb.a, sb.b) != (cfg.boundary_a, cfg.boundary_b):
         raise GridMismatch(
             "sinogram has the ellipse a=%r b=%r, config wants a=%r b=%r"
@@ -240,6 +245,8 @@ def cmd_phantom(cfg, args):
 def cmd_forward(cfg, args):
     out = _outdir(cfg, args)
     sino = _forward(cfg, args.attenuated)
+    if cfg.boundary_kind == "table":
+        sino.meta["table_checksum"] = aio.table_checksum(cfg.table_path)
     path = os.path.join(out, "sinogram.bin")
     aio.write_sinogram(path, sino, config_hash=cfg.config_hash)
     if getattr(args, "csv", False):

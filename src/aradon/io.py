@@ -258,6 +258,11 @@ def read_factors_cache(path, boundary=None, angular=None):
     )
 
 
+def table_checksum(path):
+    """sha256 of a boundary table file's points as read, '<f8' row-major."""
+    return _checksum(np.ascontiguousarray(read_boundary_table(path), dtype="<f8").tobytes())
+
+
 def read_boundary_table(path):
     """Boundary node table: CSV of x,y rows, closed implicitly."""
     pts = []

@@ -1,9 +1,13 @@
 """Finite Hilbert transform, integrating factors, and the attenuated cycle."""
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from aradon import attenuation
 from aradon.attenuation import (
+    _chord_integrals,
     build_h,
+    default_s_grid,
     fd_zeroed_mask,
     finite_hilbert,
     hilbert_Ha,
@@ -18,8 +22,9 @@ from aradon.errors import (
     InconsistentInput,
     SupportTouchesEdge,
 )
+from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
-from aradon.xray import forward_sinogram, phantom
+from aradon.xray import QuadSettings, forward_sinogram, phantom, radon_profile
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +72,140 @@ class TestFiniteHilbert:
         f2[150:350] = rng.standard_normal(200)
         h = finite_hilbert(f1 + 2.0 * f2)
         assert np.max(np.abs(h - finite_hilbert(f1) - 2.0 * finite_hilbert(f2))) < 1e-12
+
+    def test_cached_kernel_matches_fresh_convolution(self):
+        rng = np.random.default_rng(7)
+        f = np.zeros(300)
+        f[20:280] = rng.standard_normal(260)
+        n = len(f)
+        shifts = np.arange(1 - n, n, dtype=float)
+        kern = np.where(shifts == 0.0, 0.0, 1.0 / np.where(shifts == 0.0, 1.0, shifts))
+        nfft = 1024
+        pair_sum = np.fft.irfft(np.fft.rfft(f, nfft) * np.fft.rfft(kern, nfft),
+                                nfft)[n - 1:2 * n - 1]
+        corr = np.zeros(n)
+        corr[1:-1] = (f[2:] - f[:-2]) / 2.0
+        corr[0], corr[-1] = f[1] / 2.0, -f[-2] / 2.0
+        assert np.array_equal(finite_hilbert(f), (pair_sum - corr) / np.pi)
+        assert not attenuation._hilbert_kernel_spectrum(n)[1].flags.writeable
+
+
+_U64 = 2.0 * np.pi * np.arange(64) / 64
+
+
+def _pairing_case(kind):
+    """Boundary, attenuation, N and even M that pass build_h's gates.
+
+    Off the disk the factor leak gate, on the interior grid too, passes
+    only for weak attenuation at these sizes: the leak grows linearly
+    with the amplitude.
+    """
+    if kind == "disk":
+        b = make_boundary("disk", 128)
+        return b, phantom("poly-bump", b, params={"amplitude": 0.3}), 8, 32
+    if kind == "ellipse":
+        b = make_boundary("ellipse", 128, a=1.5, b=1.0)
+    else:
+        b = make_boundary("table", 64,
+                          table=np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)]))
+    return b, phantom("poly-bump", b, params={"amplitude": 0.005}), 16, 64
+
+
+_PAIR_QUAD = QuadSettings(4, 4)
+_PAIR_S = 512
+
+
+def _per_direction_h(a, boundary, angular, int_pts):
+    """h on the nodes and `int_pts` with one Ra/HRa profile per direction."""
+    s_grid = default_s_grid(boundary, _PAIR_S)
+    dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
+    taus = boundary.node_chord_lengths(dirs)
+    normal_dot = boundary.normals @ dirs.T
+    h_b = np.zeros((boundary.n_nodes, angular.n_angles), dtype=complex)
+    h_i = np.zeros((len(int_pts), angular.n_angles), dtype=complex)
+    for j, th in enumerate(dirs):
+        perp = np.array([-th[1], th[0]])
+        ra = radon_profile(a, boundary, th, s_grid, _PAIR_QUAD)
+        ra_spline = CubicSpline(s_grid, ra)
+        hr_spline = CubicSpline(s_grid, finite_hilbert(ra))
+        da_b = np.zeros(boundary.n_nodes)
+        incoming = normal_dot[:, j] < 0.0
+        da_b[incoming] = _chord_integrals(
+            a, boundary.positions[incoming], taus[incoming, j], th, _PAIR_QUAD
+        )
+        s_b = boundary.positions @ perp
+        h_b[:, j] = da_b - 0.5 * (ra_spline(s_b) - 1.0j * hr_spline(s_b))
+        _, tau_fwd, _ = boundary.line_spans(int_pts, th)
+        da_i = _chord_integrals(a, int_pts, tau_fwd, th, _PAIR_QUAD)
+        s_i = int_pts @ perp
+        h_i[:, j] = da_i - 0.5 * (ra_spline(s_i) - 1.0j * hr_spline(s_i))
+    return h_b, h_i
+
+
+@pytest.fixture(scope="module", params=[(kind, parity)
+                                        for kind in ("disk", "ellipse", "table")
+                                        for parity in ("even", "odd")],
+                ids=lambda p: "%s-%s" % p)
+def paired_build(request):
+    """build_h (profile calls counted) and the per-direction reference."""
+    kind, parity = request.param
+    boundary, a, n_modes, m_even = _pairing_case(kind)
+    angular = AngularGrid(m_even if parity == "even" else m_even + 1)
+    grid = CartesianGrid(boundary, 12, 12)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return radon_profile(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attenuation, "radon_profile", counted)
+        fac = build_h(a, boundary, angular, n_modes, quad=_PAIR_QUAD,
+                      s_samples=_PAIR_S, interior_grid=grid)
+    ref_b, ref_i = _per_direction_h(a, boundary, angular,
+                                    grid.points_all[fac.interior.inside])
+    return {"factors": fac, "ref": (ref_b, ref_i), "calls": len(calls),
+            "n_angles": angular.n_angles}
+
+
+class TestAntipodalPairing:
+    """build_h computes Ra and HRa once per direction pair theta, theta + pi."""
+
+    def test_matches_per_direction_reference(self, paired_build):
+        fac = paired_build["factors"]
+        m = paired_build["n_angles"]
+        n_base = m // 2 if m % 2 == 0 else m
+        for got, ref in zip((fac.h_boundary, fac.interior.h), paired_build["ref"]):
+            assert np.array_equal(got[:, :n_base], ref[:, :n_base])
+            gap = np.max(np.abs(got[:, n_base:] - ref[:, n_base:]), initial=0.0)
+            assert gap <= 1e-14 * np.max(np.abs(ref))
+
+    def test_one_profile_per_pair(self, paired_build):
+        m = paired_build["n_angles"]
+        assert paired_build["calls"] == (m // 2 if m % 2 == 0 else m)
+
+
+class TestFlipIdentities:
+    """The identities behind the pairing, on the symmetric offset grid."""
+
+    @pytest.fixture(scope="class", params=["disk", "ellipse", "table"])
+    def profiles(self, request):
+        boundary, a, _, m = _pairing_case(request.param)
+        s_grid = default_s_grid(boundary, _PAIR_S)
+        angles = AngularGrid(m).angles
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        return [(radon_profile(a, boundary, dirs[j], s_grid, _PAIR_QUAD),
+                 radon_profile(a, boundary, dirs[j + m // 2], s_grid, _PAIR_QUAD))
+                for j in range(m // 2)]
+
+    def test_hilbert_odd_under_flip(self, profiles):
+        for ra, _ in profiles:
+            gap = np.max(np.abs(finite_hilbert(ra[::-1]) + finite_hilbert(ra)[::-1]))
+            assert gap <= 1e-15 * np.max(np.abs(ra))
+
+    def test_opposite_direction_reverses_profile(self, profiles):
+        for ra, ra_opposite in profiles:
+            assert np.max(np.abs(ra_opposite - ra[::-1])) <= 1e-15 * np.max(np.abs(ra))
 
 
 class TestIntegratingFactor:

@@ -201,6 +201,43 @@ class TestTableBoundary:
         with open(tmp_path / "rec" / "recon_report.json") as fh:
             assert json.load(fh)["consistency_flag"] == 0
 
+    @staticmethod
+    def _table_config(tmp_path, name, a):
+        u = 2.0 * np.pi * np.arange(64) / 64
+        table = tmp_path / (name + ".csv")
+        np.savetxt(table, np.column_stack([a * np.cos(u), np.sin(u)]),
+                   delimiter=",", header="x,y", comments="", fmt="%.17g")
+        return write_config(tmp_path / (name + ".json"),
+                            boundary={"kind": "table", "n_nodes": 64,
+                                      "table_path": str(table)},
+                            modes={"n": 15, "angles": 32})
+
+    def test_other_table_exits_two(self, tmp_path, capsys):
+        ellipse = self._table_config(tmp_path, "ellipse", 1.5)
+        circle = self._table_config(tmp_path, "circle", 1.0)
+        assert main(["forward", "--config", ellipse, "--out", str(tmp_path / "fw")]) == 0
+        sino = str(tmp_path / "fw" / "sinogram.bin")
+        capsys.readouterr()
+        assert main(["check", "--config", circle, "--out",
+                     str(tmp_path / "chk"), sino]) == 2
+        assert "boundary table" in capsys.readouterr().err
+        assert main(["reconstruct", "--config", circle, "--out",
+                     str(tmp_path / "rec"), sino]) == 2
+        assert main(["check", "--config", ellipse, "--out",
+                     str(tmp_path / "chk"), sino]) == 0
+
+    def test_missing_table_checksum_exits_two(self, tmp_path, capsys):
+        ellipse = self._table_config(tmp_path, "ellipse", 1.5)
+        assert main(["forward", "--config", ellipse, "--out", str(tmp_path / "fw")]) == 0
+        sino = aio.read_sinogram(str(tmp_path / "fw" / "sinogram.bin"))
+        del sino.meta["table_checksum"]
+        old = str(tmp_path / "old.bin")
+        aio.write_sinogram(old, sino)
+        capsys.readouterr()
+        assert main(["check", "--config", ellipse, "--out",
+                     str(tmp_path / "chk"), old]) == 2
+        assert "re-run forward" in capsys.readouterr().err
+
 
 class TestFactorsAndCache:
     @pytest.fixture()
