@@ -33,7 +33,6 @@ from .harmonics import ModeTrace, convolve, convolve_seq
 from .bukhgeim import (
     hilbert_H0,
     _make_residual,
-    cauchy_build,
     del_v_minus,
     reconstruct_f0,
     range_residual_0,
@@ -160,7 +159,7 @@ def default_s_grid(boundary, n_samples=2048):
 def _chord_integrals(a, starts, taus, direction, quad):
     """Ray integrals of `a` from each start over length tau, one direction."""
     frac, wts = quad.nodes_weights()
-    vals = a(ray_points(starts, direction, taus[:, None] * frac[None, :]))
+    vals = a.planes(*ray_points(starts, direction, taus[:, None] * frac[None, :]))
     return taus * np.einsum("mk,k->m", vals, wts, optimize=False)
 
 
@@ -346,7 +345,7 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
 
     eval_mask = grid.valid & inter.inside
     pts = grid.points_all[eval_mask]
-    v = cauchy_build(ag_trace, pts, margin=margin)
+    dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), pts, margin=margin, field=True)
     fd_ok = ~fd_zeroed_mask(factors, grid)[eval_mask]
 
     # factor rows mapped onto the full picture for finite differences
@@ -370,7 +369,6 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
 
     u0 = np.real(np.sum(beta_here * v.data, axis=0))
 
-    dv = del_v_minus(ag_trace, range(1, n_modes + 1), pts, margin=margin)
     del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v.data[1:], axis=0)
 
     f_vals = 2.0 * np.real(del_u1) + a_here * u0

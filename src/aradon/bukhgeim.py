@@ -12,11 +12,16 @@ and evaluates the derivative formula recovering the source as
 f = 2 Re(d v_{-1}).
 
 Both coupling kernels are power series in r = conj(w - xi)/(w - xi) over
-the trace rows two apart, evaluated by downward recurrences: G by
-Horner, and d v_{-d} of every order d at once through
+the trace rows two apart, and one downward sweep (_sweep) evaluates
+them together: d v_{-d} of every order d at once through
 A_d = row_d + r (A_{d+2} + E_{d+2}) and E_d = row_d + r E_{d+2} (see
-del_v_minus).  Interior evaluations run over the target points in
-chunks of TARGET_CHUNK, updating the (chunk x nodes) arrays in place.
+del_v_minus), and G's Horner bracket for row k, which is r E_{k+2}.
+The same w'/(w - xi) gives C's kernel and G's base, so the boundary G,
+the interior map v = (1/2) G g + C g and every derivative order share
+one pass over the kernels.  The sweep runs over the target points in
+chunks of TARGET_CHUNK, updating (chunk x nodes) work arrays allocated
+once per call; 32 targets keep the arrays the inner loop reads inside a
+2 MB L2 at 512 nodes, and fewer nodes take whole multiples of 32.
 """
 
 import warnings
@@ -67,12 +72,11 @@ class RangeResidual:
 
 
 EPS_FLOOR = 1e-12
-TARGET_CHUNK = 128   # target points per pass of the (points x nodes) kernels
-
-
-def _chunks(n):
-    """Slices covering range(n) in runs of TARGET_CHUNK."""
-    return (slice(lo, min(lo + TARGET_CHUNK, n)) for lo in range(0, n, TARGET_CHUNK))
+# Target points per pass of the (points x nodes) kernels at 512 nodes, and
+# a whole multiple of it on fewer nodes: up to 512 nodes each complex work
+# array takes at most 256 KB, so the six the sweep's inner loop reads fit a
+# 2 MB L2, and small boundaries do not pay the per-pass overhead more often.
+TARGET_CHUNK = 32
 
 
 def _require_interior(boundary, points, margin):
@@ -106,7 +110,7 @@ def _spectral_derivative(rows):
 def op_C(g, xi, margin=None):
     """Interior Cauchy integral of every mode row at one point."""
     _require_interior(g.boundary, xi, margin)
-    return _C_apply(g.data, g.boundary, _as_complex_points(xi))[:, 0]
+    return _sweep(g.data, g.boundary, _as_complex_points(xi), with_g=False, with_c=True)[1][:, 0]
 
 
 def _as_complex_points(points):
@@ -125,17 +129,6 @@ def _as_complex_points(points):
     if arr.ndim == 1:
         return arr.astype(complex)
     return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _C_apply(g_data, boundary, targets):
-    w = boundary.complex_nodes()
-    wd = boundary.complex_velocity()
-    dt = 2.0 * np.pi / boundary.n_nodes
-    out = np.empty((g_data.shape[0], len(targets)), dtype=complex)
-    for sl in _chunks(len(targets)):
-        kernel = wd[None, :] / (w[None, :] - targets[sl, None])
-        out[:, sl] = g_data @ kernel.T
-    return out * (dt / (2.0j * np.pi))
 
 
 def op_S(g):
@@ -170,55 +163,88 @@ def _S_apply(g_data, boundary):
     return smooth * (dt / (1.0j * np.pi)) + g_data
 
 
-def _G_kernel(boundary, targets, node_targets):
-    """Base kernel and mode-coupling ratio of the operator G.
+def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=False,
+           orders=()):
+    """G g, C g and d v_{-d} of every order in `orders` at the targets, in one sweep.
 
-    targets: complex points; node_targets: for entries that are boundary
-    nodes, their node index (else -1).  The kernel row for a node target
-    gets the double-layer diagonal limit kappa |w'| / 2 and the ratio its
-    tangential limit conj(w')/w'.
+    G and the derivatives are power series in r = conj(u)/u, u = w - xi,
+    over the trace rows two apart.  One downward sweep per parity of rows
+    keeps E_k = row_k + r E_{k+2} and, from the lowest order asked for up,
+    A_k = row_k + r (A_{k+2} + E_{k+2}) (see del_v_minus).  G's Horner
+    bracket for row k, r (g_{k+2} + r (g_{k+4} + ...)), is r E_{k+2}: it is
+    read just before row k is added.  wd/u is C's kernel and gives G's
+    base.  Node targets (node_targets >= 0, G only) get the double-layer
+    diagonal limit kappa |w'| / 2 in the base and the tangential limit
+    conj(w')/w' in the ratio.  Targets run in chunks of TARGET_CHUNK
+    (times 512 // n on n < 512 nodes) through work arrays allocated once
+    per call.
+
+    Returns (G, C, D), None for each of G and C not asked for; C carries
+    its factor dt / (2 pi i) and D has one row per order asked for.
     """
+    orders = np.asarray(orders, dtype=int).reshape(-1)
+    if np.any(orders < 0):
+        raise ValueError("derivative orders must be nonnegative")
+    n_rows, n = g_data.shape
+    top = n_rows - 1
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
-    dt = 2.0 * np.pi / boundary.n_nodes
-    diff = w[None, :] - targets[:, None]
-    ondiag = node_targets >= 0
-    if np.any(ondiag):
-        rows = np.nonzero(ondiag)[0]
-        diff[rows, node_targets[rows]] = 1.0   # placeholder, replaced below
-    base = (2.0 / np.pi) * np.imag(wd[None, :] / diff) * dt
-    ratio = np.conj(diff) / diff
-    if np.any(ondiag):
-        cols = node_targets[rows]
-        base[rows, cols] = (2.0 / np.pi) * (
-            boundary.curvatures[cols] * np.abs(wd[cols]) / 2.0
-        ) * dt
-        ratio[rows, cols] = np.conj(wd[cols]) / wd[cols]
-    return base, ratio
-
-
-def _G_apply(g_data, boundary, targets, node_targets=None):
-    """Apply G at arbitrary targets; Horner recursion over the j-powers.
-
-    Row k is the base-weighted node sum of r (g_{k+2} + r (g_{k+4} + ...))
-    with r the mode-coupling ratio; one accumulator per parity of k
-    carries the bracket down the rows, chunk by chunk of targets.
-    """
-    n_rows = g_data.shape[0]
-    if node_targets is None:
-        node_targets = np.full(len(targets), -1, dtype=int)
-    out = np.zeros((n_rows, len(targets)), dtype=complex)
-    for sl in _chunks(len(targets)):
-        base, ratio = _G_kernel(boundary, targets[sl], node_targets[sl])
-        base = base.astype(complex)      # one dtype keeps einsum on its fast loop
-        acc = np.zeros((2,) + ratio.shape, dtype=complex)
-        for k in range(n_rows - 3, -1, -1):
-            a = acc[k % 2]
-            a += g_data[k + 2]
-            a *= ratio
-            out[k, sl] = np.einsum("pi,pi->p", a, base)
-    # rows N-1, N and any row without partners two above stay zero
-    return out
+    dt = 2.0 * np.pi / n
+    weights = np.stack([wd, np.conj(wd)], axis=1)
+    lowest = {par: int(np.min(orders[orders % 2 == par]))
+              for par in (0, 1) if np.any(orders % 2 == par)}
+    # lowest row each parity's sweep reaches: every row for G
+    stop = {0: 0, 1: 1} if with_g else lowest
+    g_out = np.zeros((n_rows, len(targets)), dtype=complex) if with_g else None
+    c_out = np.empty((n_rows, len(targets)), dtype=complex) if with_c else None
+    d_out = np.zeros((len(orders), len(targets)), dtype=complex)
+    chunk = TARGET_CHUNK * max(1, 512 // n)
+    work = np.empty((8, min(chunk, len(targets)), n), dtype=complex)
+    for lo in range(0, len(targets), chunk):
+        sl = slice(lo, lo + chunk)
+        u, q, ratio, base, e, a, inv_u2, t = work[:, :len(targets[sl])]
+        np.subtract(w[None, :], targets[sl, None], out=u)
+        if node_targets is not None:
+            rows = np.nonzero(node_targets[sl] >= 0)[0]
+            cols = node_targets[sl][rows]
+            u[rows, cols] = 1.0                  # placeholder, replaced below
+        np.divide(wd[None, :], u, out=q)
+        np.divide(np.conjugate(u, out=ratio), u, out=ratio)
+        if with_g:
+            base[...] = (2.0 / np.pi) * np.imag(q) * dt
+            if node_targets is not None:
+                base[rows, cols] = (2.0 / np.pi) * (
+                    boundary.curvatures[cols] * np.abs(wd[cols]) / 2.0
+                ) * dt
+                ratio[rows, cols] = np.conj(wd[cols]) / wd[cols]
+        if with_c:
+            c_out[:, sl] = g_data @ q.T
+        if lowest:
+            np.divide(1.0, np.multiply(u, u, out=inv_u2), out=inv_u2)
+        for par, end in stop.items():
+            low = lowest.get(par, top + 1)
+            a.fill(0.0)
+            e.fill(0.0)
+            c_above = 0.0                        # conj(w')-sum of A_{k+2}
+            for k in range(top - (top - par) % 2, end - 1, -2):
+                row = g_data[k]
+                if k >= low:
+                    a += e
+                    a *= ratio
+                    a += row
+                e *= ratio
+                if with_g and k <= top - 2:      # rows N-1, N couple to nothing
+                    g_out[k, sl] = np.einsum("pi,pi->p", e, base)
+                e += row
+                if k >= low:
+                    np.multiply(a, inv_u2, out=t)
+                    b, c = (t @ weights).T
+                    d_out[orders == k, sl] = b - c_above
+                    c_above = c
+    if with_c:
+        c_out *= dt / (2.0j * np.pi)
+    d_out *= dt / (2.0j * np.pi)
+    return g_out, c_out, d_out
 
 
 def op_G(g, xi):
@@ -231,13 +257,13 @@ def op_G(g, xi):
     d2 = np.abs(g.boundary.complex_nodes() - targets[0])
     idx = int(np.argmin(d2))
     node = idx if d2[idx] <= 1e-12 else -1
-    return _G_apply(g.data, g.boundary, targets, np.array([node]))[:, 0]
+    return _sweep(g.data, g.boundary, targets, np.array([node]))[0][:, 0]
 
 
 def _G_boundary(g_data, boundary):
     targets = boundary.complex_nodes()
     node_targets = np.arange(boundary.n_nodes)
-    return _G_apply(g_data, boundary, targets, node_targets)
+    return _sweep(g_data, boundary, targets, node_targets)[0]
 
 
 def hilbert_H0(g):
@@ -268,9 +294,13 @@ def cauchy_build(g, points, margin=None):
     """Interior A-analytic map from its trace: v_n = (1/2) G g + C g."""
     _require_interior(g.boundary, points, margin)
     targets = _as_complex_points(points)
-    data = 0.5 * _G_apply(g.data, g.boundary, targets) + _C_apply(g.data, g.boundary, targets)
+    gg, cg, _ = _sweep(g.data, g.boundary, targets, with_c=True)
+    return _cauchy_field(g, targets, gg, cg)
+
+
+def _cauchy_field(g, targets, gg, cg):
     pts = np.column_stack([targets.real, targets.imag])
-    return ModeField(pts, g.n_modes, data, g.boundary)
+    return ModeField(pts, g.n_modes, 0.5 * gg + cg, g.boundary)
 
 
 def trace_plus(g):
@@ -345,7 +375,7 @@ def aanaliticity_defect(field, grid):
     return worst
 
 
-def del_v_minus(g, d, points, margin=None):
+def del_v_minus(g, d, points, margin=None, field=False):
     """d v_{-d} at interior points from the trace, by explicit kernels.
 
     2 pi i times the value is the j-sum of dw-integrals with kernels
@@ -363,46 +393,15 @@ def del_v_minus(g, d, points, margin=None):
     for, gives every order at once in O(N P n) for P points and n nodes.
 
     d is one order, giving shape (P,), or a sequence of orders, giving
-    shape (len(d), P) in the order asked.
+    shape (len(d), P) in the order asked.  With `field` the same sweep
+    also builds the map itself, and the call returns the pair
+    (derivatives, cauchy_build(g, points)).
     """
     _require_interior(g.boundary, points, margin)
-    orders = np.atleast_1d(np.asarray(d, dtype=int))
-    if np.any(orders < 0):
-        raise ValueError("derivative orders must be nonnegative")
-    boundary = g.boundary
     targets = _as_complex_points(points)
-    w = boundary.complex_nodes()
-    wd = boundary.complex_velocity()
-    dt = 2.0 * np.pi / boundary.n_nodes
-    weights = np.stack([wd, np.conj(wd)], axis=1)
-    top = g.n_modes
-    lowest = {par: int(np.min(orders[orders % 2 == par]))
-              for par in (0, 1) if np.any(orders % 2 == par)}
-    out = np.zeros((len(orders), len(targets)), dtype=complex)
-    for sl in _chunks(len(targets)):
-        u = w[None, :] - targets[sl, None]
-        ratio = np.conj(u) / u
-        inv_u2 = 1.0 / (u * u)
-        a = np.empty_like(ratio)
-        e = np.empty_like(ratio)
-        t = np.empty_like(ratio)
-        for par, low in lowest.items():
-            a.fill(0.0)
-            e.fill(0.0)
-            c_above = 0.0                # conj(w')-sum of A_{d+2}
-            for k in range(top - (top - par) % 2, low - 1, -2):
-                row = g.data[k]
-                a += e
-                a *= ratio
-                a += row
-                e *= ratio
-                e += row
-                np.multiply(a, inv_u2, out=t)
-                b, c = (t @ weights).T
-                out[orders == k, sl] = b - c_above
-                c_above = c
-    out *= dt / (2.0j * np.pi)
-    return out[0] if np.ndim(d) == 0 else out
+    gg, cg, out = _sweep(g.data, g.boundary, targets, with_g=field, with_c=field, orders=d)
+    out = out[0] if np.ndim(d) == 0 else out
+    return (out, _cauchy_field(g, targets, gg, cg)) if field else out
 
 
 def reconstruct_f0(g, grid, margin=None, gate=0.05):

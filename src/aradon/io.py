@@ -217,8 +217,9 @@ def read_factors_cache(path, boundary=None, angular=None):
     """Load an integrating-factor cache.
 
     When `boundary`/`angular` are given, the cached grids must match
-    them (GridMismatch otherwise) and the given objects are used so the
-    factors share identity with the caller's grids.
+    them (GridMismatch otherwise; a boundary matches when its descriptor
+    equals the cached one) and the given objects are used so the factors
+    share identity with the caller's grids.
     """
     header, payload = _read_container(path, _FACTORS_FORMAT)
     desc = header["boundary"]
@@ -227,6 +228,12 @@ def read_factors_cache(path, boundary=None, angular=None):
             raise GridMismatch(
                 "cached factors use %s/%d nodes, run uses %s/%d"
                 % (desc["kind"], header["n_nodes"], boundary.kind, boundary.n_nodes)
+            )
+        # the descriptor also holds the ellipse axes and the table points
+        if json.loads(json.dumps(boundary.descriptor())) != desc:
+            raise GridMismatch(
+                "cached factors were built on another %s boundary than the run's"
+                % desc["kind"]
             )
     else:
         boundary = boundary_from_descriptor(desc)

@@ -5,8 +5,10 @@ the boundary along a ray; the full-line transform integrates across the
 whole domain, on many parallel lines at once.  No crossing is solved
 here: every chord and line span comes from the geometry's one primitive,
 ConvexBoundary.line_spans, and every chord quadrature samples its rays
-with one helper, ray_points, which fills one coordinate per pass (a
-broadcast over the length-2 point axis costs several times more).
+with one helper, ray_points, which returns one contiguous plane per
+coordinate, and fields are evaluated on those planes directly: an
+interleaved (..., 2) layout would make every sample a stride-2 write
+and every field read a stride-2 read.
 forward_sinogram produces the canonical boundary data of an attenuated
 ray transform: on outgoing node/direction pairs it carries the
 attenuated ray integral of the source over the full chord, on incoming
@@ -48,24 +50,27 @@ def _composite_rule(panels, points):
 
 
 def ray_points(starts, direction, t):
-    """starts + t * direction as a t.shape + (2,) array, one coordinate per pass.
+    """starts + t * direction as a (2,) + t.shape array, one plane per coordinate.
 
     starts is one point (2,) or one per row of t (m, 2); every element gets
     the same multiply and add as in the broadcast expression.
     """
-    pts = np.empty(np.shape(t) + (2,))
+    pts = np.empty((2,) + np.shape(t))
     for c in range(2):
-        np.multiply(t, direction[c], out=pts[..., c])
-        pts[..., c] += starts[..., c, None]
+        np.multiply(t, direction[c], out=pts[c])
+        pts[c] += starts[..., c, None]
     return pts
 
 
 class ScalarField:
     """Scalar function on the closed domain, zero outside.
 
-    Wraps a vectorized formula.  With `mask_domain` its values are set to
-    zero outside the domain, for formulas whose own support reaches past
-    it; `support` says whether the field vanishes on the boundary nodes.
+    Wraps a vectorized formula of the coordinate planes (x, y).  With
+    `mask_domain` its values are set to zero outside the domain, for
+    formulas whose own support reaches past it; `support` says whether
+    the field vanishes on the boundary nodes.  Calling the field takes
+    points with a last axis of length 2; `planes` takes the coordinates
+    as two arrays of one shape, as ray_points lays them out.
     """
 
     def __init__(self, func, boundary, name="", params=None, mask_domain=False):
@@ -79,13 +84,16 @@ class ScalarField:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        squeeze = pts.ndim == 1
-        flat = pts.reshape(-1, 2)
-        out = np.asarray(self._func(flat), dtype=float)
+        out = self.planes(pts[..., 0], pts[..., 1])
+        return float(out) if pts.ndim == 1 else out
+
+    def planes(self, x, y):
+        """Values at the points (x, y); x and y are arrays of one shape."""
+        out = np.asarray(self._func(x, y), dtype=float)
         if self._mask_domain:
-            out = np.where(self.boundary.contains(flat), out, 0.0)
-        out = out.reshape(pts.shape[:-1])
-        return float(out) if squeeze else out
+            flat = np.stack([np.ravel(x), np.ravel(y)], axis=-1)
+            out = np.where(self.boundary.contains(flat).reshape(out.shape), out, 0.0)
+        return out
 
     @property
     def is_zero(self):
@@ -105,8 +113,8 @@ def phantom(name, boundary, params=None):
     if name == "poly-bump":
         amp = float(p.get("amplitude", 1.0))
 
-        def f(x):
-            r2 = x[:, 0] ** 2 + x[:, 1] ** 2
+        def f(x, y):
+            r2 = x ** 2 + y ** 2
             return amp * np.maximum(1.0 - r2, 0.0) ** 2
         _check_disk_support(boundary, np.zeros(2), 1.0, name)
         return ScalarField(f, boundary, name=name, params={"amplitude": amp})
@@ -116,8 +124,8 @@ def phantom(name, boundary, params=None):
         amp = float(p.get("amplitude", 1.0))
         _check_disk_support(boundary, c, r, name)
 
-        def f(x):
-            r2 = (x[:, 0] - c[0]) ** 2 + (x[:, 1] - c[1]) ** 2
+        def f(x, y):
+            r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2
             return amp * np.maximum(1.0 - r2 / r ** 2, 0.0) ** 2
         return ScalarField(f, boundary, name=name, params={"center": tuple(c), "radius": r, "amplitude": amp})
     if name == "gaussian-truncated":
@@ -125,14 +133,14 @@ def phantom(name, boundary, params=None):
         sig = float(p.get("sigma", 0.18))
         amp = float(p.get("amplitude", 1.0))
 
-        def f(x):
-            r2 = (x[:, 0] - c[0]) ** 2 + (x[:, 1] - c[1]) ** 2
+        def f(x, y):
+            r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2
             return amp * np.exp(-r2 / sig ** 2)
         return ScalarField(f, boundary, name=name,
                            params={"center": tuple(c), "sigma": sig, "amplitude": amp},
                            mask_domain=True)
     if name == "zero":
-        return ScalarField(lambda x: np.zeros(len(x)), boundary, name="zero")
+        return ScalarField(lambda x, y: np.zeros(np.shape(x)), boundary, name="zero")
     raise UnknownPhantom("unknown phantom %r" % (name,))
 
 
@@ -178,7 +186,7 @@ def divergence_beam(a, x, theta, quad=QuadSettings()):
         return 0.0
     nodes, weights = quad.nodes_weights()
     pts = ray_points(np.asarray(x, float), np.asarray(theta, float), tau * nodes)
-    return float(tau * np.dot(weights, a(pts)))
+    return float(tau * np.dot(weights, a.planes(*pts)))
 
 
 def radon_full_line(a, s, theta, quad=QuadSettings()):
@@ -203,7 +211,7 @@ def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
     nodes, weights = quad.nodes_weights()
     spans = t_hi - t_lo
     ts = t_lo[:, None] + spans[:, None] * nodes[None, :]
-    vals = a(ray_points(p0s, th, ts))
+    vals = a.planes(*ray_points(p0s, th, ts))
     return spans * np.einsum("sq,q->s", vals, weights, optimize=False)
 
 
@@ -237,10 +245,10 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
             continue
         tau = taus[out_mask, j]                       # (m,)
         entry = boundary.positions[out_mask] - tau[:, None] * th[None, :]
-        fv = f(ray_points(entry, th, tau[:, None] * gl_frac[None, :]))   # (m, K)
+        fv = f.planes(*ray_points(entry, th, tau[:, None] * gl_frac[None, :]))   # (m, K)
         if attenuated:
             s_u = tau[:, None] * frac_union[None, :]
-            av = a(ray_points(entry, th, s_u))
+            av = a.planes(*ray_points(entry, th, s_u))
             seg = 0.5 * (av[:, 1:] + av[:, :-1]) * np.diff(s_u, axis=1)
             cum = np.concatenate([np.zeros((len(tau), 1)), np.cumsum(seg, axis=1)], axis=1)
             da_from = cum[:, -1:] - cum[:, gl_pos]    # Da at the GL nodes

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aradon import bukhgeim
 from aradon.bukhgeim import (
     TARGET_CHUNK,
     CartesianGrid,
@@ -254,6 +255,7 @@ class TestDelVMinus:
         for run in (
             lambda: del_v_minus(g, range(1, g.n_modes + 1), pts),
             lambda: cauchy_build(g, pts),
+            lambda: del_v_minus(g, range(1, g.n_modes + 1), pts, field=True),
         ):
             tracemalloc.start()
             try:
@@ -262,6 +264,151 @@ class TestDelVMinus:
             finally:
                 tracemalloc.stop()
             assert peak < 32e6
+
+
+REF_CHUNK = 128  # targets per pass of the reference loops below
+
+
+def ref_G(g_data, boundary, targets, node_targets):
+    """G by Horner over the j-powers, one accumulator per parity of rows."""
+    w = boundary.complex_nodes()
+    wd = boundary.complex_velocity()
+    dt = 2.0 * np.pi / boundary.n_nodes
+    n_rows = g_data.shape[0]
+    out = np.zeros((n_rows, len(targets)), dtype=complex)
+    for lo in range(0, len(targets), REF_CHUNK):
+        sl = slice(lo, lo + REF_CHUNK)
+        diff = w[None, :] - targets[sl, None]
+        rows = np.nonzero(node_targets[sl] >= 0)[0]
+        cols = node_targets[sl][rows]
+        diff[rows, cols] = 1.0
+        base = (2.0 / np.pi) * np.imag(wd[None, :] / diff) * dt
+        ratio = np.conj(diff) / diff
+        base[rows, cols] = (2.0 / np.pi) * (
+            boundary.curvatures[cols] * np.abs(wd[cols]) / 2.0) * dt
+        ratio[rows, cols] = np.conj(wd[cols]) / wd[cols]
+        base = base.astype(complex)
+        acc = np.zeros((2,) + ratio.shape, dtype=complex)
+        for k in range(n_rows - 3, -1, -1):
+            a = acc[k % 2]
+            a += g_data[k + 2]
+            a *= ratio
+            out[k, sl] = np.einsum("pi,pi->p", a, base)
+    return out
+
+
+def ref_cauchy(g, targets):
+    """(1/2) G g + C g with C from one matrix product per chunk."""
+    b = g.boundary
+    w = b.complex_nodes()
+    wd = b.complex_velocity()
+    c = np.empty((g.n_modes + 1, len(targets)), dtype=complex)
+    for lo in range(0, len(targets), REF_CHUNK):
+        sl = slice(lo, lo + REF_CHUNK)
+        c[:, sl] = g.data @ (wd[None, :] / (w[None, :] - targets[sl, None])).T
+    c = c * ((2.0 * np.pi / b.n_nodes) / (2.0j * np.pi))
+    return 0.5 * ref_G(g.data, b, targets, np.full(len(targets), -1)) + c
+
+
+def ref_del_v(g, orders, targets):
+    """d v_{-d} by the A/E sweep, fresh work arrays per chunk."""
+    b = g.boundary
+    w = b.complex_nodes()
+    wd = b.complex_velocity()
+    weights = np.stack([wd, np.conj(wd)], axis=1)
+    orders = np.asarray(orders)
+    top = g.n_modes
+    out = np.zeros((len(orders), len(targets)), dtype=complex)
+    for lo in range(0, len(targets), REF_CHUNK):
+        sl = slice(lo, lo + REF_CHUNK)
+        u = w[None, :] - targets[sl, None]
+        ratio = np.conj(u) / u
+        inv_u2 = 1.0 / (u * u)
+        for par in (0, 1):
+            if not np.any(orders % 2 == par):
+                continue
+            low = int(np.min(orders[orders % 2 == par]))
+            a = np.zeros_like(ratio)
+            e = np.zeros_like(ratio)
+            c_above = 0.0
+            for k in range(top - (top - par) % 2, low - 1, -2):
+                a += e
+                a *= ratio
+                a += g.data[k]
+                e *= ratio
+                e += g.data[k]
+                b_sum, c_sum = (a * inv_u2 @ weights).T
+                out[orders == k, sl] = b_sum - c_above
+                c_above = c_sum
+    return out * ((2.0 * np.pi / b.n_nodes) / (2.0j * np.pi))
+
+
+@pytest.fixture(scope="module", params=["disk", "ellipse", "table"])
+def sweep_case(request, disk256, ellipse_wide256):
+    """Random trace and interior points on each boundary kind."""
+    if request.param == "disk":
+        boundary = disk256
+    elif request.param == "ellipse":
+        boundary = ellipse_wide256
+    else:
+        u = 2.0 * np.pi * np.arange(48) / 48
+        table = np.column_stack([1.2 * np.cos(u) + 0.1 * np.cos(2 * u), 0.9 * np.sin(u)])
+        boundary = make_boundary("table", 192, table=table)
+    g = random_trace(boundary, 11, seed=12)
+    return g, interior_points(boundary, 75, seed=13)
+
+
+def assert_cauchy_equal(got, ref, chunk):
+    """C is one BLAS product per chunk of targets.  OpenBLAS sums the
+    columns past the last multiple of its kernel width (4 here) in
+    another order, so a chunk of 7 moves C's last bits; chunks of 32 and
+    128 give the same bits as any multiple of the width."""
+    if chunk % 4 == 0:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+class TestSharedSweep:
+    """G, C and every derivative order from one sweep equal the separate loops."""
+
+    @pytest.fixture(autouse=True, params=[7, 32, 128])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(bukhgeim, "TARGET_CHUNK", request.param)
+        return request.param
+
+    def test_boundary_G(self, sweep_case):
+        g, _ = sweep_case
+        b = g.boundary
+        nodes = np.arange(b.n_nodes)
+        ref = ref_G(g.data, b, b.complex_nodes(), nodes)
+        assert np.array_equal(bukhgeim._G_boundary(g.data, b), ref)
+        assert np.array_equal(op_G(g, b.complex_nodes()[5]), ref[:, 5])
+
+    def test_interior_G(self, sweep_case):
+        g, pts = sweep_case
+        ref = ref_G(g.data, g.boundary, pts, np.full(len(pts), -1))
+        assert np.array_equal(bukhgeim._sweep(g.data, g.boundary, pts)[0], ref)
+        assert np.array_equal(op_G(g, pts[3]), ref[:, 3])
+
+    def test_cauchy_build(self, sweep_case, chunk):
+        g, pts = sweep_case
+        assert_cauchy_equal(cauchy_build(g, pts).data, ref_cauchy(g, pts), chunk)
+
+    def test_del_v_minus(self, sweep_case):
+        g, pts = sweep_case
+        orders = list(range(1, g.n_modes + 1))
+        assert np.array_equal(del_v_minus(g, 3, pts), ref_del_v(g, [3], pts)[0])
+        assert np.array_equal(del_v_minus(g, orders, pts), ref_del_v(g, orders, pts))
+
+    def test_fused_field_and_orders(self, sweep_case, chunk):
+        """The one call reconstruct_f_attenuated makes: v and orders 1..N."""
+        g, pts = sweep_case
+        orders = range(1, g.n_modes + 1)
+        dv, v = del_v_minus(g, orders, pts, field=True)
+        assert np.array_equal(dv, ref_del_v(g, list(orders), pts))
+        assert_cauchy_equal(v.data, ref_cauchy(g, pts), chunk)
+        assert np.array_equal(v.points, np.column_stack([pts.real, pts.imag]))
 
 
 class TestAAnalyticity:

@@ -202,15 +202,15 @@ class TestTableBoundary:
             assert json.load(fh)["consistency_flag"] == 0
 
     @staticmethod
-    def _table_config(tmp_path, name, a):
+    def _table_config(tmp_path, name, a, **overrides):
         u = 2.0 * np.pi * np.arange(64) / 64
         table = tmp_path / (name + ".csv")
         np.savetxt(table, np.column_stack([a * np.cos(u), np.sin(u)]),
                    delimiter=",", header="x,y", comments="", fmt="%.17g")
+        sections = {"modes": {"n": 15, "angles": 32}, **overrides}
         return write_config(tmp_path / (name + ".json"),
                             boundary={"kind": "table", "n_nodes": 64,
-                                      "table_path": str(table)},
-                            modes={"n": 15, "angles": 32})
+                                      "table_path": str(table)}, **sections)
 
     def test_other_table_exits_two(self, tmp_path, capsys):
         ellipse = self._table_config(tmp_path, "ellipse", 1.5)
@@ -308,6 +308,46 @@ class TestFactorsAndCache:
         assert main(["check", "--config", other, "--out",
                      str(tmp_path / "chk"), "--factors-cache", str(cache),
                      str(out / "sinogram.bin")]) == 2
+
+    # Off the disk the factors' negative modes and identity defect fall
+    # below the default tolerances only with more angles, finer chord
+    # quadrature and a weaker map.
+    OFF_DISK_ATT = {
+        "modes": {"n": 8, "angles": 128},
+        "quad": {"panels": 8, "points": 8},
+        "phantoms": {"f": {"name": "poly-bump"},
+                     "a": {"name": "poly-bump", "params": {"amplitude": 0.05}}},
+        "tolerances": {"s_samples": 2048},
+    }
+
+    def _check_with_other_cache(self, tmp_path, run_cfg, cache_cfg, capsys):
+        """Exit code of an attenuated check of run_cfg's data against
+        a factor cache built with cache_cfg."""
+        cache = tmp_path / "factors.bin"
+        assert main(["factors", "--config", cache_cfg, "--out",
+                     str(tmp_path / "fa"), "--factors-cache", str(cache)]) == 0
+        out = tmp_path / "fw"
+        assert main(["forward", "--config", run_cfg, "--out", str(out),
+                     "--attenuated"]) == 0
+        capsys.readouterr()
+        code = main(["check", "--config", run_cfg, "--out", str(tmp_path / "chk"),
+                     "--factors-cache", str(cache), str(out / "sinogram.bin")])
+        assert "another" in capsys.readouterr().err
+        return code
+
+    def test_cache_of_another_ellipse_exits_two(self, tmp_path, capsys):
+        def ellipse(name, a):
+            return write_config(tmp_path / name,
+                                boundary={"kind": "ellipse", "a": a, "b": 1.0},
+                                **self.OFF_DISK_ATT)
+
+        assert self._check_with_other_cache(
+            tmp_path, ellipse("run.json", 1.5), ellipse("cache.json", 2.0), capsys) == 2
+
+    def test_cache_of_another_table_exits_two(self, tmp_path, capsys):
+        run = TestTableBoundary._table_config(tmp_path, "run", 1.5, **self.OFF_DISK_ATT)
+        other = TestTableBoundary._table_config(tmp_path, "other", 1.3, **self.OFF_DISK_ATT)
+        assert self._check_with_other_cache(tmp_path, run, other, capsys) == 2
 
 
 class TestSweepCommand:

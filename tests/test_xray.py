@@ -280,12 +280,38 @@ class TestRaySampler:
         starts = rng.normal(size=(13, 2))
         direction = rng.normal(size=2)
         t = rng.normal(size=(13, 21))
-        assert ray_points(starts, direction, t).shape == (13, 21, 2)
+        assert ray_points(starts, direction, t).shape == (2, 13, 21)
         assert np.array_equal(ray_points(starts, direction, t),
-                              broadcast_points(starts, direction, t))
+                              np.moveaxis(broadcast_points(starts, direction, t), -1, 0))
         x, t1 = starts[0], t[0]
         assert np.array_equal(ray_points(x, direction, t1),
-                              x[None, :] + t1[:, None] * direction[None, :])
+                              np.moveaxis(x[None, :] + t1[:, None] * direction[None, :], -1, 0))
+
+    @pytest.mark.parametrize("name, params", [
+        ("poly-bump", {"amplitude": 0.7}),
+        ("shifted-poly-bump", {"center": (-0.2, 0.1), "radius": 0.6}),
+        ("gaussian-truncated", {"center": (0.3, -0.2), "sigma": 0.5}),
+        ("zero", None),
+    ])
+    def test_planes_match_points(self, boundaries, name, params):
+        """A field read on coordinate planes equals the read on (..., 2) points.
+
+        The gaussian is masked to the domain; the samples reach past the
+        boundary so its mask is exercised on every kind, the table included.
+        """
+        rng = np.random.default_rng(11)
+        for b in boundaries:
+            f = phantom(name, b, params=params)
+            starts = rng.uniform(-1.2, 1.2, size=(9, 2))
+            th = np.array([np.cos(2.1), np.sin(2.1)])
+            planes = ray_points(starts, th, rng.uniform(-1.5, 1.5, size=(9, 31)))
+            points = np.moveaxis(planes, 0, -1).copy()
+            got = f.planes(*planes)
+            assert got.shape == (9, 31)
+            assert np.array_equal(got, f(points))
+            assert all(f(points[0, i]) == got[0, i] for i in range(5))
+            outside = ~b.contains(points.reshape(-1, 2)).reshape(got.shape)
+            assert np.any(outside) and np.all(got[outside] == 0.0)
 
     def test_nodes_weights_cached_read_only(self):
         for quad in (QuadSettings(), QuadSettings(panels=5, points=3)):
