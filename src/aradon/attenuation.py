@@ -35,7 +35,6 @@ from .bukhgeim import (
     _make_residual,
     del_v_minus,
     reconstruct_f0,
-    range_residual_0,
 )
 from .xray import QuadSettings, radon_profile, ray_points, _directions
 
@@ -265,8 +264,9 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
 
 
 def _check_match(g, factors):
-    if g.boundary.n_nodes != factors.boundary.n_nodes or \
-            g.boundary.kind != factors.boundary.kind:
+    # the descriptor holds the kind, the node count, the ellipse axes and
+    # the table points
+    if g.boundary.descriptor() != factors.boundary.descriptor():
         raise GridMismatch("trace and factors live on different boundaries")
     if g.n_modes != factors.n_modes:
         raise GridMismatch(
@@ -287,24 +287,8 @@ def hilbert_Ha(g, factors):
 
 def range_residual_a(g, factors):
     """Residual of the attenuated range condition, (I + i H_a) g."""
-    _check_match(g, factors)
     res_data = g.data + 1.0j * hilbert_Ha(g, factors).data
     return _make_residual(res_data, g.data, g.boundary, g.n_modes)
-
-
-def residual_route_gap(g, factors):
-    """Max gap between the two equivalent residual formulations.
-
-    Route one applies (I + i H_a) directly; route two conjugates by the
-    factors, applying (I + i H_0) to alpha * g and convolving the result
-    by beta.  They agree up to the alpha * beta identity defect.
-    """
-    _check_match(g, factors)
-    r1 = range_residual_a(g, factors).residual.data
-    ag = convolve(factors.alpha, g.data)
-    inner = ag + 1.0j * hilbert_H0(ModeTrace(g.boundary, g.n_modes, ag)).data
-    r2 = convolve(factors.beta, inner)
-    return float(np.max(np.abs(r1 - r2)))
 
 
 def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):

@@ -247,19 +247,6 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     return g_out, c_out, d_out
 
 
-def op_G(g, xi):
-    """G applied to the trace, evaluated at one point of the closed domain.
-
-    Interior points use the nonsingular kernel directly; a point
-    coinciding with a boundary node gets the diagonal limit.
-    """
-    targets = _as_complex_points(xi)
-    d2 = np.abs(g.boundary.complex_nodes() - targets[0])
-    idx = int(np.argmin(d2))
-    node = idx if d2[idx] <= 1e-12 else -1
-    return _sweep(g.data, g.boundary, targets, np.array([node]))[0][:, 0]
-
-
 def _G_boundary(g_data, boundary):
     targets = boundary.complex_nodes()
     node_targets = np.arange(boundary.n_nodes)
@@ -303,14 +290,6 @@ def _cauchy_field(g, targets, gg, cg):
     return ModeField(pts, g.n_modes, 0.5 * gg + cg, g.boundary)
 
 
-def trace_plus(g):
-    """Boundary limit of the Cauchy-built map: v+ = (1/2)Gg + (1/2)(S+I)g."""
-    data = 0.5 * _G_boundary(g.data, g.boundary) + 0.5 * (
-        _S_apply(g.data, g.boundary) + g.data
-    )
-    return ModeTrace(g.boundary, g.n_modes, data)
-
-
 class CartesianGrid:
     """Regular Cartesian grid clipped to the domain interior.
 
@@ -344,35 +323,6 @@ class CartesianGrid:
         out = np.full(self.ny * self.nx, fill, dtype=np.asarray(values).dtype)
         out[self.valid] = values
         return out.reshape(self.ny, self.nx)
-
-
-def make_patch(boundary, nx, ny, half_width):
-    """Fully interior Cartesian patch centered at the origin."""
-    return CartesianGrid(
-        boundary, nx, ny, margin=0.0,
-        extent=(-half_width, half_width, -half_width, half_width),
-    )
-
-
-def aanaliticity_defect(field, grid):
-    """Max finite-difference defect of dbar v_n + d v_{n-2} on a patch.
-
-    The field must be sampled on a fully valid Cartesian patch; centered
-    differences give dbar = (d_x + i d_y)/2 and d = (d_x - i d_y)/2 and
-    the defect pairs stored rows k and k+2.
-    """
-    if not np.all(grid.valid):
-        raise ValueError("a-analyticity defect needs a fully interior patch")
-    n_rows = field.data.shape[0]
-    pic = field.data.reshape(n_rows, grid.ny, grid.nx)
-    dx = (pic[:, 1:-1, 2:] - pic[:, 1:-1, :-2]) / (2.0 * grid.hx)
-    dy = (pic[:, 2:, 1:-1] - pic[:, :-2, 1:-1]) / (2.0 * grid.hy)
-    dbar = 0.5 * (dx + 1.0j * dy)
-    dee = 0.5 * (dx - 1.0j * dy)
-    worst = 0.0
-    for k in range(0, n_rows - 2):
-        worst = max(worst, float(np.max(np.abs(dbar[k] + dee[k + 2]))))
-    return worst
 
 
 def del_v_minus(g, d, points, margin=None, field=False):

@@ -9,8 +9,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 from .geometry import KIND_ALIASES, make_boundary
 from .harmonics import AngularGrid

@@ -26,10 +26,6 @@ class OutsideDomain(AradonError):
     """A point expected inside the closed domain lies outside it."""
 
 
-class NoIntersection(AradonError):
-    """Ray cast found no boundary hit; signals geometry corruption."""
-
-
 class GridTooCoarse(AradonError):
     """Angular grid too coarse for the requested mode count (M < 2N+2)."""
 

@@ -11,22 +11,19 @@ works in two ways: disks and ellipses solve the quadric in closed form;
 point tables use that s(u) = theta x w(u) is monotone on the two arcs
 between its extrema, so each crossing is bracketed by a searchsorted on
 one arc and polished by Newton kept inside the bracket.  Node chord
-lengths, chords with their two travel times tau_plus / tau_minus, the
-radial parametrization of the boundary seen from an interior point and
-the jump of the chord-length derivative across tangential directions
-are all built on it.
+lengths, the chord quadratures of the forward and of the integrating
+factors, and the jump of the chord-length derivative across tangential
+directions are all built on it.
 
 Conventions: curves are traversed counterclockwise; the outward normal is
 the tangent rotated clockwise by 90 degrees; angles phi always refer to
 the direction (cos phi, sin phi).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import NonConvex, TooFewNodes, OutsideDomain, NoIntersection
+from .errors import NonConvex, TooFewNodes, OutsideDomain
 
 # Tolerances shared by the geometric predicates.
 ON_BOUNDARY_TOL = 1e-9     # distance below which a point counts as lying on the curve
@@ -56,27 +53,6 @@ def _cross(u, v):
 def _dot(u, v):
     """Dot product over the last axis, broadcasting the others."""
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-
-
-@dataclass(frozen=True)
-class Chord:
-    """A directed chord through a point of the closed domain.
-
-    end_plus = base + tau_plus * direction is the exit point of the forward
-    ray, end_minus = base - tau_minus * direction the entry point of the
-    backward ray; tau_plus + tau_minus is the full chord length.
-    """
-
-    base: np.ndarray
-    direction: np.ndarray
-    tau_plus: float
-    tau_minus: float
-    end_plus: np.ndarray
-    end_minus: np.ndarray
-
-    @property
-    def length(self):
-        return self.tau_plus + self.tau_minus
 
 
 class ConvexBoundary:
@@ -231,26 +207,6 @@ class ConvexBoundary:
             u = u - np.clip(step, -0.5, 0.5)
         d = np.hypot(*(self.position_at(u) - pts).T)
         return d if np.asarray(points).ndim == 2 else float(d[0])
-
-    def nearest_param(self, point):
-        """Boundary parameter of the foot point closest to `point`."""
-        p = _as_point(point)
-        if self.kind == "unit-disk":
-            return float(np.mod(np.arctan2(p[1], p[0]), 2.0 * np.pi))
-        t = np.linspace(0.0, 2.0 * np.pi, 16 * self.n_nodes, endpoint=False)
-        cand = self.position_at(t)
-        u = t[np.argmin(np.sum((cand - p) ** 2, axis=1))]
-        for _ in range(8):
-            w = self.position_at(u)
-            dw = self._derivative_at(u)
-            ddw = self._second_derivative_at(u)
-            r = w - p
-            g = float(r @ dw)
-            gp = float(dw @ dw + r @ ddw)
-            if abs(gp) < 1e-300:
-                break
-            u = u - min(max(g / gp, -0.5), 0.5)
-        return float(np.mod(u, 2.0 * np.pi))
 
     def interior_margin(self, n_spacings=3.0):
         """Margin below which quadrature kernels are under-resolved."""
@@ -429,62 +385,6 @@ def make_boundary(kind, n_nodes, a=1.0, b=1.0, table=None):
     raise NonConvex("unknown boundary kind %r" % (kind,))
 
 
-def cast_chord(boundary, x, theta):
-    """Chord through x in direction theta.
-
-    For x on the boundary the travel time on the outward side is zero and
-    the other side carries the full chord; tangential directions give a
-    degenerate chord (both times zero, strict convexity).
-    """
-    p = _as_point(x)
-    d = _as_point(theta)
-    d = d / np.hypot(d[0], d[1])
-    tau_p, tau_m = _travel_times(boundary, p, d, "chord base")
-    return Chord(
-        base=p,
-        direction=d,
-        tau_plus=tau_p,
-        tau_minus=tau_m,
-        end_plus=p + tau_p * d,
-        end_minus=p - tau_m * d,
-    )
-
-
-def _travel_times(boundary, p, d, what):
-    """(tau_plus, tau_minus) from a closed-domain point p along +-d.
-
-    A boundary point (within ON_BOUNDARY_TOL) carries the full chord on
-    the inward side and 0 on the outward side; a line through it that
-    is tangential or too close to tangential to cross gives (0, 0).
-    """
-    if not boundary.contains(p):
-        raise OutsideDomain("%s %s lies outside the closed domain" % (what, p))
-    t_lo, t_hi, hit = boundary.line_spans(p[None, :], d)
-    if boundary.distance_to_boundary(p[None, :])[0] <= ON_BOUNDARY_TOL:
-        dw = boundary._derivative_at(boundary.nearest_param(p))
-        c = float(_cross(d, dw)) / np.hypot(dw[0], dw[1])   # outward normal . d
-        full = float(t_hi[0] - t_lo[0])
-        if c > TOL_TANGENT:
-            return 0.0, full
-        if c < -TOL_TANGENT:
-            return full, 0.0
-        return 0.0, 0.0
-    if not hit[0]:
-        raise NoIntersection("the line through %s along %s misses the boundary" % (p, d))
-    return float(t_hi[0]), float(-t_lo[0])
-
-
-def radial_parametrization(boundary, xi, phi):
-    """Boundary point seen from xi in direction phi.
-
-    Returns (l, w) with w = xi + l (cos phi, sin phi) on the curve.
-    """
-    p = _as_point(xi)
-    d = np.array([np.cos(phi), np.sin(phi)])
-    l, _ = _travel_times(boundary, p, d, "radial parametrization base")
-    return l, p + l * d
-
-
 def tau_angular_jump(boundary, z0, h_phi=1e-3):
     """Jump of the phi-derivative of the chord length across tangency.
 
@@ -504,16 +404,3 @@ def tau_angular_jump(boundary, z0, h_phi=1e-3):
     phis = np.arctan2(tang[1], tang[0]) + np.array([h_phi, -h_phi])
     taus = boundary.node_chord_lengths(np.column_stack([np.cos(phis), np.sin(phis)]))
     return float(np.sum(taus[idx]) / h_phi)
-
-
-def classify_boundary_pair(boundary, z, theta, tol_tangent=TOL_TANGENT):
-    """Incoming / outgoing / tangential classification by sign of n . theta."""
-    z = _as_point(z)
-    d = _as_point(theta)
-    idx = int(np.argmin(np.sum((boundary.positions - z) ** 2, axis=1)))
-    c = float(boundary.normals[idx] @ d)
-    if c > tol_tangent:
-        return "outgoing"
-    if c < -tol_tangent:
-        return "incoming"
-    return "tangential"

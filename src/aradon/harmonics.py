@@ -2,11 +2,10 @@
 
 Boundary data g(z, theta) is reduced to its nonpositive angular modes:
 a ModeTrace stores rows k = 0..N with row k holding g_{-k} at every
-boundary node.  The module provides the projections onto nonpositive and
-nonnegative modes, reassembly of the real-valued function, truncated
-sequence convolution, the weighted norms used as decay diagnostics, and
-the two summation identities for nonnegative sequences that underpin the
-convolution norm bounds.
+boundary node.  The module provides the projection onto nonpositive
+modes, truncated and power-series sequence convolution, the weighted
+norms used as decay diagnostics, and the two summation identities for
+nonnegative sequences that underpin the convolution norm bounds.
 
 All angular grids are uniform, phi_j = 2 pi j / M, and projections are
 plain DFTs: exact for trigonometric polynomials of degree <= N whenever
@@ -63,36 +62,6 @@ class ModeTrace:
         self.n_modes = int(n_modes)
         self.data = data
 
-    def copy(self):
-        return ModeTrace(self.boundary, self.n_modes, self.data.copy())
-
-
-class ModeSeq:
-    """One-point sequence of nonnegative-index coefficients, k = 0..N."""
-
-    def __init__(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != 1 or len(coeffs) < 1:
-            raise ValueError("ModeSeq expects a nonempty 1-D coefficient vector")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("ModeSeq coefficients must be finite")
-        self.coeffs = coeffs
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def _mode_matrix(g):
-    """Accept ModeTrace, ModeSeq, or a raw array; return (matrix, wrap)."""
-    if isinstance(g, ModeTrace):
-        return g.data, "trace"
-    if isinstance(g, ModeSeq):
-        return g.coeffs[:, None], "seq"
-    arr = np.asarray(g, dtype=complex)
-    if arr.ndim == 1:
-        return arr[:, None], "vec"
-    return arr, "mat"
-
 
 def project_minus(g, n_modes):
     """Project a sinogram onto its nonpositive angular modes.
@@ -119,67 +88,24 @@ def project_minus(g, n_modes):
     return ModeTrace(g.boundary, n_modes, modes.T.copy())
 
 
-def project_plus(h_samples, n_modes):
-    """Nonnegative-mode coefficients of angular samples at one point."""
-    vals = np.asarray(h_samples, dtype=complex)
-    m = len(vals)
-    if m < 2 * n_modes + 2:
-        raise GridTooCoarse(
-            "%d angular samples cannot resolve %d modes" % (m, n_modes)
-        )
-    coeffs = np.fft.fft(vals) / m
-    return ModeSeq(coeffs[: n_modes + 1])
-
-
-def assemble_real(v, phi):
-    """Evaluate the real-valued function carried by nonpositive modes.
-
-    Returns g_0 + 2 Re sum_{n>=1} g_{-n} e^{-i n phi}.  For a ModeTrace
-    the result has shape (n_nodes,) per angle; phi may be scalar or a
-    vector of angles (then an extra trailing axis is added).
-    """
-    mat, wrap = _mode_matrix(v)
-    n = mat.shape[0] - 1
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    kernel = np.exp(-1j * np.outer(np.arange(1, n + 1), phi_arr))  # (N, n_phi)
-    out = np.real(mat[0][:, None]) + 2.0 * np.real(
-        np.einsum("kc,kp->cp", mat[1:], kernel, optimize=False)
-    )
-    if np.isscalar(phi) or np.asarray(phi).ndim == 0:
-        out = out[:, 0]
-    if wrap in ("seq", "vec"):
-        out = out[0] if out.ndim == 1 else out[0, :]
-        return float(out) if np.ndim(out) == 0 else out
-    return out
-
-
 def convolve(a, g):
-    """Truncated convolution of a nonnegative-index sequence with g.
+    """Truncated convolution of a nonnegative-index sequence with mode rows.
 
-    The single signed-index formula (a * g)_n = sum_k a_k g_{n-k} lands
-    in two storage layouts.  When g holds nonpositive modes (ModeTrace
-    or a bare mode matrix), row m is index -m and the sum runs while
-    m + k <= N; terms that would reach below -N are dropped.  When g is
-    itself a nonnegative-index sequence (ModeSeq or 1-D vector), the sum
-    is the power-series product sum_{k<=m} a_k g_{m-k} and nothing
-    truncates.  `a` is a ModeSeq or vector, optionally per-node with
-    shape (N+1, n_nodes).  The result matches g's type.
+    g is a mode matrix of shape (N+1, n_cols) whose row m is index -m,
+    and (a * g)_{-m} = sum_k a_k g_{-m-k} runs while m + k <= N; terms
+    that would reach below -N are dropped.  `a` has shape (N+1, n_cols),
+    one sequence per column, or (N+1, 1), one for every column.
+    Power-series products of two nonnegative sequences are convolve_seq.
     """
-    amat, _ = _mode_matrix(a)
-    gmat, wrap = _mode_matrix(g)
+    amat = np.asarray(a, dtype=complex)
+    gmat = np.asarray(g, dtype=complex)
     n = gmat.shape[0] - 1
     if amat.shape[0] != n + 1:
         raise ValueError("sequence lengths differ: %d vs %d" % (amat.shape[0], n + 1))
     out = np.zeros_like(gmat)
-    if wrap in ("seq", "vec"):
-        for m in range(n + 1):
-            out[m] = np.sum(amat[: m + 1] * gmat[m::-1], axis=0)
-        return ModeSeq(out[:, 0]) if wrap == "seq" else out[:, 0]
     for m in range(n + 1):
         # a broadcasts over columns whether stored per-node or globally
         out[m] = np.sum(amat[: n + 1 - m] * gmat[m:], axis=0)
-    if wrap == "trace":
-        return ModeTrace(g.boundary, n, out)
     return out
 
 
@@ -203,7 +129,7 @@ def identity_seq(n_modes):
     """Convolution identity <1, 0, 0, ...>."""
     e = np.zeros(n_modes + 1, dtype=complex)
     e[0] = 1.0
-    return ModeSeq(e)
+    return e
 
 
 def weighted_norms(v):
@@ -212,9 +138,8 @@ def weighted_norms(v):
     Returns (l11, l12, l1): sup over nodes of sum_k k |v_{-k}|,
     sum_k k^2 |v_{-k}|, and sum_k |v_{-k}|.
     """
-    mat, _ = _mode_matrix(v)
-    k = np.arange(mat.shape[0], dtype=float)
-    absv = np.abs(mat)
+    k = np.arange(v.data.shape[0], dtype=float)
+    absv = np.abs(v.data)
     l1 = float(np.max(np.sum(absv, axis=0)))
     l11 = float(np.max(np.sum(k[:, None] * absv, axis=0)))
     l12 = float(np.max(np.sum((k ** 2)[:, None] * absv, axis=0)))

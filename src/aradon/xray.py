@@ -1,9 +1,8 @@
 """Forward modeling: ray transforms, sinogram assembly, analytic phantoms.
 
-The divergence beam transform integrates the attenuation from a point to
-the boundary along a ray; the full-line transform integrates across the
-whole domain, on many parallel lines at once.  No crossing is solved
-here: every chord and line span comes from the geometry's one primitive,
+The full-line transform integrates across the whole domain, on many
+parallel lines at once.  No crossing is solved here: every chord and
+line span comes from the geometry's one primitive,
 ConvexBoundary.line_spans, and every chord quadrature samples its rays
 with one helper, ray_points, which returns one contiguous plane per
 coordinate, and fields are evaluated on those planes directly: an
@@ -13,9 +12,6 @@ forward_sinogram produces the canonical boundary data of an attenuated
 ray transform: on outgoing node/direction pairs it carries the
 attenuated ray integral of the source over the full chord, on incoming
 and tangential pairs it is zero.
-verify_radon_identity checks any sinogram against the defining chord
-identity with quadrature and interpolation independent of the forward
-code paths.
 """
 
 from dataclasses import dataclass
@@ -24,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import OutsideDomain, UnknownPhantom, SupportViolation
-from .geometry import cast_chord, TOL_TANGENT
+from .errors import UnknownPhantom, SupportViolation
+from .geometry import TOL_TANGENT
 
 
 @dataclass(frozen=True)
@@ -179,26 +175,6 @@ def _directions(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def divergence_beam(a, x, theta, quad=QuadSettings()):
-    """Integral of `a` from x to the boundary along direction theta."""
-    tau = cast_chord(a.boundary, x, theta).tau_plus  # validates membership for a = 0 too
-    if a.is_zero or tau == 0.0:
-        return 0.0
-    nodes, weights = quad.nodes_weights()
-    pts = ray_points(np.asarray(x, float), np.asarray(theta, float), tau * nodes)
-    return float(tau * np.dot(weights, a.planes(*pts)))
-
-
-def radon_full_line(a, s, theta, quad=QuadSettings()):
-    """Full-line integral of `a` at signed distance s, direction theta.
-
-    The line is s * theta_perp + t * theta with theta_perp the
-    counterclockwise rotation of theta; returns 0 on lines missing the
-    domain.
-    """
-    return float(radon_profile(a, a.boundary, theta, [s], quad)[0])
-
-
 def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
     """Full-line integrals of `a` on a whole vector of offsets at once."""
     th = np.asarray(theta, float)
@@ -262,76 +238,3 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
         "gauge": "zero-on-incoming",
     }
     return Sinogram(boundary, angular, data, attenuated=attenuated, meta=meta)
-
-
-def _trig_interp_columns(data, u_query):
-    """Trigonometric interpolation of periodic node columns at parameters u.
-
-    data has one row per boundary node (uniform parameter grid); returns
-    interpolated rows at each query parameter, one per column of data.
-    """
-    n = data.shape[0]
-    coeffs = np.fft.rfft(data, axis=0) / n
-    k = np.arange(coeffs.shape[0])
-    phase = np.exp(1j * np.outer(u_query, k))
-    vals = np.real(phase @ coeffs) * 2.0
-    vals -= np.real(coeffs[0])[None, :]
-    if n % 2 == 0:
-        # unpaired Nyquist mode carries half weight
-        vals -= np.real(np.outer(phase[:, -1], coeffs[-1]))
-    return vals
-
-
-def _dense_attenuated_integral(f, a, entry, theta, tau, n_pts=4001):
-    """Reference chord integral of f e^{-Da} by dense trapezoid."""
-    s = np.linspace(0.0, tau, n_pts)
-    pts = entry[None, :] + s[:, None] * theta[None, :]
-    fv = f(pts)
-    if a.is_zero:
-        integ = fv
-    else:
-        av = a(pts)
-        seg = 0.5 * (av[1:] + av[:-1]) * np.diff(s)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        integ = fv * np.exp(-(cum[-1] - cum))
-    return float(np.trapezoid(integ, s))
-
-
-def verify_radon_identity(g, f, a, n_probes=100, seed=1234):
-    """Max defect of the defining chord identity over random probes.
-
-    Each probe draws an interior point and a grid direction, forms the
-    chord, and compares g(exit) - e^{-Da(entry)} g(entry) against an
-    independent dense-trapezoid attenuated ray integral of f; g values
-    at the chord endpoints come from trigonometric interpolation along
-    the boundary.
-    """
-    rng = np.random.default_rng(seed)
-    boundary = g.boundary
-    angles = g.angular.angles
-    worst = 0.0
-    scale = 0.8 * min(np.min(np.hypot(*boundary.positions.T)), 1e9)
-    for _ in range(n_probes):
-        j = int(rng.integers(len(angles)))
-        th = np.array([np.cos(angles[j]), np.sin(angles[j])])
-        while True:
-            x = rng.uniform(-1.0, 1.0, size=2) * scale
-            if boundary.contains(x) and boundary.distance_to_boundary(x[None, :])[0] > 1e-3:
-                break
-        chord = cast_chord(boundary, x, th)
-        u_plus = boundary.nearest_param(chord.end_plus)
-        u_minus = boundary.nearest_param(chord.end_minus)
-        col = g.data[:, j:j + 1]
-        g_pm = _trig_interp_columns(col, np.array([u_plus, u_minus]))
-        g_plus, g_minus = float(g_pm[0, 0]), float(g_pm[1, 0])
-        if a.is_zero:
-            att = 1.0
-        else:
-            s_dense = np.linspace(0.0, chord.length, 4001)
-            pts = chord.end_minus[None, :] + s_dense[:, None] * th[None, :]
-            att = float(np.exp(-np.trapezoid(a(pts), s_dense)))
-        ray = _dense_attenuated_integral(f, a, chord.end_minus, th, chord.length)
-        defect = abs(g_plus - att * g_minus - ray)
-        worst = max(worst, defect)
-    return worst
-

@@ -1,0 +1,152 @@
+"""Independent reference checks of the library's guarantees.
+
+Each checker recomputes a property of the chain by a route of its own
+(dense trapezoid sums, trigonometric interpolation, finite differences,
+a second operator ordering), so it can judge the library's outputs
+without sharing their quadratures.  Tests import it like conftest.
+"""
+import numpy as np
+
+from aradon.attenuation import range_residual_a
+from aradon.bukhgeim import hilbert_H0
+from aradon.harmonics import ModeTrace, convolve
+
+
+def _trapezoid_sum(values, s):
+    """Trapezoid rule for samples `values` at the increasing abscissae s."""
+    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(s)))
+
+
+def nearest_param(boundary, point):
+    """Boundary parameter of the foot point closest to `point`.
+
+    The nearest of 16 n curve samples, polished by Newton on
+    d/du |w(u) - p|^2 = 0; closed form on the unit disk.
+    """
+    p = np.asarray(point, dtype=float)
+    if boundary.kind == "unit-disk":
+        return float(np.mod(np.arctan2(p[1], p[0]), 2.0 * np.pi))
+    t = np.linspace(0.0, 2.0 * np.pi, 16 * boundary.n_nodes, endpoint=False)
+    cand = boundary.position_at(t)
+    u = t[np.argmin(np.sum((cand - p) ** 2, axis=1))]
+    for _ in range(8):
+        w = boundary.position_at(u)
+        dw = boundary._derivative_at(u)
+        ddw = boundary._second_derivative_at(u)
+        r = w - p
+        g = float(r @ dw)
+        gp = float(dw @ dw + r @ ddw)
+        if abs(gp) < 1e-300:
+            break
+        u = u - min(max(g / gp, -0.5), 0.5)
+    return float(np.mod(u, 2.0 * np.pi))
+
+
+def _trig_interp_columns(data, u_query):
+    """Trigonometric interpolation of periodic node columns at parameters u.
+
+    data has one row per boundary node (uniform parameter grid); returns
+    interpolated rows at each query parameter, one per column of data.
+    """
+    n = data.shape[0]
+    coeffs = np.fft.rfft(data, axis=0) / n
+    k = np.arange(coeffs.shape[0])
+    phase = np.exp(1j * np.outer(u_query, k))
+    vals = np.real(phase @ coeffs) * 2.0
+    vals -= np.real(coeffs[0])[None, :]
+    if n % 2 == 0:
+        # unpaired Nyquist mode carries half weight
+        vals -= np.real(np.outer(phase[:, -1], coeffs[-1]))
+    return vals
+
+
+def _dense_attenuated_integral(f, a, entry, theta, tau, n_pts=4001):
+    """Reference chord integral of f e^{-Da} by dense trapezoid."""
+    s = np.linspace(0.0, tau, n_pts)
+    pts = entry[None, :] + s[:, None] * theta[None, :]
+    fv = f(pts)
+    if a.is_zero:
+        integ = fv
+    else:
+        av = a(pts)
+        seg = 0.5 * (av[1:] + av[:-1]) * np.diff(s)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        integ = fv * np.exp(-(cum[-1] - cum))
+    return _trapezoid_sum(integ, s)
+
+
+def verify_radon_identity(g, f, a, n_probes=100, seed=1234):
+    """Max defect of the defining chord identity over random probes.
+
+    Each probe draws an interior point and a grid direction, forms the
+    chord, and compares g(exit) - e^{-Da(entry)} g(entry) against an
+    independent dense-trapezoid attenuated ray integral of f; g values
+    at the chord endpoints come from trigonometric interpolation along
+    the boundary.
+    """
+    rng = np.random.default_rng(seed)
+    boundary = g.boundary
+    angles = g.angular.angles
+    worst = 0.0
+    scale = 0.8 * min(np.min(np.hypot(*boundary.positions.T)), 1e9)
+    for _ in range(n_probes):
+        j = int(rng.integers(len(angles)))
+        th = np.array([np.cos(angles[j]), np.sin(angles[j])])
+        while True:
+            x = rng.uniform(-1.0, 1.0, size=2) * scale
+            if boundary.contains(x) and boundary.distance_to_boundary(x[None, :])[0] > 1e-3:
+                break
+        t_lo, t_hi, _ = boundary.line_spans(x[None, :], th)
+        end_plus = x + t_hi[0] * th
+        end_minus = x + t_lo[0] * th
+        length = t_hi[0] - t_lo[0]
+        u_plus = nearest_param(boundary, end_plus)
+        u_minus = nearest_param(boundary, end_minus)
+        col = g.data[:, j:j + 1]
+        g_pm = _trig_interp_columns(col, np.array([u_plus, u_minus]))
+        g_plus, g_minus = float(g_pm[0, 0]), float(g_pm[1, 0])
+        if a.is_zero:
+            att = 1.0
+        else:
+            s_dense = np.linspace(0.0, length, 4001)
+            pts = end_minus[None, :] + s_dense[:, None] * th[None, :]
+            att = float(np.exp(-_trapezoid_sum(a(pts), s_dense)))
+        ray = _dense_attenuated_integral(f, a, end_minus, th, length)
+        defect = abs(g_plus - att * g_minus - ray)
+        worst = max(worst, defect)
+    return worst
+
+
+def aanaliticity_defect(field, grid):
+    """Max finite-difference defect of dbar v_n + d v_{n-2} on a patch.
+
+    The field must be sampled on a fully valid Cartesian patch; centered
+    differences give dbar = (d_x + i d_y)/2 and d = (d_x - i d_y)/2 and
+    the defect pairs stored rows k and k+2.
+    """
+    if not np.all(grid.valid):
+        raise ValueError("a-analyticity defect needs a fully interior patch")
+    n_rows = field.data.shape[0]
+    pic = field.data.reshape(n_rows, grid.ny, grid.nx)
+    dx = (pic[:, 1:-1, 2:] - pic[:, 1:-1, :-2]) / (2.0 * grid.hx)
+    dy = (pic[:, 2:, 1:-1] - pic[:, :-2, 1:-1]) / (2.0 * grid.hy)
+    dbar = 0.5 * (dx + 1.0j * dy)
+    dee = 0.5 * (dx - 1.0j * dy)
+    worst = 0.0
+    for k in range(0, n_rows - 2):
+        worst = max(worst, float(np.max(np.abs(dbar[k] + dee[k + 2]))))
+    return worst
+
+
+def residual_route_gap(g, factors):
+    """Max gap between the two equivalent residual formulations.
+
+    Route one applies (I + i H_a) directly; route two conjugates by the
+    factors, applying (I + i H_0) to alpha * g and convolving the result
+    by beta.  They agree up to the alpha * beta identity defect.
+    """
+    r1 = range_residual_a(g, factors).residual.data
+    ag = convolve(factors.alpha, g.data)
+    inner = ag + 1.0j * hilbert_H0(ModeTrace(g.boundary, g.n_modes, ag)).data
+    r2 = convolve(factors.beta, inner)
+    return float(np.max(np.abs(r1 - r2)))

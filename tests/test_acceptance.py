@@ -225,7 +225,7 @@ def test_07_integrating_factor_identities(att_factors):
     assert att_factors.max_neg_mode <= 1e-6
     assert att_factors.max_identity_dev <= 1e-8
 
-    ident = identity_seq(att_factors.alpha.shape[0] - 1).coeffs
+    ident = identity_seq(att_factors.alpha.shape[0] - 1)
     conv = convolve_seq(att_factors.alpha, att_factors.beta)
     dev = float(np.max(np.abs(conv - ident[:, None])))
     print(f"recomputed alpha*beta identity dev {dev:.3e} (gate 1e-8)")

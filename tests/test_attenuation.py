@@ -13,7 +13,6 @@ from aradon.attenuation import (
     hilbert_Ha,
     range_residual_a,
     reconstruct_f_attenuated,
-    residual_route_gap,
 )
 from aradon.bukhgeim import CartesianGrid, hilbert_H0, reconstruct_f0
 from aradon.errors import (
@@ -25,6 +24,7 @@ from aradon.errors import (
 from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
 from aradon.xray import QuadSettings, forward_sinogram, phantom, radon_profile
+from oracles import residual_route_gap
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +272,18 @@ class TestHilbertHa:
         g = ModeTrace(disk512, 16, data)
         with pytest.raises(GridMismatch):
             hilbert_Ha(g, att_setup["factors"])
+
+    def test_another_ellipse_with_same_node_count(self, ellipse256):
+        """A 2 x 1 ellipse's trace against factors of the 1.5 x 1 ellipse:
+        same kind, node count and N, so only the axes tell them apart (this
+        ran silently before, with a relative residual of 0.0793)."""
+        ang = AngularGrid(128)
+        wide = make_boundary("ellipse", 256, a=1.5, b=1.0)
+        fac = build_h(phantom("poly-bump", wide, params={"amplitude": 0.005}), wide, ang, 8)
+        f = phantom("poly-bump", ellipse256)
+        g = project_minus(forward_sinogram(f, phantom("zero", ellipse256), ellipse256, ang), 8)
+        with pytest.raises(GridMismatch):
+            range_residual_a(g, fac)
 
 
 class TestAttenuatedReconstruction:

@@ -8,22 +8,19 @@ from aradon import bukhgeim
 from aradon.bukhgeim import (
     TARGET_CHUNK,
     CartesianGrid,
-    aanaliticity_defect,
     cauchy_build,
     del_v_minus,
     hilbert_H0,
-    make_patch,
-    op_G,
     op_S,
     range_residual_0,
     reconstruct_f0,
-    trace_plus,
 )
 from aradon.errors import OutsideDomain, TooCloseToBoundary
 from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
 from aradon.xray import forward_sinogram, phantom
 from conftest import algebraic_trace
+from oracles import aanaliticity_defect
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +109,8 @@ class TestOpG:
     def test_row2_monomial_at_origin(self, disk256):
         """(G g)_0(0) = 4 for g_{-2} = w^2, against direct quadrature."""
         g = algebraic_trace(disk256, 4, {2: lambda w: w ** 2})
-        out = op_G(g, 0.0 + 0.0j)
+        # node_targets -1: an interior target, no diagonal limit
+        out = bukhgeim._sweep(g.data, disk256, np.array([0.0j]), np.array([-1]))[0][:, 0]
         # independent phi-parametrized quadrature of the kernel
         phi = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
         w = np.exp(1j * phi)
@@ -130,7 +128,7 @@ class TestOpG:
         data[1] = rng.standard_normal(256)
         g = algebraic_trace(disk256, 4, {})
         g.data[:] = data
-        out = op_G(g, 0.2 + 0.1j)
+        out = bukhgeim._sweep(g.data, disk256, np.array([0.2 + 0.1j]), np.array([-1]))[0][:, 0]
         assert np.max(np.abs(out[-2:])) == 0.0  # nothing below to couple to
 
 
@@ -178,11 +176,6 @@ class TestCauchyBuild:
         v = cauchy_build(g, pts)
         assert np.max(np.abs(v.data[1] - pts)) < 1e-10
         assert np.max(np.abs(v.data[0])) < 1e-10
-
-    def test_trace_plus_matches_boundary_data(self, disk256):
-        g = algebraic_trace(disk256, 4, {0: lambda w: w ** 3, 1: lambda w: w})
-        vp = trace_plus(g)
-        assert np.max(np.abs(vp.data - g.data)) < 1e-8
 
     def test_outside_point_raises(self, disk256, polybump_trace):
         with pytest.raises(OutsideDomain):
@@ -383,13 +376,15 @@ class TestSharedSweep:
         nodes = np.arange(b.n_nodes)
         ref = ref_G(g.data, b, b.complex_nodes(), nodes)
         assert np.array_equal(bukhgeim._G_boundary(g.data, b), ref)
-        assert np.array_equal(op_G(g, b.complex_nodes()[5]), ref[:, 5])
+        one = bukhgeim._sweep(g.data, b, b.complex_nodes()[5:6], np.array([5]))[0]
+        assert np.array_equal(one[:, 0], ref[:, 5])
 
     def test_interior_G(self, sweep_case):
         g, pts = sweep_case
         ref = ref_G(g.data, g.boundary, pts, np.full(len(pts), -1))
         assert np.array_equal(bukhgeim._sweep(g.data, g.boundary, pts)[0], ref)
-        assert np.array_equal(op_G(g, pts[3]), ref[:, 3])
+        one = bukhgeim._sweep(g.data, g.boundary, pts[3:4], np.array([-1]))[0]
+        assert np.array_equal(one[:, 0], ref[:, 3])
 
     def test_cauchy_build(self, sweep_case, chunk):
         g, pts = sweep_case
@@ -413,7 +408,8 @@ class TestSharedSweep:
 
 class TestAAnalyticity:
     def test_phantom_field_defect(self, disk512, polybump_trace):
-        patch = make_patch(disk512, 81, 81, 0.4)  # h = 0.01
+        patch = CartesianGrid(disk512, 81, 81, margin=0.0,
+                              extent=(-0.4, 0.4, -0.4, 0.4))  # h = 0.01
         field = cauchy_build(polybump_trace, patch.points, margin=0.0)
         d = aanaliticity_defect(field, patch)
         assert d <= 1e-4
@@ -421,7 +417,7 @@ class TestAAnalyticity:
     def test_defect_shrinks_with_h(self, disk512, polybump_trace):
         vals = []
         for m in (41, 81):
-            patch = make_patch(disk512, m, m, 0.4)
+            patch = CartesianGrid(disk512, m, m, margin=0.0, extent=(-0.4, 0.4, -0.4, 0.4))
             field = cauchy_build(polybump_trace, patch.points, margin=0.0)
             vals.append(aanaliticity_defect(field, patch))
         assert vals[1] < 0.5 * vals[0]  # second-order differences
@@ -468,7 +464,7 @@ class TestGridAndPatch:
         assert np.all(pic[~grid.valid.reshape(14, 10)] == 0.0)
 
     def test_patch_fully_interior(self, disk256):
-        patch = make_patch(disk256, 21, 21, 0.3)
+        patch = CartesianGrid(disk256, 21, 21, margin=0.0, extent=(-0.3, 0.3, -0.3, 0.3))
         r = np.hypot(patch.points[:, 0], patch.points[:, 1])
         assert len(patch.points) == 21 * 21
         assert np.max(r) < 1.0 - 1e-6

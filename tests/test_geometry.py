@@ -1,18 +1,11 @@
-"""Boundary curves, chord casting, and tangential-direction behaviour."""
+"""Boundary curves, chords from line_spans, and tangential-direction behaviour."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aradon.errors import NonConvex, NoIntersection, OutsideDomain, TooFewNodes
-from aradon.geometry import (
-    ON_BOUNDARY_TOL,
-    cast_chord,
-    classify_boundary_pair,
-    make_boundary,
-    radial_parametrization,
-    tau_angular_jump,
-)
+from aradon.errors import NonConvex, TooFewNodes
+from aradon.geometry import ON_BOUNDARY_TOL, make_boundary, tau_angular_jump
 
 
 def ellipse_chord_oracle(a, b, z, d):
@@ -24,6 +17,13 @@ def ellipse_chord_oracle(a, b, z, d):
     A = (d[0] / a) ** 2 + (d[1] / b) ** 2
     B = 2.0 * (z[0] * d[0] / a ** 2 + z[1] * d[1] / b ** 2)
     return abs(B) / A
+
+
+def chord_ends(boundary, x, theta):
+    """(t_lo, t_hi) and the entry and exit points of the line x + t theta."""
+    t_lo, t_hi, hit = boundary.line_spans(x[None, :], theta)
+    assert hit[0]
+    return t_lo[0], t_hi[0], x + t_lo[0] * theta, x + t_hi[0] * theta
 
 
 @pytest.fixture(scope="module")
@@ -78,29 +78,29 @@ class TestMakeBoundary:
 
 
 class TestCastChord:
+    """Chords through interior points, cast with line_spans."""
+
     def test_disk_example(self, disk256):
-        ch = cast_chord(disk256, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
-        assert abs(ch.tau_plus - 0.5) < 1e-12
-        assert abs(ch.tau_minus - 1.5) < 1e-12
-        assert np.allclose(ch.end_plus, [1.0, 0.0], atol=1e-12)
-        assert np.allclose(ch.end_minus, [-1.0, 0.0], atol=1e-12)
+        t_lo, t_hi, end_minus, end_plus = chord_ends(
+            disk256, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+        assert abs(t_hi - 0.5) < 1e-12
+        assert abs(-t_lo - 1.5) < 1e-12
+        assert np.allclose(end_plus, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(end_minus, [-1.0, 0.0], atol=1e-12)
 
     def test_ellipse_center(self, ellipse256):
-        ch = cast_chord(ellipse256, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-        assert abs(ch.tau_plus - 2.0) < 1e-9
-        assert abs(ch.tau_minus - 2.0) < 1e-9
-
-    def test_outside_raises(self, disk256):
-        with pytest.raises(OutsideDomain):
-            cast_chord(disk256, np.array([1.2, 0.0]), np.array([1.0, 0.0]))
+        t_lo, t_hi, _, _ = chord_ends(ellipse256, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+        assert abs(t_hi - 2.0) < 1e-9
+        assert abs(-t_lo - 2.0) < 1e-9
 
     def test_missed_line_from_accepted_base(self, ellipse256):
         # inside the membership tolerance but off the curve by more than
         # the on-boundary distance: the vertical line misses the ellipse
         p = np.array([2.0 + 1.5e-9, 0.0])
         assert ellipse256.contains(p)
-        with pytest.raises(NoIntersection):
-            cast_chord(ellipse256, p, np.array([0.0, 1.0]))
+        t_lo, t_hi, hit = ellipse256.line_spans(p[None, :], np.array([0.0, 1.0]))
+        assert not hit[0]
+        assert t_lo[0] == 0.0 and t_hi[0] == 0.0
 
     def test_swap_symmetry(self, disk256, ellipse256, table256):
         rng = np.random.default_rng(11)
@@ -109,10 +109,10 @@ class TestCastChord:
                 x = rng.uniform(-0.4, 0.4, 2)
                 phi = rng.uniform(0, 2 * np.pi)
                 th = np.array([np.cos(phi), np.sin(phi)])
-                c1 = cast_chord(b, x, th)
-                c2 = cast_chord(b, x, -th)
-                assert np.linalg.norm(c1.end_plus - c2.end_minus) < 1e-10
-                assert np.linalg.norm(c1.end_minus - c2.end_plus) < 1e-10
+                _, _, minus1, plus1 = chord_ends(b, x, th)
+                _, _, minus2, plus2 = chord_ends(b, x, -th)
+                assert np.linalg.norm(plus1 - minus2) < 1e-10
+                assert np.linalg.norm(minus1 - plus2) < 1e-10
 
     def test_midpoints_interior(self, ellipse256, table256):
         rng = np.random.default_rng(4)
@@ -120,8 +120,8 @@ class TestCastChord:
             for _ in range(25):
                 x = rng.uniform(-0.5, 0.5, 2)
                 phi = rng.uniform(0, 2 * np.pi)
-                ch = cast_chord(b, x, np.array([np.cos(phi), np.sin(phi)]))
-                mid = 0.5 * (ch.end_plus + ch.end_minus)
+                _, _, end_minus, end_plus = chord_ends(b, x, np.array([np.cos(phi), np.sin(phi)]))
+                mid = 0.5 * (end_plus + end_minus)
                 assert b.contains(mid)
 
     def test_generic_node_chords_match_closed_form(self, ellipse256):
@@ -150,40 +150,47 @@ class TestCastChord:
         assert abs(got - ref) < 1e-8
 
 
+def radial_point(boundary, xi, phi):
+    """(l, w) with w = xi + l (cos phi, sin phi) on the curve, from line_spans."""
+    d = np.array([np.cos(phi), np.sin(phi)])
+    _, l, _, w = chord_ends(boundary, xi, d)
+    return l, w
+
+
 class TestRadialParametrization:
+    """The boundary seen from an interior point: the exit crossing of line_spans."""
+
     def test_disk_center_up(self, disk256):
-        l, z = radial_parametrization(disk256, np.array([0.0, 0.0]), np.pi / 2)
+        l, z = radial_point(disk256, np.array([0.0, 0.0]), np.pi / 2)
         assert abs(l - 1.0) < 1e-12
         assert np.allclose(z, [0.0, 1.0], atol=1e-12)
 
     def test_disk_offset_left(self, disk256):
-        l, z = radial_parametrization(disk256, np.array([0.5, 0.0]), np.pi)
+        l, z = radial_point(disk256, np.array([0.5, 0.0]), np.pi)
         assert abs(l - 1.5) < 1e-12
         assert np.allclose(z, [-1.0, 0.0], atol=1e-12)
 
     def test_ellipse_diagonal(self, ellipse256):
         # from the center along phi = pi/4: l = 2/sqrt(2.5)
-        l, _ = radial_parametrization(ellipse256, np.array([0.0, 0.0]), np.pi / 4)
+        l, _ = radial_point(ellipse256, np.array([0.0, 0.0]), np.pi / 4)
         assert abs(l - 2.0 / np.sqrt(2.5)) < 1e-9
 
     def test_agrees_with_cast_chord(self, ellipse256):
+        """The exit along phi is the entry of the chord cast along phi + pi,
+        lies on the curve, and is l along phi from xi."""
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.uniform(-0.5, 0.5, 2) * np.array([1.6, 0.8])
             phi = rng.uniform(0, 2 * np.pi)
-            l, z = radial_parametrization(ellipse256, x, phi)
-            ch = cast_chord(ellipse256, x, np.array([np.cos(phi), np.sin(phi)]))
-            assert abs(l - ch.tau_plus) < 1e-9
-            assert np.linalg.norm(z - ch.end_plus) < 1e-9
+            l, z = radial_point(ellipse256, x, phi)
+            t_lo, _, end_minus, _ = chord_ends(ellipse256, x, -np.array([np.cos(phi), np.sin(phi)]))
+            assert abs(l + t_lo) < 1e-9
+            assert np.linalg.norm(z - end_minus) < 1e-9
+            assert abs((z[0] / 2.0) ** 2 + z[1] ** 2 - 1.0) < 1e-12
+            assert np.linalg.norm(z - x - l * np.array([np.cos(phi), np.sin(phi)])) < 1e-12
 
 
 class TestTangentialBehaviour:
-    def test_classify(self, disk256):
-        z = np.array([1.0, 0.0])
-        assert classify_boundary_pair(disk256, z, np.array([1.0, 0.0])) == "outgoing"
-        assert classify_boundary_pair(disk256, z, np.array([-1.0, 0.0])) == "incoming"
-        assert classify_boundary_pair(disk256, z, np.array([0.0, 1.0])) == "tangential"
-
     def test_jump_disk(self, disk256):
         j = tau_angular_jump(disk256, np.array([1.0, 0.0]))
         assert abs(j - 4.0) <= 0.02 * 4.0
@@ -240,11 +247,13 @@ class TestLineSpans:
     def test_exterior_ray_points_away(self, kinds):
         # exterior base pointing away from the domain: both crossings behind it
         for b, a_x, _ in kinds:
-            t_lo, t_hi, hit = b.line_spans(np.array([[a_x + 1.0, 0.0]]), np.array([1.0, 0.0]))
-            assert hit[0]
-            assert t_hi[0] < 0.0
-            assert abs(t_hi[0] + 1.0) < 1e-12
-            assert abs(t_lo[0] + 2.0 * a_x + 1.0) < 1e-12
+            for gap in (1.0, 0.2):
+                t_lo, t_hi, hit = b.line_spans(np.array([[a_x + gap, 0.0]]), np.array([1.0, 0.0]))
+                assert not b.contains(np.array([a_x + gap, 0.0]))
+                assert hit[0]
+                assert t_hi[0] < 0.0
+                assert abs(t_hi[0] + gap) < 1e-12
+                assert abs(t_lo[0] + 2.0 * a_x + gap) < 1e-12
 
     def test_interior_hit(self, kinds):
         for b, a_x, _ in kinds:

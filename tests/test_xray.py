@@ -11,14 +11,12 @@ from aradon.harmonics import AngularGrid
 from aradon.xray import (
     QuadSettings,
     Sinogram,
-    divergence_beam,
     forward_sinogram,
     phantom,
-    radon_full_line,
     radon_profile,
     ray_points,
-    verify_radon_identity,
 )
+from oracles import verify_radon_identity
 
 
 class TestPhantoms:
@@ -41,6 +39,12 @@ class TestPhantoms:
         a = phantom("zero", disk256)
         assert a.is_zero
         assert np.all(a(np.random.default_rng(0).uniform(-1, 1, (10, 2))) == 0.0)
+
+
+def divergence_beam(a, x, theta, quad=QuadSettings()):
+    """Integral of `a` from x to the boundary along theta, as build_h takes Da."""
+    _, tau, _ = a.boundary.line_spans(x[None, :], theta)
+    return float(_chord_integrals(a, x[None, :], tau, theta, quad)[0])
 
 
 class TestDivergenceBeam:
@@ -87,7 +91,7 @@ class TestDivergenceBeam:
 class TestRadonFullLine:
     def test_center_line(self, disk256):
         f = phantom("poly-bump", disk256)
-        got = radon_full_line(f, 0.0, np.array([1.0, 0.0]))
+        got = radon_profile(f, disk256, np.array([1.0, 0.0]), [0.0])[0]
         assert abs(got - 16.0 / 15.0) < 1e-9
 
     def test_offset_closed_form(self, disk256):
@@ -95,11 +99,11 @@ class TestRadonFullLine:
         th = np.array([np.cos(0.7), np.sin(0.7)])
         for s in (0.3, -0.55, 0.8):
             ref = (16.0 / 15.0) * (1.0 - s * s) ** 2.5
-            assert abs(radon_full_line(f, s, th) - ref) < 1e-8
+            assert abs(radon_profile(f, disk256, th, [s])[0] - ref) < 1e-8
 
     def test_tangent_line_zero(self, disk256):
         f = phantom("poly-bump", disk256)
-        assert abs(radon_full_line(f, 1.0, np.array([0.0, 1.0]))) < 1e-12
+        assert abs(radon_profile(f, disk256, np.array([0.0, 1.0]), [1.0])[0]) < 1e-12
 
     def test_profile_matches_pointwise(self, disk256):
         a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
@@ -107,7 +111,7 @@ class TestRadonFullLine:
         s_vals = np.linspace(-0.9, 0.9, 7)
         prof = radon_profile(a, disk256, th, s_vals)
         for s, got in zip(s_vals, prof):
-            assert abs(got - radon_full_line(a, s, th)) < 1e-10
+            assert abs(got - radon_profile(a, disk256, th, [s])[0]) < 1e-10
 
 
 class TestForwardSinogram:
@@ -215,6 +219,34 @@ class TestChordIdentity:
         )
         d1 = verify_radon_identity(shifted, f, a, n_probes=40)
         assert abs(d1 - d0) <= 1e-9
+
+    # Off the disk the floor is the forward's 8-panel quadrature across the
+    # poly-bump's C^{1,1} support edge, the unit circle, which lies inside
+    # these domains (on the disk it is the boundary itself): 32 panels take
+    # it from 1.77e-5 to 4.3e-7.  Defects measured with 40 probes at 512
+    # nodes and 128 angles; each gate is 1.5x its measured defect.
+    @pytest.mark.parametrize("kind, attenuated, panels, measured", [
+        ("ellipse", False, 8, 1.77e-5),
+        ("ellipse", True, 8, 1.52e-5),
+        ("table", False, 8, 1.77e-5),
+        ("table", True, 8, 1.52e-5),
+        ("ellipse", False, 32, 4.3e-7),
+    ])
+    def test_consistent_off_disk(self, ang128, kind, attenuated, panels, measured):
+        """Off the unit disk the oracle finds foot points with its Newton nearest_param."""
+        b = off_disk_boundary(kind)
+        f = phantom("poly-bump", b)
+        a = phantom("poly-bump", b, params={"amplitude": 0.3}) if attenuated else phantom("zero", b)
+        sino = forward_sinogram(f, a, b, ang128, QuadSettings(panels=panels))
+        assert verify_radon_identity(sino, f, a, n_probes=40) <= 1.5 * measured
+
+
+def off_disk_boundary(kind):
+    """The 1.5 x 1 ellipse at 512 nodes, or a 64-point table of it."""
+    if kind == "ellipse":
+        return make_boundary("ellipse", 512, a=1.5, b=1.0)
+    u = 2.0 * np.pi * np.arange(64) / 64
+    return make_boundary("table", 512, table=np.column_stack([1.5 * np.cos(u), np.sin(u)]))
 
 
 def composite_rule(panels, points):
@@ -338,10 +370,6 @@ class TestRaySampler:
             ref = taus * np.einsum("mk,k->m", a(broadcast_points(starts, th, taus[:, None] * nodes)),
                                    weights, optimize=False)
             assert np.array_equal(_chord_integrals(a, starts, taus, th, quad), ref)
-            x = starts[0]
-            tau = taus[0]
-            ref = tau * np.dot(weights, a(x[None, :] + (tau * nodes)[:, None] * th[None, :]))
-            assert divergence_beam(a, x, th, quad) == float(ref)
 
     def test_forward_exact(self, boundaries):
         ang = AngularGrid(12)
