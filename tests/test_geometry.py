@@ -93,6 +93,18 @@ class TestCastChord:
         assert abs(t_hi - 2.0) < 1e-9
         assert abs(-t_lo - 2.0) < 1e-9
 
+    def test_outside_raises(self, disk256):
+        # an exterior base lies on no chord: contains rejects it, and both
+        # crossings fall on one side of it whichever way the line points
+        p = np.array([1.2, 0.0])
+        assert not disk256.contains(p)
+        for sign in (1.0, -1.0):
+            t_lo, t_hi, hit = disk256.line_spans(p[None, :], np.array([sign, 0.0]))
+            assert hit[0]
+            assert t_lo[0] * t_hi[0] > 0.0
+            assert abs(min(abs(t_lo[0]), abs(t_hi[0])) - 0.2) < 1e-12
+            assert abs(max(abs(t_lo[0]), abs(t_hi[0])) - 2.2) < 1e-12
+
     def test_missed_line_from_accepted_base(self, ellipse256):
         # inside the membership tolerance but off the curve by more than
         # the on-boundary distance: the vertical line misses the ellipse
