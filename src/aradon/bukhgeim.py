@@ -172,12 +172,13 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     keeps E_k = row_k + r E_{k+2} and, from the lowest order asked for up,
     A_k = row_k + r (A_{k+2} + E_{k+2}) (see del_v_minus).  G's Horner
     bracket for row k, r (g_{k+2} + r (g_{k+4} + ...)), is r E_{k+2}: it is
-    read just before row k is added.  wd/u is C's kernel and gives G's
-    base.  Node targets (node_targets >= 0, G only) get the double-layer
-    diagonal limit kappa |w'| / 2 in the base and the tangential limit
-    conj(w')/w' in the ratio.  Targets run in chunks of TARGET_CHUNK
-    (times 512 // n on n < 512 nodes) through work arrays allocated once
-    per call.
+    read just before row k is added.  D's kernel sums are formed only on
+    the rows D reads, each order's and the one two above.  wd/u is C's
+    kernel and gives G's base.  Node targets (node_targets >= 0, G only)
+    get the double-layer diagonal limit kappa |w'| / 2 in the base and
+    the tangential limit conj(w')/w' in the ratio.  Targets run in
+    chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes) through
+    work arrays allocated once per call.
 
     Returns (G, C, D), None for each of G and C not asked for; C carries
     its factor dt / (2 pi i) and D has one row per order asked for.
@@ -193,6 +194,7 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     weights = np.stack([wd, np.conj(wd)], axis=1)
     lowest = {par: int(np.min(orders[orders % 2 == par]))
               for par in (0, 1) if np.any(orders % 2 == par)}
+    read = set(orders.tolist()) | set((orders + 2).tolist())   # rows whose sums D reads
     # lowest row each parity's sweep reaches: every row for G
     stop = {0: 0, 1: 1} if with_g else lowest
     g_out = np.zeros((n_rows, len(targets)), dtype=complex) if with_g else None
@@ -236,7 +238,7 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
                 if with_g and k <= top - 2:      # rows N-1, N couple to nothing
                     g_out[k, sl] = np.einsum("pi,pi->p", e, base)
                 e += row
-                if k >= low:
+                if k in read:
                     np.multiply(a, inv_u2, out=t)
                     b, c = (t @ weights).T
                     d_out[orders == k, sl] = b - c_above

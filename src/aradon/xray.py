@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from .errors import UnknownPhantom, SupportViolation
 from .geometry import TOL_TANGENT
@@ -43,6 +43,28 @@ def _composite_rule(panels, points):
     weights = np.tile(w / (2.0 * panels), panels)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _tail_rule(panels, points):
+    """Nodes of a finer rule, max(4 panels, 32) x max(points, 8), and the
+    matrix from samples there to the integrals from each (panels, points)
+    node to 1 (read-only): a row integrates its fine panel's interpolant
+    from the node on, then takes the Gauss weights of every later panel.
+    """
+    fp, fq = max(4 * panels, 32), max(points, 8)
+    fine, fine_w = _composite_rule(fp, fq)
+    x, w = leggauss(fq)
+    # antiderivatives of the fq Lagrange polynomials on x, one column each
+    anti = legint((np.arange(fq) + 0.5)[:, None] * legvander(x, fq - 1).T * w, axis=0)
+    nodes = _composite_rule(panels, points)[0]
+    pan = np.minimum((nodes * fp).astype(int), fp - 1)
+    part = (legval(1.0, anti)[:, None] - legval(2.0 * (nodes * fp - pan) - 1.0, anti)) / (2.0 * fp)
+    col_pan = np.arange(fp * fq) // fq
+    tail = np.where(col_pan > pan[:, None], fine_w, 0.0)
+    tail[col_pan == pan[:, None]] = part.T.ravel()
+    tail.flags.writeable = False
+    return fine, tail
 
 
 def ray_points(starts, direction, t):
@@ -196,8 +218,9 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
 
     On outgoing pairs (n(z) . theta > 0) the value is the integral of
     f e^{-Da} over the full chord ending at z; incoming and tangential
-    pairs are zero.  The attenuation's inner ray integrals reuse one
-    cumulative trapezoid pass per chord on a refined fraction grid.
+    pairs are zero.  Da at the Gauss nodes is `a` sampled on _tail_rule's
+    finer Gauss-Legendre rule times its tail-integral matrix (accuracy
+    against the former trapezoid pass: README, "Forward quadrature").
     """
     dirs = _directions(angular.angles)
     taus = boundary.node_chord_lengths(dirs)          # (n_nodes, M)
@@ -205,14 +228,6 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
     gl_frac, gl_w = quad.nodes_weights()
 
     attenuated = not a.is_zero
-    if attenuated:
-        # Union of a uniform refinement and the quadrature fractions, so
-        # cumulative attenuation is read off without interpolation.
-        n_da = 8 * len(gl_frac)
-        uni = np.arange(n_da + 1) / n_da
-        frac_union = np.unique(np.concatenate([uni, gl_frac]))
-        gl_pos = np.searchsorted(frac_union, gl_frac)
-
     data = np.zeros((boundary.n_nodes, angular.n_angles))
     for j in range(angular.n_angles):
         th = dirs[j]
@@ -223,12 +238,9 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
         entry = boundary.positions[out_mask] - tau[:, None] * th[None, :]
         fv = f.planes(*ray_points(entry, th, tau[:, None] * gl_frac[None, :]))   # (m, K)
         if attenuated:
-            s_u = tau[:, None] * frac_union[None, :]
-            av = a.planes(*ray_points(entry, th, s_u))
-            seg = 0.5 * (av[:, 1:] + av[:, :-1]) * np.diff(s_u, axis=1)
-            cum = np.concatenate([np.zeros((len(tau), 1)), np.cumsum(seg, axis=1)], axis=1)
-            da_from = cum[:, -1:] - cum[:, gl_pos]    # Da at the GL nodes
-            fv = fv * np.exp(-da_from)
+            fine, tail = _tail_rule(quad.panels, quad.points)
+            av = a.planes(*ray_points(entry, th, tau[:, None] * fine[None, :]))
+            fv = fv * np.exp(-tau[:, None] * (av @ tail.T))   # Da at the GL nodes
         data[out_mask, j] = tau * np.einsum("mk,k->m", fv, gl_w, optimize=False)
 
     meta = {

@@ -9,6 +9,7 @@ import numpy as np
 
 from aradon.attenuation import range_residual_a
 from aradon.bukhgeim import hilbert_H0
+from aradon.geometry import TOL_TANGENT
 from aradon.harmonics import ModeTrace, convolve
 
 
@@ -75,25 +76,59 @@ def _dense_attenuated_integral(f, a, entry, theta, tau, n_pts=4001):
     return _trapezoid_sum(integ, s)
 
 
+def trapezoid_forward(f, a, boundary, angular, quad, steps=8):
+    """Attenuated forward data with Da from one cumulative trapezoid pass.
+
+    Each chord samples `a` on steps * (panels * points) uniform steps
+    joined with the Gauss-Legendre fractions, so Da at those fractions
+    is read off the running sum without interpolation.  steps=8 is the
+    forward's former scheme; steps=256 (32 times as many) is the
+    accuracy tests' reference: against 1024 steps it moved by 3e-11 to
+    8e-10 of the sinogram's maximum in the cases measured.
+    """
+    dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
+    taus = boundary.node_chord_lengths(dirs)
+    normal_dot = boundary.normals @ dirs.T
+    gl_frac, gl_w = quad.nodes_weights()
+    n_da = steps * len(gl_frac)
+    frac_union = np.unique(np.concatenate([np.arange(n_da + 1) / n_da, gl_frac]))
+    gl_pos = np.searchsorted(frac_union, gl_frac)
+    data = np.zeros((boundary.n_nodes, angular.n_angles))
+    for j, th in enumerate(dirs):
+        out = normal_dot[:, j] > TOL_TANGENT
+        tau = taus[out, j]
+        entry = boundary.positions[out] - tau[:, None] * th[None, :]
+        s_gl = tau[:, None] * gl_frac[None, :]
+        fv = f.planes(entry[:, :1] + s_gl * th[0], entry[:, 1:] + s_gl * th[1])
+        s_u = tau[:, None] * frac_union[None, :]
+        av = a.planes(entry[:, :1] + s_u * th[0], entry[:, 1:] + s_u * th[1])
+        seg = 0.5 * (av[:, 1:] + av[:, :-1]) * np.diff(s_u, axis=1)
+        cum = np.concatenate([np.zeros((len(tau), 1)), np.cumsum(seg, axis=1)], axis=1)
+        fv = fv * np.exp(-(cum[:, -1:] - cum[:, gl_pos]))
+        data[out, j] = tau * np.einsum("mk,k->m", fv, gl_w, optimize=False)
+    return data
+
+
 def verify_radon_identity(g, f, a, n_probes=100, seed=1234):
     """Max defect of the defining chord identity over random probes.
 
-    Each probe draws an interior point and a grid direction, forms the
-    chord, and compares g(exit) - e^{-Da(entry)} g(entry) against an
-    independent dense-trapezoid attenuated ray integral of f; g values
-    at the chord endpoints come from trigonometric interpolation along
-    the boundary.
+    Each probe draws a grid direction and a point in the bounding box of
+    the boundary nodes, kept if it lies inside, at least 1e-3 from the
+    curve.  It forms the chord through the point and compares
+    g(exit) - e^{-Da(entry)} g(entry) against an independent
+    dense-trapezoid attenuated ray integral of f; g values at the chord
+    endpoints come from trigonometric interpolation along the boundary.
     """
     rng = np.random.default_rng(seed)
     boundary = g.boundary
     angles = g.angular.angles
     worst = 0.0
-    scale = 0.8 * min(np.min(np.hypot(*boundary.positions.T)), 1e9)
+    lo, hi = np.min(boundary.positions, axis=0), np.max(boundary.positions, axis=0)
     for _ in range(n_probes):
         j = int(rng.integers(len(angles)))
         th = np.array([np.cos(angles[j]), np.sin(angles[j])])
         while True:
-            x = rng.uniform(-1.0, 1.0, size=2) * scale
+            x = rng.uniform(lo, hi)
             if boundary.contains(x) and boundary.distance_to_boundary(x[None, :])[0] > 1e-3:
                 break
         t_lo, t_hi, _ = boundary.line_spans(x[None, :], th)

@@ -399,6 +399,23 @@ class TestSweepCommand:
         assert residual == "%.12g" % check["relative"]
         assert recon_error == "%.12g" % recon["relative_l2_error"]
 
+    def test_attenuated_quad_ladder(self, tmp_path):
+        """Each rung's forward takes Da through the tail rule of its panels."""
+        cfg = write_config(
+            tmp_path / "run.json", grid={"nx": 24, "ny": 24},
+            phantoms={"f": {"name": "poly-bump"},
+                      "a": {"name": "poly-bump", "params": {"amplitude": 0.3}}},
+            sweep={"values": [2, 4, 8]},
+        )
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--attenuated", "quad"]) == 0
+        rows = [line.split(",") for line in
+                (out / "sweep_quad.csv").read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [2, 4, 8]
+        gate = load_config(cfg).residual_gate
+        assert all(float(r[1]) < gate for r in rows)
+
     def test_failing_rung_keeps_partial_csv(self, tmp_path, capsys):
         # second rung violates the angular sampling requirement
         cfg = write_config(tmp_path / "run.json", sweep={"values": [8, 400]})
