@@ -328,8 +328,9 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     ag_trace = ModeTrace(g.boundary, n_modes, convolve(factors.alpha, g.data))
 
     eval_mask = grid.valid & inter.inside
-    pts = grid.points_all[eval_mask]
-    dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), pts, margin=margin, field=True)
+    dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, margin=margin, field=True)
+    keep = inter.inside[grid.valid]
+    dv, v_data = dv[:, keep], v.data[:, keep]
     fd_ok = ~fd_zeroed_mask(factors, grid)[eval_mask]
 
     # factor rows mapped onto the full picture for finite differences
@@ -351,9 +352,9 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     beta_here = inter.beta[:, take]
     a_here = inter.a_values[take]
 
-    u0 = np.real(np.sum(beta_here * v.data, axis=0))
+    u0 = np.real(np.sum(beta_here * v_data, axis=0))
 
-    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v.data[1:], axis=0)
+    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v_data[1:], axis=0)
 
     f_vals = 2.0 * np.real(del_u1) + a_here * u0
     f_vals = np.where(fd_ok, f_vals, 0.0)

@@ -12,16 +12,17 @@ and evaluates the derivative formula recovering the source as
 f = 2 Re(d v_{-1}).
 
 Both coupling kernels are power series in r = conj(w - xi)/(w - xi) over
-the trace rows two apart, and one downward sweep (_sweep) evaluates
-them together: d v_{-d} of every order d at once through
-A_d = row_d + r (A_{d+2} + E_{d+2}) and E_d = row_d + r E_{d+2} (see
-del_v_minus), and G's Horner bracket for row k, which is r E_{k+2}.
-The same w'/(w - xi) gives C's kernel and G's base, so the boundary G,
-the interior map v = (1/2) G g + C g and every derivative order share
-one pass over the kernels.  The sweep runs over the target points in
-chunks of TARGET_CHUNK, updating (chunk x nodes) work arrays allocated
-once per call; 32 targets keep the arrays the inner loop reads inside a
-2 MB L2 at 512 nodes, and fewer nodes take whole multiples of 32.
+the trace rows two apart, and one sweep (_sweep) evaluates them
+together: each power of r is formed once per chunk of targets and meets
+every trace row it multiplies in one BLAS matrix product, r^j times G's
+base for G, r^m / (w - xi)^2 for d v_{-d} of every order at once (see
+del_v_minus).  The same w'/(w - xi) gives C's kernel, one more product,
+and G's base, so the boundary G, the interior map v = (1/2) G g + C g
+and every derivative order share one pass over the kernels.  The
+targets run in chunks of TARGET_CHUNK through (chunk x nodes) work
+arrays allocated once per call, and are the row dimension of every
+product, so no value depends on the chunk size unless a target falls
+alone into the last chunk (a matrix-vector product).
 """
 
 import warnings
@@ -73,29 +74,37 @@ class RangeResidual:
 
 EPS_FLOOR = 1e-12
 # Target points per pass of the (points x nodes) kernels at 512 nodes, and
-# a whole multiple of it on fewer nodes: up to 512 nodes each complex work
-# array takes at most 256 KB, so the six the sweep's inner loop reads fit a
-# 2 MB L2, and small boundaries do not pay the per-pass overhead more often.
-TARGET_CHUNK = 32
+# a whole multiple of it on fewer nodes.  Measured on one thread, fused field
+# and 32 orders at 2876 points of the 512-node ellipse: 16 -> 0.20 s,
+# 32 and 64 -> 0.16 s, 128 -> 0.17-0.18 s.
+TARGET_CHUNK = 64
 
 
 def _require_interior(boundary, points, margin):
+    """The points as complex targets, checked to lie inside, margin from the curve.
+
+    A CartesianGrid on this boundary stands for its valid points, which
+    passed the same two tests at the grid's margin: when that covers
+    `margin`, they are not run again.
+    """
     if margin is None:
         margin = boundary.interior_margin()
+    if isinstance(points, CartesianGrid):
+        if points.boundary is boundary and points.margin >= margin:
+            return _as_complex_points(points.points)
+        points = points.points
     z = _as_complex_points(points)
     pts = np.column_stack([z.real, z.imag])
     if not np.all(boundary.contains(pts)):
         raise OutsideDomain("evaluation point outside the closed domain")
-    if margin <= 0.0:
-        return
-    d = boundary.distance_to_boundary(pts)
+    d = boundary.distance_to_boundary(pts) if margin > 0.0 else np.inf
     if np.any(d < margin):
-        worst = float(np.min(d))
         raise TooCloseToBoundary(
             "evaluation point %g from the boundary; margin is %g "
             "(pass margin=0 to override, or use the trace operators)"
-            % (worst, margin)
+            % (float(np.min(d)), margin)
         )
+    return z
 
 
 def _spectral_derivative(rows):
@@ -109,8 +118,8 @@ def _spectral_derivative(rows):
 
 def op_C(g, xi, margin=None):
     """Interior Cauchy integral of every mode row at one point."""
-    _require_interior(g.boundary, xi, margin)
-    return _sweep(g.data, g.boundary, _as_complex_points(xi), with_g=False, with_c=True)[1][:, 0]
+    targets = _require_interior(g.boundary, xi, margin)
+    return _sweep(g.data, g.boundary, targets, with_g=False, with_c=True)[1][:, 0]
 
 
 def _as_complex_points(points):
@@ -156,7 +165,7 @@ def _S_apply(g_data, boundary):
     row_sum = np.sum(kernel, axis=1)
     gdot = _spectral_derivative(g_data)
     smooth = (
-        np.einsum("ki,mi->km", g_data, kernel, optimize=False)
+        g_data @ kernel.T
         - g_data * row_sum[None, :]
         + gdot
     )
@@ -168,17 +177,18 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     """G g, C g and d v_{-d} of every order in `orders` at the targets, in one sweep.
 
     G and the derivatives are power series in r = conj(u)/u, u = w - xi,
-    over the trace rows two apart.  One downward sweep per parity of rows
-    keeps E_k = row_k + r E_{k+2} and, from the lowest order asked for up,
-    A_k = row_k + r (A_{k+2} + E_{k+2}) (see del_v_minus).  G's Horner
-    bracket for row k, r (g_{k+2} + r (g_{k+4} + ...)), is r E_{k+2}: it is
-    read just before row k is added.  D's kernel sums are formed only on
-    the rows D reads, each order's and the one two above.  wd/u is C's
-    kernel and gives G's base.  Node targets (node_targets >= 0, G only)
-    get the double-layer diagonal limit kappa |w'| / 2 in the base and
-    the tangential limit conj(w')/w' in the ratio.  Targets run in
-    chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes) through
-    work arrays allocated once per call.
+    over the trace rows two apart.  Each power of r is formed once per
+    chunk of targets, by one elementwise product, and meets every trace
+    row it multiplies in one matrix product with the targets as rows:
+    B_j = base r^j adds row k + 2j into G's row k, and R_m = r^m / u^2
+    applied to the columns M_m[:, d] = (m + 1) (w' g_{d+2m} - conj(w')
+    g_{d+2m+2}) (rows past N zero) sums d v_{-d} (see del_v_minus).  C is
+    (w'/u) g^T, and w'/u gives G's base.  Node targets (node_targets >= 0,
+    G only) get the double-layer diagonal limit kappa |w'| / 2 in the base
+    and the tangential limit conj(w')/w' in the ratio.  Targets run in
+    chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes) through work
+    arrays allocated once per call; each target is a row of every product,
+    so no value depends on how targets fall into chunks of two or more.
 
     Returns (G, C, D), None for each of G and C not asked for; C carries
     its factor dt / (2 pi i) and D has one row per order asked for.
@@ -191,20 +201,26 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
     dt = 2.0 * np.pi / n
-    weights = np.stack([wd, np.conj(wd)], axis=1)
-    lowest = {par: int(np.min(orders[orders % 2 == par]))
-              for par in (0, 1) if np.any(orders % 2 == par)}
-    read = set(orders.tolist()) | set((orders + 2).tolist())   # rows whose sums D reads
-    # lowest row each parity's sweep reaches: every row for G
-    stop = {0: 0, 1: 1} if with_g else lowest
-    g_out = np.zeros((n_rows, len(targets)), dtype=complex) if with_g else None
-    c_out = np.empty((n_rows, len(targets)), dtype=complex) if with_c else None
-    d_out = np.zeros((len(orders), len(targets)), dtype=complex)
+    scale = dt / (2.0j * np.pi)
+    # M_m for the sorted orders with d + 2m <= N, a prefix of them: the
+    # others would read only rows past N, which are zero
+    uniq, inverse = np.unique(orders, return_inverse=True)
+    m = np.arange(max(0, (top - np.min(orders, initial=top + 1)) // 2 + 1))
+    active = np.searchsorted(uniq, top - 2 * m, side="right")
+    pad = np.vstack([g_data, np.zeros((2, n))])
+    mats = [(p + 1) * scale
+            * (wd * pad[uniq[:k] + 2 * p] - np.conj(wd) * pad[uniq[:k] + 2 * p + 2])
+            for p, k in zip(m, active)]
+    n_pow = max(top // 2 + 1 if with_g else 0, len(m))
+    g_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_g else None
+    c_acc = np.empty((len(targets), n_rows), dtype=complex) if with_c else None
+    d_acc = np.zeros((len(targets), len(uniq)), dtype=complex)
+    c_rows = (g_data * scale).T
     chunk = TARGET_CHUNK * max(1, 512 // n)
-    work = np.empty((8, min(chunk, len(targets)), n), dtype=complex)
+    work = np.empty((5, min(chunk, len(targets)), n), dtype=complex)
     for lo in range(0, len(targets), chunk):
         sl = slice(lo, lo + chunk)
-        u, q, ratio, base, e, a, inv_u2, t = work[:, :len(targets[sl])]
+        u, q, ratio, base, r_pow = work[:, :len(targets[sl])]
         np.subtract(w[None, :], targets[sl, None], out=u)
         if node_targets is not None:
             rows = np.nonzero(node_targets[sl] >= 0)[0]
@@ -220,33 +236,17 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
                 ) * dt
                 ratio[rows, cols] = np.conj(wd[cols]) / wd[cols]
         if with_c:
-            c_out[:, sl] = g_data @ q.T
-        if lowest:
-            np.divide(1.0, np.multiply(u, u, out=inv_u2), out=inv_u2)
-        for par, end in stop.items():
-            low = lowest.get(par, top + 1)
-            a.fill(0.0)
-            e.fill(0.0)
-            c_above = 0.0                        # conj(w')-sum of A_{k+2}
-            for k in range(top - (top - par) % 2, end - 1, -2):
-                row = g_data[k]
-                if k >= low:
-                    a += e
-                    a *= ratio
-                    a += row
-                e *= ratio
-                if with_g and k <= top - 2:      # rows N-1, N couple to nothing
-                    g_out[k, sl] = np.einsum("pi,pi->p", e, base)
-                e += row
-                if k in read:
-                    np.multiply(a, inv_u2, out=t)
-                    b, c = (t @ weights).T
-                    d_out[orders == k, sl] = b - c_above
-                    c_above = c
-    if with_c:
-        c_out *= dt / (2.0j * np.pi)
-    d_out *= dt / (2.0j * np.pi)
-    return g_out, c_out, d_out
+            c_acc[sl] = q @ c_rows
+        np.divide(1.0, np.multiply(u, u, out=r_pow), out=r_pow)
+        for p in range(n_pow):
+            if with_g and 0 < 2 * p <= top:      # base r^p: rows 2p..N into rows 0..N-2p
+                base *= ratio
+                g_acc[sl, :n_rows - 2 * p] += base @ g_data[2 * p:].T
+            if p < len(m):                       # r^p / u^2
+                d_acc[sl, :active[p]] += r_pow @ mats[p].T
+                r_pow *= ratio
+    d_out = d_acc[:, inverse].T
+    return (None if g_acc is None else g_acc.T), (None if c_acc is None else c_acc.T), d_out
 
 
 def _G_boundary(g_data, boundary):
@@ -281,8 +281,7 @@ def range_residual_0(g):
 
 def cauchy_build(g, points, margin=None):
     """Interior A-analytic map from its trace: v_n = (1/2) G g + C g."""
-    _require_interior(g.boundary, points, margin)
-    targets = _as_complex_points(points)
+    targets = _require_interior(g.boundary, points, margin)
     gg, cg, _ = _sweep(g.data, g.boundary, targets, with_c=True)
     return _cauchy_field(g, targets, gg, cg)
 
@@ -333,24 +332,24 @@ def del_v_minus(g, d, points, margin=None, field=False):
     2 pi i times the value is the j-sum of dw-integrals with kernels
     j conj(w-xi)^{j-1}/(w-xi)^{j+1} against trace rows d + 2j - 2, minus
     the dconj(w)-integrals with (j-1) conj(w-xi)^{j-2}/(w-xi)^j.  With
-    r = conj(w-xi)/(w-xi) and the sums
+    r = conj(w-xi)/(w-xi) and A_d = sum_j j row_{d+2j-2} r^{j-1},
+    the integrand is (w' A_d - conj(w') A_{d+2}) / (w-xi)^2.  Collected by
+    powers of r instead, with rows past N zero,
 
-        A_d = sum_j j row_{d+2j-2} r^{j-1},   E_d = sum_j row_{d+2j-2} r^{j-1},
+        2 pi i d v_{-d} = dt sum_m sum_nodes r^m / (w-xi)^2
+                          (m + 1) (w' row_{d+2m} - conj(w') row_{d+2m+2}),
 
-    the integrand is (w' A_d - conj(w') A_{d+2}) / (w-xi)^2, and
-
-        A_d = row_d + r (A_{d+2} + E_{d+2}),   E_d = row_d + r E_{d+2},
-
-    so one downward sweep from row N, per parity of the orders asked
-    for, gives every order at once in O(N P n) for P points and n nodes.
+    so each power r^m / (w-xi)^2 gives every order asked for by one
+    matrix product with these columns, O(N^2 P n) flops of BLAS for P
+    points and n nodes.
 
     d is one order, giving shape (P,), or a sequence of orders, giving
-    shape (len(d), P) in the order asked.  With `field` the same sweep
+    shape (len(d), P) in the order asked.  points may be a CartesianGrid,
+    for its valid points (see _require_interior).  With `field` the same sweep
     also builds the map itself, and the call returns the pair
     (derivatives, cauchy_build(g, points)).
     """
-    _require_interior(g.boundary, points, margin)
-    targets = _as_complex_points(points)
+    targets = _require_interior(g.boundary, points, margin)
     gg, cg, out = _sweep(g.data, g.boundary, targets, with_g=field, with_c=field, orders=d)
     out = out[0] if np.ndim(d) == 0 else out
     return (out, _cauchy_field(g, targets, gg, cg)) if field else out
@@ -371,5 +370,5 @@ def reconstruct_f0(g, grid, margin=None, gate=0.05):
             "in range" % (check.relative, gate),
             InconsistentInput,
         )
-    vals = 2.0 * np.real(del_v_minus(g, 1, grid.points, margin=margin))
+    vals = 2.0 * np.real(del_v_minus(g, 1, grid, margin=margin))
     return grid.unflatten(vals)

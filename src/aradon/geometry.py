@@ -169,13 +169,21 @@ class ConvexBoundary:
         poly = self.position_at(t)
         x0, y0 = poly[:, 0], poly[:, 1]
         x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+        dx, dy = x1 - x0, y1 - y0 + 1e-300
         inside = np.empty(len(pts), dtype=bool)
+        m = min(len(pts), POINT_CHUNK)
+        cut = np.empty((m, len(t)))                     # reused: no page faults per chunk
+        above0, above1 = np.empty((2, m, len(t)), dtype=bool)
         for lo in range(0, len(pts), POINT_CHUNK):
             px, py = pts[lo:lo + POINT_CHUNK, 0, None], pts[lo:lo + POINT_CHUNK, 1, None]
-            crosses = ((y0 > py) != (y1 > py)) & (
-                px < (x1 - x0) * (py - y0) / (y1 - y0 + 1e-300) + x0
-            )
-            inside[lo:lo + POINT_CHUNK] = np.sum(crosses, axis=1) % 2 == 1
+            c, a0, a1 = cut[:len(px)], above0[:len(px)], above1[:len(px)]
+            np.subtract(py, y0, out=c)
+            c *= dx
+            c /= dy
+            c += x0                                     # x where each edge meets height py
+            np.not_equal(np.greater(y0, py, out=a0), np.greater(y1, py, out=a1), out=a0)
+            a0 &= np.less(px, c, out=a1)
+            inside[lo:lo + POINT_CHUNK] = np.count_nonzero(a0, axis=1) % 2 == 1
         return inside
 
     def distance_to_boundary(self, points):

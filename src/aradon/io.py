@@ -11,6 +11,7 @@ readers verify it before trusting the data.
 import csv
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -42,7 +43,9 @@ def _write_container(path, header, payload):
 def _read_container(path, expect_format):
     with open(path, "rb") as fh:
         first = fh.readline()
-        payload = fh.read()
+        # one writable buffer, so readers can take arrays as views of it
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        del payload[fh.readinto(payload):]
     try:
         header = json.loads(first.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -164,9 +167,9 @@ def _split_blocks(blocks, payload):
         dt = np.dtype(blk["dtype"])
         count = int(np.prod(blk["shape"])) if blk["shape"] else 1
         nbytes = count * dt.itemsize
-        out[blk["name"]] = np.frombuffer(
-            payload[offset:offset + nbytes], dtype=dt
-        ).reshape(blk["shape"]).copy()
+        view = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(blk["shape"])
+        # a u1 block whose length is no multiple of 8 unaligns the blocks after it
+        out[blk["name"]] = view if view.flags.aligned else view.copy()
         offset += nbytes
     return out
 

@@ -16,6 +16,7 @@ import pytest
 from aradon import io as aio
 from aradon.cli import main
 from aradon.config import load_config
+from aradon.geometry import ConvexBoundary
 
 
 def write_config(path, **overrides):
@@ -150,6 +151,10 @@ class TestCheckCommand:
                      str(tmp_path / "chk"), sino]) in (0, 1)
 
 
+ELLIPSE = {"kind": "ellipse", "n_nodes": 128, "a": 1.5, "b": 1.0}
+DISK = {"kind": "disk", "n_nodes": 128}
+
+
 class TestReconstructCommand:
     def test_outputs_and_error_report(self, cfg_path, sino_path, tmp_path):
         out = tmp_path / "rec"
@@ -168,6 +173,44 @@ class TestReconstructCommand:
     def test_missing_sinogram_exits_two(self, cfg_path, tmp_path):
         assert main(["reconstruct", "--config", cfg_path, "--out",
                      str(tmp_path / "rec"), str(tmp_path / "nope.bin")]) == 2
+
+    @staticmethod
+    def _sinogram(tmp_path, boundary, attenuated=False, **overrides):
+        phantoms = {"f": {"name": "poly-bump"}}
+        if attenuated:
+            phantoms["a"] = {"name": "poly-bump", "params": {"amplitude": 0.2}}
+        cfg = write_config(tmp_path / "run.json", boundary=boundary,
+                           phantoms=phantoms, **overrides)
+        args = ["forward", "--config", cfg, "--out", str(tmp_path / "fw")]
+        assert main(args + (["--attenuated"] if attenuated else [])) == 0
+        return cfg, str(tmp_path / "fw" / "sinogram.bin")
+
+    # the attenuated case runs on the disk: this coarse 1.5x1 ellipse fails
+    # the factor gate (ROADMAP item 3)
+    @pytest.mark.parametrize("boundary, attenuated", [(ELLIPSE, False), (DISK, True)],
+                             ids=["ellipse", "disk-attenuated"])
+    def test_grid_points_checked_once(self, tmp_path, monkeypatch, boundary, attenuated):
+        """The kernels take the grid's own inside and distance cut: the grid
+        makes the one distance call of a reconstruct."""
+        cfg, sino = self._sinogram(tmp_path, boundary, attenuated)
+        calls = []
+        distance = ConvexBoundary.distance_to_boundary
+
+        def counted(self, points):
+            calls.append(len(points))
+            return distance(self, points)
+
+        monkeypatch.setattr(ConvexBoundary, "distance_to_boundary", counted)
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"),
+                     sino]) == 0
+        assert calls == [20 * 20]
+
+    def test_grid_margin_below_kernel_margin_exits_three(self, tmp_path, capsys):
+        cfg, sino = self._sinogram(tmp_path, ELLIPSE, grid={"margin": 0.01})
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"),
+                     sino]) == 3
+        assert "from the boundary; margin is" in capsys.readouterr().err
 
 
 class TestTableBoundary:

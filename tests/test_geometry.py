@@ -345,6 +345,8 @@ class TestContains:
         crosses = ((y0 > py) != (y1 > py)) & (
             px < (x1 - x0) * (py - y0) / (y1 - y0 + 1e-300) + x0
         )
-        ref = (np.sum(crosses, axis=1) % 2 == 1) | (b.distance_to_boundary(pts) <= ON_BOUNDARY_TOL)
+        parity = np.sum(crosses, axis=1) % 2 == 1
+        assert np.array_equal(b._winding_inside(pts), parity)
+        ref = parity | (b.distance_to_boundary(pts) <= ON_BOUNDARY_TOL)
         assert np.array_equal(inside, ref)
         assert 0 < np.sum(inside) < len(pts)

@@ -109,6 +109,25 @@ class TestFactorsCache:
         assert np.array_equal(back.interior.inside, fac.interior.inside)
         assert back.interior.grid.nx == 12
 
+    def test_blocks_read_as_views(self, tmp_path, disk256):
+        """Blocks are writable views of the one payload buffer; a block that
+        would start unaligned (after 132 inside bytes) is copied instead."""
+        ang = AngularGrid(64)
+        a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
+        grid = CartesianGrid(disk256, 12, 11, margin=0.1)
+        fac = build_h(a, disk256, ang, 8, interior_grid=grid)
+        p = tmp_path / "factors.bin"
+        write_factors_cache(p, fac)
+        back = read_factors_cache(p, boundary=disk256, angular=ang)
+        for arr in (back.h_boundary, back.alpha, back.beta):
+            assert not arr.flags.owndata and arr.flags.writeable
+        inter = back.interior
+        for arr in (inter.h, inter.alpha, inter.beta, inter.a_values):
+            assert arr.flags.aligned and arr.flags.writeable
+        assert np.array_equal(back.alpha, fac.alpha)
+        assert np.array_equal(inter.beta, fac.interior.beta)
+        assert np.array_equal(inter.a_values, fac.interior.a_values)
+
     def test_wrong_format_rejected(self, tmp_path, polybump_sino):
         p = tmp_path / "sino.bin"
         write_sinogram(p, polybump_sino)
