@@ -83,15 +83,14 @@ def finite_hilbert(samples):
 
 
 class IntegratingFactor:
-    """h on the boundary cylinder with the mode sequences of e^{-+h}."""
+    """The mode sequences of e^{-+h} on the boundary cylinder."""
 
-    def __init__(self, boundary, angular, n_modes, h_boundary, alpha, beta,
+    def __init__(self, boundary, angular, n_modes, alpha, beta,
                  zero_attenuation, a_info, tol_neg, max_neg_mode,
                  max_identity_dev, interior=None):
         self.boundary = boundary
         self.angular = angular
         self.n_modes = int(n_modes)
-        self.h_boundary = h_boundary        # (n_nodes, M) complex
         self.alpha = alpha                  # (N+1, n_nodes), modes of e^{-h}
         self.beta = beta                    # (N+1, n_nodes), modes of e^{+h}
         self.zero_attenuation = bool(zero_attenuation)
@@ -105,19 +104,11 @@ class IntegratingFactor:
 class InteriorFactors:
     """Factor data on the inside points of a Cartesian grid."""
 
-    def __init__(self, grid, inside, h, alpha, beta, a_values):
+    def __init__(self, grid, inside, beta, a_values):
         self.grid = grid
         self.inside = inside                # bool (ny*nx,)
-        self.h = h                          # (p_in, M)
-        self.alpha = alpha                  # (N+1, p_in)
         self.beta = beta                    # (N+1, p_in)
         self.a_values = a_values            # (p_in,)
-
-
-def _identity_rows(n_modes, n_cols):
-    rows = np.zeros((n_modes + 1, n_cols), dtype=complex)
-    rows[0] = 1.0
-    return rows
 
 
 def _factor_modes(h_values, n_modes, tol_neg, what):
@@ -162,59 +153,25 @@ def _chord_integrals(a, starts, taus, direction, quad):
     return taus * np.einsum("mk,k->m", vals, wts, optimize=False)
 
 
-def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
-            interior_grid=None, tol_neg=1e-6, tol_identity=1e-8):
-    """Integrating factor of the attenuation on the boundary cylinder.
+def _sample_h(a, boundary, angular, quad, s_samples, points):
+    """h = Da - (1/2)(I - iH)Ra, (n_nodes, M) on the nodes and (p, M) on
+    `points` (None without them).
 
-    Computes h(z, theta) = Da(z, theta) - (1/2)(I - iH) Ra(z.theta_perp,
-    theta) at every boundary node and direction (and on the inside points
-    of `interior_grid` when reconstruction needs interior factors), then
-    projects e^{-+h} onto their nonnegative mode sequences.  The finite
-    Hilbert transform runs on the symmetric offset grid
-    `default_s_grid(boundary, s_samples)`.  With an even number of
-    angles, direction j + M/2 is theta_j + pi, so it reads the profile of
-    direction j at -s with the Hilbert column negated (Ra(s, theta + pi)
-    = Ra(-s, theta), and H is odd under the flip): Ra and HRa are
-    computed for the first M/2 directions only.  Da is integrated for
-    every direction.
+    With an even number of angles, direction j + M/2 is theta_j + pi, so
+    it reads the profile of direction j at -s with the Hilbert column
+    negated (Ra(s, theta + pi) = Ra(-s, theta), and H is odd under the
+    flip): Ra and HRa are computed for the first M/2 directions only.
+    Da is integrated for every direction.
     """
-    quad = quad or QuadSettings()
-    angular.check_modes(n_modes)
     m_ang = angular.n_angles
     n = boundary.n_nodes
-
-    if a.is_zero:
-        h_b = np.zeros((n, m_ang), dtype=complex)
-        interior = None
-        if interior_grid is not None:
-            inside = interior_grid.boundary.contains(interior_grid.points_all)
-            p_in = int(np.sum(inside))
-            interior = InteriorFactors(
-                interior_grid, inside,
-                np.zeros((p_in, m_ang), dtype=complex),
-                _identity_rows(n_modes, p_in),
-                _identity_rows(n_modes, p_in),
-                np.zeros(p_in),
-            )
-        return IntegratingFactor(
-            boundary, angular, n_modes, h_b,
-            _identity_rows(n_modes, n), _identity_rows(n_modes, n),
-            True, {"name": "zero", "params": {}}, tol_neg, 0.0, 0.0,
-            interior,
-        )
-
     s_grid = default_s_grid(boundary, s_samples)
     dirs = _directions(angular.angles)
     taus = boundary.node_chord_lengths(dirs)
     normal_dot = boundary.normals @ dirs.T
 
-    int_pts = None
-    if interior_grid is not None:
-        inside = interior_grid.boundary.contains(interior_grid.points_all)
-        int_pts = interior_grid.points_all[inside]
-        h_i = np.zeros((len(int_pts), m_ang), dtype=complex)
-
     h_b = np.zeros((n, m_ang), dtype=complex)
+    h_i = None if points is None else np.zeros((len(points), m_ang), dtype=complex)
     paired = m_ang % 2 == 0
     n_base = m_ang // 2 if paired else m_ang
     for j in range(n_base):
@@ -236,11 +193,32 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
             ra_b, hr_b = profile(sign * (boundary.positions @ perp)).T
             h_b[:, k] = da_b - 0.5 * (ra_b - 1.0j * sign * hr_b)
 
-            if int_pts is not None and len(int_pts):
-                _, tau_fwd, _ = boundary.line_spans(int_pts, th)
-                da_i = _chord_integrals(a, int_pts, tau_fwd, th, quad)
-                ra_i, hr_i = profile(sign * (int_pts @ perp)).T
+            if h_i is not None and len(points):
+                _, tau_fwd, _ = boundary.line_spans(points, th)
+                da_i = _chord_integrals(a, points, tau_fwd, th, quad)
+                ra_i, hr_i = profile(sign * (points @ perp)).T
                 h_i[:, k] = da_i - 0.5 * (ra_i - 1.0j * sign * hr_i)
+    return h_b, h_i
+
+
+def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
+            interior_grid=None, tol_neg=1e-6, tol_identity=1e-8):
+    """Integrating factor of the attenuation on the boundary cylinder.
+
+    Samples h on the nodes (and on the inside points of `interior_grid`,
+    which reconstruction needs), with Ra on the offset grid
+    `default_s_grid(boundary, s_samples)`, and keeps the nonnegative mode
+    sequences alpha, beta of e^{-+h} on the nodes and beta inside.  Zero
+    attenuation takes the same path: h = 0 gives the identity rows.
+    """
+    quad = quad or QuadSettings()
+    angular.check_modes(n_modes)
+
+    int_pts = None
+    if interior_grid is not None:
+        inside = interior_grid.boundary.contains(interior_grid.points_all)
+        int_pts = interior_grid.points_all[inside]
+    h_b, h_i = _sample_h(a, boundary, angular, quad, s_samples, int_pts)
 
     alpha, beta, neg = _factor_modes(h_b, n_modes, tol_neg, "boundary")
     dev = _seq_product_deviation(alpha, beta)
@@ -252,13 +230,12 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
 
     interior = None
     if int_pts is not None:
-        alpha_i, beta_i, neg_i = _factor_modes(h_i, n_modes, tol_neg, "interior grid")
+        _, beta_i, neg_i = _factor_modes(h_i, n_modes, tol_neg, "interior grid")
         neg = max(neg, neg_i)
-        interior = InteriorFactors(interior_grid, inside, h_i, alpha_i, beta_i,
-                                   a(int_pts))
+        interior = InteriorFactors(interior_grid, inside, beta_i, a(int_pts))
 
     return IntegratingFactor(
-        boundary, angular, n_modes, h_b, alpha, beta, False,
+        boundary, angular, n_modes, alpha, beta, a.is_zero,
         {"name": a.name, "params": a.params}, tol_neg, neg, dev, interior,
     )
 

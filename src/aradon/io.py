@@ -40,7 +40,7 @@ def _write_container(path, header, payload):
         fh.write(payload)
 
 
-def _read_container(path, expect_format):
+def _read_container(path, expect_format, required):
     with open(path, "rb") as fh:
         first = fh.readline()
         # one writable buffer, so readers can take arrays as views of it
@@ -57,6 +57,10 @@ def _read_container(path, expect_format):
         )
     if header.get("checksum") != _checksum(payload):
         raise ConfigError("%s: payload checksum mismatch" % path)
+    # the checksum covers the payload only: the header is checked here
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise ConfigError("%s: header lacks %s" % (path, ", ".join(missing)))
     return header, payload
 
 
@@ -86,12 +90,15 @@ def write_sinogram(path, sino, config_hash=None):
 
 
 def read_sinogram(path):
-    header, payload = _read_container(path, _SINO_FORMAT)
+    header, payload = _read_container(
+        path, _SINO_FORMAT, ("boundary", "n_nodes", "n_angles", "attenuated"))
+    shape = (int(header["n_nodes"]), int(header["n_angles"]))
+    if len(payload) != 8 * shape[0] * shape[1]:
+        raise ConfigError("%s: payload holds %d bytes, not %d x %d values"
+                          % (path, len(payload), shape[0], shape[1]))
     boundary = boundary_from_descriptor(header["boundary"])
-    angular = AngularGrid(int(header["n_angles"]))
-    data = np.frombuffer(payload, dtype="<f8").reshape(
-        int(header["n_nodes"]), int(header["n_angles"])
-    )
+    angular = AngularGrid(shape[1])
+    data = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return Sinogram(boundary, angular, data.copy(),
                     attenuated=bool(header["attenuated"]), meta=header.get("meta", {}))
 
@@ -160,23 +167,32 @@ def _block_bytes(arrays):
     return blocks, payload
 
 
-def _split_blocks(blocks, payload):
-    out = {}
+def _split_blocks(path, blocks, payload, names):
+    """Views of the blocks called `names`, once the header's block shapes
+    are seen to account for the whole payload; other blocks are skipped."""
+    spans = {}
     offset = 0
     for blk in blocks:
         dt = np.dtype(blk["dtype"])
-        count = int(np.prod(blk["shape"])) if blk["shape"] else 1
-        nbytes = count * dt.itemsize
-        view = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(blk["shape"])
+        count = int(np.prod(blk["shape"]))
+        spans[blk["name"]] = (dt, count, offset, blk["shape"])
+        offset += count * dt.itemsize
+    if offset != len(payload):
+        raise ConfigError("%s: blocks describe %d payload bytes, the file holds %d"
+                          % (path, offset, len(payload)))
+    out = {}
+    for name in names:
+        if name not in spans:
+            raise ConfigError("%s: no %r block" % (path, name))
+        dt, count, start, shape = spans[name]
+        view = np.frombuffer(payload, dtype=dt, count=count, offset=start).reshape(shape)
         # a u1 block whose length is no multiple of 8 unaligns the blocks after it
-        out[blk["name"]] = view if view.flags.aligned else view.copy()
-        offset += nbytes
+        out[name] = view if view.flags.aligned else view.copy()
     return out
 
 
 def write_factors_cache(path, factors, config_hash=None):
     arrays = [
-        ("h_boundary", factors.h_boundary, "<c16"),
         ("alpha", factors.alpha, "<c16"),
         ("beta", factors.beta, "<c16"),
     ]
@@ -190,8 +206,6 @@ def write_factors_cache(path, factors, config_hash=None):
         }
         arrays += [
             ("inside", factors.interior.inside.astype(np.uint8), "<u1"),
-            ("h_interior", factors.interior.h, "<c16"),
-            ("alpha_interior", factors.interior.alpha, "<c16"),
             ("beta_interior", factors.interior.beta, "<c16"),
             ("a_values", factors.interior.a_values, "<f8"),
         ]
@@ -222,9 +236,13 @@ def read_factors_cache(path, boundary=None, angular=None):
     When `boundary`/`angular` are given, the cached grids must match
     them (GridMismatch otherwise; a boundary matches when its descriptor
     equals the cached one) and the given objects are used so the factors
-    share identity with the caller's grids.
+    share identity with the caller's grids.  Blocks are read by name, so
+    caches that also carry h and the interior alpha still load.
     """
-    header, payload = _read_container(path, _FACTORS_FORMAT)
+    header, payload = _read_container(
+        path, _FACTORS_FORMAT,
+        ("boundary", "n_nodes", "n_angles", "n_modes", "zero_attenuation",
+         "tol_neg", "max_neg_mode", "max_identity_dev", "blocks"))
     desc = header["boundary"]
     if boundary is not None:
         if boundary.n_nodes != int(header["n_nodes"]) or boundary.kind != desc["kind"]:
@@ -249,22 +267,20 @@ def read_factors_cache(path, boundary=None, angular=None):
     else:
         angular = AngularGrid(int(header["n_angles"]))
 
-    data = _split_blocks(header["blocks"], payload)
+    im = header.get("interior")
+    names = ("alpha", "beta") + (() if im is None else ("inside", "beta_interior", "a_values"))
+    data = _split_blocks(path, header["blocks"], payload, names)
     interior = None
-    if header.get("interior") is not None:
-        im = header["interior"]
+    if im is not None:
         grid = CartesianGrid(boundary, im["nx"], im["ny"], margin=im["margin"],
                              extent=tuple(im["extent"]))
-        interior = InteriorFactors(
-            grid, data["inside"].astype(bool), data["h_interior"],
-            data["alpha_interior"], data["beta_interior"], data["a_values"],
-        )
+        interior = InteriorFactors(grid, data["inside"].astype(bool),
+                                   data["beta_interior"], data["a_values"])
     return IntegratingFactor(
-        boundary, angular, int(header["n_modes"]), data["h_boundary"],
-        data["alpha"], data["beta"], bool(header["zero_attenuation"]),
-        header.get("a", {}), float(header["tol_neg"]),
-        float(header["max_neg_mode"]), float(header["max_identity_dev"]),
-        interior,
+        boundary, angular, int(header["n_modes"]), data["alpha"], data["beta"],
+        bool(header["zero_attenuation"]), header.get("a", {}),
+        float(header["tol_neg"]), float(header["max_neg_mode"]),
+        float(header["max_identity_dev"]), interior,
     )
 
 

@@ -85,8 +85,7 @@ class ScalarField:
 
     Wraps a vectorized formula of the coordinate planes (x, y).  With
     `mask_domain` its values are set to zero outside the domain, for
-    formulas whose own support reaches past it; `support` says whether
-    the field vanishes on the boundary nodes.  Calling the field takes
+    formulas whose own support reaches past it.  Calling the field takes
     points with a last axis of length 2; `planes` takes the coordinates
     as two arrays of one shape, as ray_points lays them out.
     """
@@ -97,8 +96,6 @@ class ScalarField:
         self.name = name
         self.params = dict(params or {})
         self._mask_domain = mask_domain
-        vals = np.abs(self(boundary.positions))
-        self.support = bool(np.max(vals) <= 1e-12)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)

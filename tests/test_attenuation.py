@@ -6,6 +6,7 @@ from scipy.interpolate import CubicSpline
 from aradon import attenuation
 from aradon.attenuation import (
     _chord_integrals,
+    _sample_h,
     build_h,
     default_s_grid,
     fd_zeroed_mask,
@@ -147,11 +148,12 @@ def _per_direction_h(a, boundary, angular, int_pts):
                                         for parity in ("even", "odd")],
                 ids=lambda p: "%s-%s" % p)
 def paired_build(request):
-    """build_h (profile calls counted) and the per-direction reference."""
+    """_sample_h (profile calls counted) and the per-direction reference."""
     kind, parity = request.param
-    boundary, a, n_modes, m_even = _pairing_case(kind)
+    boundary, a, _, m_even = _pairing_case(kind)
     angular = AngularGrid(m_even if parity == "even" else m_even + 1)
-    grid = CartesianGrid(boundary, 12, 12)
+    pts = CartesianGrid(boundary, 12, 12).points_all
+    int_pts = pts[boundary.contains(pts)]
     calls = []
 
     def counted(*args, **kwargs):
@@ -160,22 +162,18 @@ def paired_build(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attenuation, "radon_profile", counted)
-        fac = build_h(a, boundary, angular, n_modes, quad=_PAIR_QUAD,
-                      s_samples=_PAIR_S, interior_grid=grid)
-    ref_b, ref_i = _per_direction_h(a, boundary, angular,
-                                    grid.points_all[fac.interior.inside])
-    return {"factors": fac, "ref": (ref_b, ref_i), "calls": len(calls),
-            "n_angles": angular.n_angles}
+        h = _sample_h(a, boundary, angular, _PAIR_QUAD, _PAIR_S, int_pts)
+    return {"h": h, "ref": _per_direction_h(a, boundary, angular, int_pts),
+            "calls": len(calls), "n_angles": angular.n_angles}
 
 
 class TestAntipodalPairing:
     """build_h computes Ra and HRa once per direction pair theta, theta + pi."""
 
     def test_matches_per_direction_reference(self, paired_build):
-        fac = paired_build["factors"]
         m = paired_build["n_angles"]
         n_base = m // 2 if m % 2 == 0 else m
-        for got, ref in zip((fac.h_boundary, fac.interior.h), paired_build["ref"]):
+        for got, ref in zip(paired_build["h"], paired_build["ref"]):
             assert np.array_equal(got[:, :n_base], ref[:, :n_base])
             gap = np.max(np.abs(got[:, n_base:] - ref[:, n_base:]), initial=0.0)
             assert gap <= 1e-14 * np.max(np.abs(ref))
@@ -210,14 +208,17 @@ class TestFlipIdentities:
 
 class TestIntegratingFactor:
     def test_zero_attenuation_identity(self, disk256):
+        """h = 0 on the general path gives the identity rows exactly."""
         ang = AngularGrid(32)
-        fac = build_h(phantom("zero", disk256), disk256, ang, 8)
+        fac = build_h(phantom("zero", disk256), disk256, ang, 8,
+                      interior_grid=CartesianGrid(disk256, 12, 12))
         assert fac.zero_attenuation
-        assert np.max(np.abs(fac.h_boundary)) == 0.0
-        assert np.max(np.abs(fac.alpha[0] - 1.0)) == 0.0
-        assert np.max(np.abs(fac.alpha[1:])) == 0.0
-        assert np.max(np.abs(fac.beta[0] - 1.0)) == 0.0
-        assert np.max(np.abs(fac.beta[1:])) == 0.0
+        assert fac.max_neg_mode == 0.0 and fac.max_identity_dev == 0.0
+        identity = np.zeros((9, 1))
+        identity[0] = 1.0
+        for rows in (fac.alpha, fac.beta, fac.interior.beta):
+            assert np.array_equal(rows, np.broadcast_to(identity, rows.shape))
+        assert not np.any(fac.interior.a_values)
 
     def test_analyticity_diagnostics(self, att_setup):
         fac = att_setup["factors"]

@@ -497,6 +497,68 @@ class TestConfigErrors:
                      "--out", str(tmp_path)]) == 2
 
 
+def _halve_angles(header, payload):
+    header["n_angles"] //= 2
+    return payload
+
+
+def _drop_beta_block(header, payload):
+    offset = 0
+    for i, blk in enumerate(header["blocks"]):
+        nbytes = int(np.prod(blk["shape"])) * np.dtype(blk["dtype"]).itemsize
+        if blk["name"] == "beta":
+            del header["blocks"][i]
+            return payload[:offset] + payload[offset + nbytes:]
+        offset += nbytes
+    raise AssertionError("the cache has no beta block")
+
+
+def _grow_first_block(header, payload):
+    header["blocks"][0]["shape"][0] += 1
+    return payload
+
+
+def _drop_n_modes(header, payload):
+    del header["n_modes"]
+    return payload
+
+
+class TestMalformedContainer:
+    """The payload checksum does not cover the header; a header that
+    contradicts its payload or lacks a key is a file-format error."""
+
+    @pytest.mark.parametrize("target, edit", [
+        ("sinogram", _halve_angles),
+        ("cache", _drop_beta_block),
+        ("cache", _grow_first_block),
+        ("cache", _drop_n_modes),
+    ], ids=["sinogram-angles", "cache-no-beta", "cache-block-past-payload",
+            "cache-no-n-modes"])
+    def test_header_edit_exits_two(self, tmp_path, capsys, target, edit):
+        cfg = write_config(
+            tmp_path / "att.json",
+            phantoms={"f": {"name": "poly-bump"},
+                      "a": {"name": "poly-bump", "params": {"amplitude": 0.2}}},
+        )
+        cache = tmp_path / "factors.bin"
+        assert main(["factors", "--config", cfg, "--out", str(tmp_path / "fa"),
+                     "--factors-cache", str(cache)]) == 0
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "fw"),
+                     "--attenuated"]) == 0
+        sino = tmp_path / "fw" / "sinogram.bin"
+        path = sino if target == "sinogram" else cache
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        payload = edit(header, payload)
+        del header["checksum"]  # the writer puts the payload's own back
+        aio._write_container(str(path), header, payload)
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "chk"),
+                     "--factors-cache", str(cache), str(sino)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
 class TestModuleEntryPoint:
     def test_forward_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "run.json")

@@ -1,10 +1,14 @@
 """File-format round trips: binary containers, CSV exports, caches."""
+import json
+
 import numpy as np
 import pytest
 
+from aradon import io as aio
 from aradon.attenuation import build_h
 from aradon.bukhgeim import CartesianGrid
 from aradon.errors import ConfigError, GridMismatch
+from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid
 from aradon.io import (
     read_boundary_table,
@@ -83,50 +87,107 @@ class TestResidualReport:
         assert "norm_l1" in doc
 
 
-class TestFactorsCache:
-    def test_boundary_only_round_trip(self, tmp_path, disk256):
-        ang = AngularGrid(64)
-        a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
-        fac = build_h(a, disk256, ang, 8)
-        p = tmp_path / "factors.bin"
-        write_factors_cache(p, fac)
-        back = read_factors_cache(p, boundary=disk256, angular=ang)
-        assert np.array_equal(back.alpha, fac.alpha)
-        assert np.array_equal(back.beta, fac.beta)
-        assert np.array_equal(back.h_boundary, fac.h_boundary)
-        assert back.interior is None
+_U64 = 2.0 * np.pi * np.arange(64) / 64
 
-    def test_interior_round_trip(self, tmp_path, disk256):
+
+@pytest.fixture(scope="module")
+def factor_cases(disk256):
+    """Factors with and without interior data on the disk, the 1.5 x 1
+    ellipse and a 64-point table of that ellipse.
+
+    Off the disk the attenuation is weak enough for build_h's gates, as
+    in test_attenuation's pairing cases.  The 12 x 11 grid has 132 inside
+    bytes, so the block after them starts unaligned.
+    """
+    ellipse = make_boundary("ellipse", 128, a=1.5, b=1.0)
+    table = make_boundary("table", 64,
+                          table=np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)]))
+    cases = []
+    for b, amp in ((disk256, 0.3), (ellipse, 0.005), (table, 0.005)):
         ang = AngularGrid(64)
-        a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
-        grid = CartesianGrid(disk256, 12, 12, margin=0.1)
-        fac = build_h(a, disk256, ang, 8, interior_grid=grid)
-        p = tmp_path / "factors.bin"
-        write_factors_cache(p, fac)
-        back = read_factors_cache(p, boundary=disk256, angular=ang)
-        assert back.interior is not None
-        assert np.array_equal(back.interior.alpha, fac.interior.alpha)
+        a = phantom("poly-bump", b, params={"amplitude": amp})
+        grid = CartesianGrid(b, 12, 11, margin=0.1)
+        cases.append({"boundary": b, "ang": ang,
+                      "plain": build_h(a, b, ang, 8),
+                      "interior": build_h(a, b, ang, 8, interior_grid=grid)})
+    return cases
+
+
+def _assert_same_factors(back, fac):
+    assert np.array_equal(back.alpha, fac.alpha)
+    assert np.array_equal(back.beta, fac.beta)
+    assert (back.interior is None) == (fac.interior is None)
+    if fac.interior is not None:
+        assert np.array_equal(back.interior.beta, fac.interior.beta)
         assert np.array_equal(back.interior.inside, fac.interior.inside)
-        assert back.interior.grid.nx == 12
+        assert np.array_equal(back.interior.a_values, fac.interior.a_values)
+        assert back.interior.grid.nx == fac.interior.grid.nx
+        assert back.interior.grid.ny == fac.interior.grid.ny
 
-    def test_blocks_read_as_views(self, tmp_path, disk256):
+
+def _round_trip(path, case, which):
+    fac = case[which]
+    write_factors_cache(path, fac)
+    back = read_factors_cache(path, boundary=case["boundary"], angular=case["ang"])
+    _assert_same_factors(back, fac)
+    assert back.boundary is case["boundary"]
+
+
+class TestFactorsCache:
+    def test_boundary_only_round_trip(self, tmp_path, factor_cases):
+        for case in factor_cases:
+            _round_trip(tmp_path / "factors.bin", case, "plain")
+
+    def test_interior_round_trip(self, tmp_path, factor_cases):
+        for case in factor_cases:
+            _round_trip(tmp_path / "factors.bin", case, "interior")
+
+    def test_blocks_read_as_views(self, tmp_path, factor_cases):
         """Blocks are writable views of the one payload buffer; a block that
         would start unaligned (after 132 inside bytes) is copied instead."""
-        ang = AngularGrid(64)
-        a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
-        grid = CartesianGrid(disk256, 12, 11, margin=0.1)
-        fac = build_h(a, disk256, ang, 8, interior_grid=grid)
+        for case in factor_cases:
+            fac = case["interior"]
+            p = tmp_path / "factors.bin"
+            write_factors_cache(p, fac)
+            back = read_factors_cache(p)
+            for arr in (back.alpha, back.beta):
+                assert not arr.flags.owndata and arr.flags.writeable
+            for arr in (back.interior.beta, back.interior.a_values):
+                assert arr.flags.aligned and arr.flags.writeable
+            _assert_same_factors(back, fac)
+
+    def test_former_h_and_alpha_blocks_still_read(self, tmp_path, factor_cases):
+        """A cache that also carries h and the interior alpha, in the block
+        order such caches were written in, reads with the same factors."""
+        case = factor_cases[1]
+        fac = case["interior"]
         p = tmp_path / "factors.bin"
         write_factors_cache(p, fac)
-        back = read_factors_cache(p, boundary=disk256, angular=ang)
-        for arr in (back.h_boundary, back.alpha, back.beta):
-            assert not arr.flags.owndata and arr.flags.writeable
-        inter = back.interior
-        for arr in (inter.h, inter.alpha, inter.beta, inter.a_values):
-            assert arr.flags.aligned and arr.flags.writeable
-        assert np.array_equal(back.alpha, fac.alpha)
-        assert np.array_equal(inter.beta, fac.interior.beta)
-        assert np.array_equal(inter.a_values, fac.interior.a_values)
+        with open(p, "rb") as fh:
+            header = json.loads(fh.readline())
+        rng = np.random.default_rng(3)
+        m = fac.angular.n_angles
+        p_in = fac.interior.beta.shape[1]
+
+        def noise(*shape):  # the reader skips these blocks' values
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        blocks, payload = aio._block_bytes([
+            ("h_boundary", noise(fac.boundary.n_nodes, m), "<c16"),
+            ("alpha", fac.alpha, "<c16"),
+            ("beta", fac.beta, "<c16"),
+            ("inside", fac.interior.inside.astype(np.uint8), "<u1"),
+            ("h_interior", noise(p_in, m), "<c16"),
+            ("alpha_interior", noise(9, p_in), "<c16"),
+            ("beta_interior", fac.interior.beta, "<c16"),
+            ("a_values", fac.interior.a_values, "<f8"),
+        ])
+        header["blocks"] = blocks
+        del header["checksum"]
+        old = tmp_path / "old_factors.bin"
+        aio._write_container(old, header, payload)
+        back = read_factors_cache(old, boundary=case["boundary"], angular=case["ang"])
+        _assert_same_factors(back, fac)
 
     def test_wrong_format_rejected(self, tmp_path, polybump_sino):
         p = tmp_path / "sino.bin"

@@ -26,7 +26,6 @@ class TestPhantoms:
         assert f(np.array([0.0, 0.0])) == 1.0
         assert abs(f(np.array([0.5, 0.0])) - 0.5625) < 1e-15
         assert f(np.array([1.1, 0.0])) == 0.0
-        assert f.support
 
     def test_poly_bump_amplitude(self, disk256):
         f = phantom("poly-bump", disk256, params={"amplitude": 0.3})
