@@ -36,7 +36,7 @@ from .bukhgeim import (
     del_v_minus,
     reconstruct_f0,
 )
-from .xray import QuadSettings, radon_profile, ray_points, _directions
+from .xray import QuadSettings, chord_integrals, radon_profile, _directions
 
 
 @lru_cache(maxsize=None)  # keyed by sample count: one per offset grid
@@ -146,13 +146,6 @@ def default_s_grid(boundary, n_samples=2048):
     return np.linspace(-1.2 * radius, 1.2 * radius, n_samples)
 
 
-def _chord_integrals(a, starts, taus, direction, quad):
-    """Ray integrals of `a` from each start over length tau, one direction."""
-    frac, wts = quad.nodes_weights()
-    vals = a.planes(*ray_points(starts, direction, taus[:, None] * frac[None, :]))
-    return taus * np.einsum("mk,k->m", vals, wts, optimize=False)
-
-
 def _sample_h(a, boundary, angular, quad, s_samples, points):
     """h = Da - (1/2)(I - iH)Ra, (n_nodes, M) on the nodes and (p, M) on
     `points` (None without them).
@@ -187,15 +180,15 @@ def _sample_h(a, boundary, angular, quad, s_samples, points):
             da_b = np.zeros(n)
             incoming = normal_dot[:, k] < 0.0
             if np.any(incoming):
-                da_b[incoming] = _chord_integrals(
-                    a, boundary.positions[incoming], taus[incoming, k], th, quad
+                da_b[incoming] = chord_integrals(
+                    a, boundary.positions[incoming], th, 0.0, taus[incoming, k], quad
                 )
             ra_b, hr_b = profile(sign * (boundary.positions @ perp)).T
             h_b[:, k] = da_b - 0.5 * (ra_b - 1.0j * sign * hr_b)
 
             if h_i is not None and len(points):
                 _, tau_fwd, _ = boundary.line_spans(points, th)
-                da_i = _chord_integrals(a, points, tau_fwd, th, quad)
+                da_i = chord_integrals(a, points, th, 0.0, tau_fwd, quad)
                 ra_i, hr_i = profile(sign * (points @ perp)).T
                 h_i[:, k] = da_i - 0.5 * (ra_i - 1.0j * sign * hr_i)
     return h_b, h_i

@@ -55,6 +55,26 @@ def _dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
+def unit_circle_spans(points, direction):
+    """Crossings of the lines points + t * direction with the unit circle.
+
+    Returns (t_lo, t_hi, hit) as ConvexBoundary.line_spans does.  The
+    stable quadratic A t^2 + 2 B t + C = 0 has the roots q / A and C / q
+    with q = -(B + sign(B) sqrt(B^2 - A C)).  Any disk or axis-aligned
+    ellipse reduces to it by scaling (and shifting) the coordinates.
+    """
+    A = _dot(direction, direction)
+    B = _dot(points, direction)
+    C = _dot(points, points) - 1.0
+    disc = B * B - A * C
+    hit = disc > 0.0
+    q = -(B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = q / A, C / q
+    return (np.where(hit, np.minimum(r1, r2), 0.0),
+            np.where(hit, np.maximum(r1, r2), 0.0), hit)
+
+
 class ConvexBoundary:
     """Discretized C^2 convex boundary curve.
 
@@ -237,22 +257,10 @@ class ConvexBoundary:
         """
         p = np.asarray(points, dtype=float)
         d = np.asarray(direction, dtype=float)
-        if self.kind == "generic":
-            hit, (r1, r2) = self._arc_crossings(np.atleast_2d(p), d)
-        else:
-            # Stable quadratic A t^2 + 2 B t + C = 0 in scaled coordinates:
-            # roots q / A and C / q with q = -(B + sign(B) sqrt(B^2 - A C)).
+        if self.kind != "generic":
             scale = np.array([self.a, self.b])
-            ps = p / scale
-            ds = d / scale
-            A = _dot(ds, ds)
-            B = _dot(ps, ds)
-            C = _dot(ps, ps) - 1.0
-            disc = B * B - A * C
-            hit = disc > 0.0
-            q = -(B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r1, r2 = q / A, C / q
+            return unit_circle_spans(p / scale, d / scale)
+        hit, (r1, r2) = self._arc_crossings(np.atleast_2d(p), d)
         return (np.where(hit, np.minimum(r1, r2), 0.0),
                 np.where(hit, np.maximum(r1, r2), 0.0), hit)
 

@@ -58,10 +58,27 @@ def _read_container(path, expect_format, required):
     if header.get("checksum") != _checksum(payload):
         raise ConfigError("%s: payload checksum mismatch" % path)
     # the checksum covers the payload only: the header is checked here
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise ConfigError("%s: header lacks %s" % (path, ", ".join(missing)))
+    _require(header, required, path, "header")
     return header, payload
+
+
+def _require(obj, keys, path, what):
+    """ConfigError unless the header object `obj` is a mapping with every key."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s: %s is not an object" % (path, what))
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ConfigError("%s: %s lacks %s" % (path, what, ", ".join(missing)))
+
+
+def _descriptor(header, path):
+    """The header's boundary descriptor, once it holds what
+    boundary_from_descriptor reads."""
+    desc = header["boundary"]
+    _require(desc, ("kind", "n_nodes"), path, "boundary descriptor")
+    if desc["kind"] == "generic":
+        _require(desc, ("table",), path, "boundary descriptor")
+    return desc
 
 
 def boundary_from_descriptor(desc):
@@ -96,7 +113,7 @@ def read_sinogram(path):
     if len(payload) != 8 * shape[0] * shape[1]:
         raise ConfigError("%s: payload holds %d bytes, not %d x %d values"
                           % (path, len(payload), shape[0], shape[1]))
-    boundary = boundary_from_descriptor(header["boundary"])
+    boundary = boundary_from_descriptor(_descriptor(header, path))
     angular = AngularGrid(shape[1])
     data = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return Sinogram(boundary, angular, data.copy(),
@@ -172,7 +189,8 @@ def _split_blocks(path, blocks, payload, names):
     are seen to account for the whole payload; other blocks are skipped."""
     spans = {}
     offset = 0
-    for blk in blocks:
+    for i, blk in enumerate(blocks):
+        _require(blk, ("name", "shape", "dtype"), path, "block %d" % i)
         dt = np.dtype(blk["dtype"])
         count = int(np.prod(blk["shape"]))
         spans[blk["name"]] = (dt, count, offset, blk["shape"])
@@ -243,7 +261,7 @@ def read_factors_cache(path, boundary=None, angular=None):
         path, _FACTORS_FORMAT,
         ("boundary", "n_nodes", "n_angles", "n_modes", "zero_attenuation",
          "tol_neg", "max_neg_mode", "max_identity_dev", "blocks"))
-    desc = header["boundary"]
+    desc = _descriptor(header, path)
     if boundary is not None:
         if boundary.n_nodes != int(header["n_nodes"]) or boundary.kind != desc["kind"]:
             raise GridMismatch(
@@ -268,6 +286,8 @@ def read_factors_cache(path, boundary=None, angular=None):
         angular = AngularGrid(int(header["n_angles"]))
 
     im = header.get("interior")
+    if im is not None:
+        _require(im, ("nx", "ny", "margin", "extent"), path, "interior")
     names = ("alpha", "beta") + (() if im is None else ("inside", "beta_interior", "a_values"))
     data = _split_blocks(path, header["blocks"], payload, names)
     interior = None

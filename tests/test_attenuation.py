@@ -5,7 +5,6 @@ from scipy.interpolate import CubicSpline
 
 from aradon import attenuation
 from aradon.attenuation import (
-    _chord_integrals,
     _sample_h,
     build_h,
     default_s_grid,
@@ -24,8 +23,8 @@ from aradon.errors import (
 )
 from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
-from aradon.xray import QuadSettings, forward_sinogram, phantom, radon_profile
-from oracles import residual_route_gap
+from aradon.xray import QuadSettings, chord_integrals, forward_sinogram, phantom, radon_profile
+from oracles import bump_chord_integral, residual_route_gap
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +130,13 @@ def _per_direction_h(a, boundary, angular, int_pts):
         hr_spline = CubicSpline(s_grid, finite_hilbert(ra))
         da_b = np.zeros(boundary.n_nodes)
         incoming = normal_dot[:, j] < 0.0
-        da_b[incoming] = _chord_integrals(
-            a, boundary.positions[incoming], taus[incoming, j], th, _PAIR_QUAD
+        da_b[incoming] = chord_integrals(
+            a, boundary.positions[incoming], th, 0.0, taus[incoming, j], _PAIR_QUAD
         )
         s_b = boundary.positions @ perp
         h_b[:, j] = da_b - 0.5 * (ra_spline(s_b) - 1.0j * hr_spline(s_b))
         _, tau_fwd, _ = boundary.line_spans(int_pts, th)
-        da_i = _chord_integrals(a, int_pts, tau_fwd, th, _PAIR_QUAD)
+        da_i = chord_integrals(a, int_pts, th, 0.0, tau_fwd, _PAIR_QUAD)
         s_i = int_pts @ perp
         h_i[:, j] = da_i - 0.5 * (ra_spline(s_i) - 1.0j * hr_spline(s_i))
     return h_b, h_i
@@ -181,6 +180,28 @@ class TestAntipodalPairing:
     def test_one_profile_per_pair(self, paired_build):
         m = paired_build["n_angles"]
         assert paired_build["calls"] == (m // 2 if m % 2 == 0 else m)
+
+
+class TestInteriorDa:
+    """Da of a polynomial `a` on interior points, as _sample_h takes it, is
+    exact whatever the quadrature settings."""
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse", "table"])
+    def test_polynomial_da_exact(self, kind):
+        boundary, a, _, m = _pairing_case(kind)
+        pts = CartesianGrid(boundary, 16, 16).points_all
+        pts = pts[boundary.contains(pts)]
+        shifted = phantom("shifted-poly-bump", boundary,
+                          params={"center": (0.2, -0.1), "radius": 0.6, "amplitude": 0.4})
+        for field in (a, shifted):
+            scale = field.params["amplitude"] * field.params.get("radius", 1.0)
+            for phi in AngularGrid(m).angles[::5]:
+                th = np.array([np.cos(phi), np.sin(phi)])
+                _, tau_fwd, _ = boundary.line_spans(pts, th)
+                exact = bump_chord_integral(field, pts, th, 0.0, tau_fwd)
+                for quad in (QuadSettings(), QuadSettings(1, 2)):
+                    got = chord_integrals(field, pts, th, 0.0, tau_fwd, quad)
+                    assert np.max(np.abs(got - exact)) <= 1e-14 * scale
 
 
 class TestFlipIdentities:

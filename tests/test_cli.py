@@ -442,8 +442,21 @@ class TestSweepCommand:
         assert residual == "%.12g" % check["relative"]
         assert recon_error == "%.12g" % recon["relative_l2_error"]
 
+    def test_plain_quad_rungs_identical(self, tmp_path):
+        """A plain poly-bump forward takes one exact panel per chord, so the
+        quad rungs do not differ."""
+        cfg = write_config(tmp_path / "run.json", grid={"nx": 16, "ny": 16},
+                           sweep={"values": [2, 8]})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "quad"]) == 0
+        rows = [line.split(",") for line in
+                (out / "sweep_quad.csv").read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [2, 8]
+        assert rows[0][1:3] == rows[1][1:3]
+
     def test_attenuated_quad_ladder(self, tmp_path):
-        """Each rung's forward takes Da through the tail rule of its panels."""
+        """Each rung's forward integrates f e^{-Da} on its panels; Da of the
+        poly-bump map is exact on every rung."""
         cfg = write_config(
             tmp_path / "run.json", grid={"nx": 24, "ny": 24},
             phantoms={"f": {"name": "poly-bump"},
@@ -523,6 +536,23 @@ def _drop_n_modes(header, payload):
     return payload
 
 
+def _drop_boundary_kind(header, payload):
+    del header["boundary"]["kind"]
+    return payload
+
+
+def _drop_interior_nx(header, payload):
+    del header["interior"]["nx"]
+    return payload
+
+
+def _drop_block_key(key):
+    def edit(header, payload):
+        del header["blocks"][1][key]
+        return payload
+    return edit
+
+
 class TestMalformedContainer:
     """The payload checksum does not cover the header; a header that
     contradicts its payload or lacks a key is a file-format error."""
@@ -532,8 +562,16 @@ class TestMalformedContainer:
         ("cache", _drop_beta_block),
         ("cache", _grow_first_block),
         ("cache", _drop_n_modes),
+        ("sinogram", _drop_boundary_kind),
+        ("cache", _drop_boundary_kind),
+        ("cache", _drop_interior_nx),
+        ("cache", _drop_block_key("name")),
+        ("cache", _drop_block_key("shape")),
+        ("cache", _drop_block_key("dtype")),
     ], ids=["sinogram-angles", "cache-no-beta", "cache-block-past-payload",
-            "cache-no-n-modes"])
+            "cache-no-n-modes", "sinogram-boundary-no-kind", "cache-boundary-no-kind",
+            "cache-interior-no-nx", "cache-block-no-name", "cache-block-no-shape",
+            "cache-block-no-dtype"])
     def test_header_edit_exits_two(self, tmp_path, capsys, target, edit):
         cfg = write_config(
             tmp_path / "att.json",

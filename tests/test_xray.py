@@ -1,23 +1,27 @@
 """Phantoms, ray integrals, forward boundary data, and the chord identity."""
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 from scipy.special import erf
 
-from aradon.attenuation import _chord_integrals
 from aradon.errors import SupportViolation, UnknownPhantom
 from aradon.geometry import TOL_TANGENT, make_boundary
 from aradon.harmonics import AngularGrid
 from aradon.xray import (
+    EXACT_POINTS,
     QuadSettings,
+    ScalarField,
     Sinogram,
+    chord_integrals,
+    clip_chords,
     forward_sinogram,
     phantom,
     radon_profile,
     ray_points,
-    _tail_rule,
+    _lagrange_antiderivatives,
+    _tail_integrals,
 )
-from oracles import trapezoid_forward, verify_radon_identity
+from oracles import bump_chord_integral, trapezoid_forward, verify_radon_identity
 
 
 class TestPhantoms:
@@ -44,7 +48,7 @@ class TestPhantoms:
 def divergence_beam(a, x, theta, quad=QuadSettings()):
     """Integral of `a` from x to the boundary along theta, as build_h takes Da."""
     _, tau, _ = a.boundary.line_spans(x[None, :], theta)
-    return float(_chord_integrals(a, x[None, :], tau, theta, quad)[0])
+    return float(chord_integrals(a, x[None, :], theta, 0.0, tau, quad)[0])
 
 
 class TestDivergenceBeam:
@@ -221,28 +225,33 @@ class TestChordIdentity:
         d1 = verify_radon_identity(shifted, f, a, n_probes=40)
         assert abs(d1 - d0) <= 1e-9
 
-    # Off the disk the floor is the forward's 8-panel quadrature across the
-    # poly-bump's C^{1,1} support edge, the unit circle, which lies inside
-    # these domains (on the disk it is the boundary itself): 32 panels take
-    # it from 2.15e-5 to 5.4e-7.  Each gate is 1.5x `basis`, the defect
-    # measured when the probes stayed within 0.8 of the centre.  With 40
-    # probes over the bounding box, at 512 nodes and 128 angles, the
-    # defects are 2.15e-5 plain and 2.06e-5 attenuated on the ellipse and
-    # on its table, 5.4e-7 with 32 panels.
-    @pytest.mark.parametrize("kind, attenuated, panels, basis", [
+    # Off the disk the poly-bump's C^{1,1} support edge, the unit circle,
+    # lies inside these domains (on the disk it is the boundary itself).
+    # The forward integrates it on the clipped chord, exactly, so what is
+    # left is the oracle's own floor: its dense trapezoid sums cross the
+    # edge.  `former` is the basis of the gate before exact chords, when 8
+    # composite panels across the edge put the defect at 2.15e-5 plain and
+    # 2.06e-5 attenuated (5.4e-7 with 32 panels).  With 40 probes over the
+    # bounding box, at 512 nodes and 128 angles, every row now measures
+    # 5.36e-7 (OFF_DISK_DEFECT).  Each gate is 1.5x that figure, and never
+    # looser than the former gate 1.5x `former`.
+    OFF_DISK_DEFECT = 5.36e-7
+
+    @pytest.mark.parametrize("kind, attenuated, panels, former", [
         ("ellipse", False, 8, 1.77e-5),
         ("ellipse", True, 8, 1.52e-5),
         ("table", False, 8, 1.77e-5),
         ("table", True, 8, 1.52e-5),
         ("ellipse", False, 32, 4.3e-7),
     ])
-    def test_consistent_off_disk(self, ang128, kind, attenuated, panels, basis):
+    def test_consistent_off_disk(self, ang128, kind, attenuated, panels, former):
         """Off the unit disk the oracle finds foot points with its Newton nearest_param."""
         b = off_disk_boundary(kind)
         f = phantom("poly-bump", b)
         a = phantom("poly-bump", b, params={"amplitude": 0.3}) if attenuated else phantom("zero", b)
         sino = forward_sinogram(f, a, b, ang128, QuadSettings(panels=panels))
-        assert verify_radon_identity(sino, f, a, n_probes=40) <= 1.5 * basis
+        gate = min(1.5 * self.OFF_DISK_DEFECT, 1.5 * former)
+        assert verify_radon_identity(sino, f, a, n_probes=40) <= gate
 
 
 def off_disk_boundary(kind):
@@ -265,24 +274,38 @@ def broadcast_points(starts, direction, t):
     return starts[:, None, :] + t[:, :, None] * direction[None, None, :]
 
 
+def reference_chords(a, starts, th, t_lo, t_hi, quad):
+    """chord_integrals with every sample point from broadcast_points."""
+    lo, hi = clip_chords(a, starts, th, t_lo, t_hi)
+    if a.line_degree is not None:
+        nodes, weights = composite_rule(1, EXACT_POINTS)
+    else:
+        nodes, weights = composite_rule(quad.panels, quad.points)
+    spans = hi - lo
+    ts = lo[:, None] + spans[:, None] * nodes[None, :]
+    vals = a(broadcast_points(starts, th, ts))
+    return spans * np.einsum("sq,q->s", vals, weights, optimize=False)
+
+
 def reference_profile(a, boundary, th, s_values, quad):
     perp = np.array([-th[1], th[0]])
     p0s = s_values[:, None] * perp[None, :]
     t_lo, t_hi, _ = boundary.line_spans(p0s, th)
-    nodes, weights = composite_rule(quad.panels, quad.points)
-    spans = t_hi - t_lo
-    ts = t_lo[:, None] + spans[:, None] * nodes[None, :]
-    vals = a(broadcast_points(p0s, th, ts))
-    return spans * np.einsum("sq,q->s", vals, weights, optimize=False)
+    return reference_chords(a, p0s, th, t_lo, t_hi, quad)
 
 
 def reference_forward(f, a, boundary, angular, quad):
-    """Forward data with every sample point from broadcast_points."""
+    """Forward data with every sample point from broadcast_points.
+
+    With attenuation `a` must be a polynomial on its support: Da at each
+    node is then one EXACT_POINTS Gauss-Legendre panel of its own, from
+    the node (clipped to a's span) to the end of a's span.
+    """
     dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
     taus = boundary.node_chord_lengths(dirs)
     normal_dot = boundary.normals @ dirs.T
     gl_frac, gl_w = composite_rule(quad.panels, quad.points)
-    fine, tail = _tail_rule(quad.panels, quad.points)
+    x, w = leggauss(EXACT_POINTS)
     data = np.zeros((boundary.n_nodes, angular.n_angles))
     for j, th in enumerate(dirs):
         out = normal_dot[:, j] > TOL_TANGENT
@@ -290,16 +313,26 @@ def reference_forward(f, a, boundary, angular, quad):
             continue
         tau = taus[out, j]
         entry = boundary.positions[out] - tau[:, None] * th[None, :]
-        fv = f(broadcast_points(entry, th, tau[:, None] * gl_frac[None, :]))
-        if not a.is_zero:
-            av = a(broadcast_points(entry, th, tau[:, None] * fine[None, :]))
-            fv = fv * np.exp(-tau[:, None] * (av @ tail.T))
-        data[out, j] = tau * np.einsum("mk,k->m", fv, gl_w, optimize=False)
+        if a.is_zero:
+            data[out, j] = reference_chords(f, entry, th, np.zeros_like(tau), tau, quad)
+            continue
+        assert a.line_degree is not None
+        lo, hi = clip_chords(f, entry, th, np.zeros_like(tau), tau)
+        t = lo[:, None] + (hi - lo)[:, None] * gl_frac[None, :]
+        fv = f(broadcast_points(entry, th, t))
+        a_lo, a_hi = clip_chords(a, entry, th, np.zeros_like(tau), tau)
+        start = np.clip(t, a_lo[:, None], a_hi[:, None])
+        half = (a_hi[:, None] - start) / 2.0                       # (m, K)
+        s_a = start[:, :, None] + half[:, :, None] * (x + 1.0)     # (m, K, 8)
+        av = a(broadcast_points(entry, th, s_a.reshape(len(tau), -1))).reshape(s_a.shape)
+        da = half * (av @ w)
+        data[out, j] = (hi - lo) * np.einsum("mk,k->m", fv * np.exp(-da), gl_w, optimize=False)
     return data
 
 
 class TestRaySampler:
-    """Every chord quadrature samples through ray_points, bit for bit."""
+    """Every chord quadrature samples through ray_points: chord integrals and
+    the plain forward match a broadcast reference bit for bit."""
 
     @pytest.fixture(scope="class")
     def boundaries(self, disk256, ellipse256):
@@ -356,52 +389,84 @@ class TestRaySampler:
             assert quad.nodes_weights()[0] is nodes
 
     def test_radon_profile_and_chords_exact(self, boundaries):
+        """Polynomial fields take one panel on the clipped chord, others quad's rule."""
         quad = QuadSettings(panels=4, points=6)
         for b in boundaries:
-            a = phantom("shifted-poly-bump", b, params={"center": (-0.2, 0.1), "radius": 0.6})
-            th = np.array([np.cos(0.9), np.sin(0.9)])
-            s_vals = np.linspace(-1.1, 1.1, 41)
-            assert np.array_equal(radon_profile(a, b, th, s_vals, quad),
-                                  reference_profile(a, b, th, s_vals, quad))
-            starts = np.random.default_rng(3).uniform(-0.6, 0.6, size=(17, 2))
-            _, taus, _ = b.line_spans(starts, th)
-            nodes, weights = composite_rule(quad.panels, quad.points)
-            ref = taus * np.einsum("mk,k->m", a(broadcast_points(starts, th, taus[:, None] * nodes)),
-                                   weights, optimize=False)
-            assert np.array_equal(_chord_integrals(a, starts, taus, th, quad), ref)
+            for a in (phantom("shifted-poly-bump", b, params={"center": (-0.2, 0.1), "radius": 0.6}),
+                      phantom("gaussian-truncated", b, params={"center": (0.3, -0.2), "sigma": 0.5})):
+                th = np.array([np.cos(0.9), np.sin(0.9)])
+                s_vals = np.linspace(-1.1, 1.1, 41)
+                assert np.array_equal(radon_profile(a, b, th, s_vals, quad),
+                                      reference_profile(a, b, th, s_vals, quad))
+                starts = np.random.default_rng(3).uniform(-0.6, 0.6, size=(17, 2))
+                _, taus, _ = b.line_spans(starts, th)
+                assert np.array_equal(chord_integrals(a, starts, th, 0.0, taus, quad),
+                                      reference_chords(a, starts, th, np.zeros(17), taus, quad))
 
     def test_forward_exact(self, boundaries):
+        """Bit for bit without attenuation; with a polynomial `a`, Da by a
+        Gauss panel of its own per node agrees to roundoff."""
         ang = AngularGrid(12)
         quad = QuadSettings(panels=4, points=6)
         for b in boundaries:
             f = phantom("shifted-poly-bump", b)
-            for a in (phantom("zero", b),
-                      phantom("shifted-poly-bump", b,
-                              params={"center": (-0.2, 0.1), "radius": 0.6, "amplitude": 0.3})):
-                got = forward_sinogram(f, a, b, ang, quad).data
-                assert np.array_equal(got, reference_forward(f, a, b, ang, quad))
+            got = forward_sinogram(f, phantom("zero", b), b, ang, quad).data
+            assert np.array_equal(got, reference_forward(f, phantom("zero", b), b, ang, quad))
+            a = phantom("shifted-poly-bump", b,
+                        params={"center": (-0.2, 0.1), "radius": 0.6, "amplitude": 0.3})
+            got = forward_sinogram(f, a, b, ang, quad).data
+            ref = reference_forward(f, a, b, ang, quad)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def monomial_field(k, boundary):
+    """x^k, with no support disk: it takes the composite rules."""
+    return ScalarField(lambda x, y: x ** k, boundary, name="x^%d" % k)
 
 
 class TestTailRule:
-    """Da at the quadrature nodes from samples on the finer rule."""
+    """Da at any position along each chord from `a` sampled on its own rule."""
 
     @pytest.mark.parametrize("panels, points", [(8, 8), (2, 2), (4, 6), (3, 5), (16, 10)])
-    def test_tail_integrals_exact(self, panels, points):
-        fine, tail = _tail_rule(panels, points)
-        nodes = QuadSettings(panels, points).nodes_weights()[0]
-        q_f = max(points, 8)
-        assert tail.shape == (panels * points, max(4 * panels, 32) * q_f)
-        assert np.max(np.abs(tail.sum(axis=1) - (1.0 - nodes))) <= 1e-14
-        for k in range(q_f):
-            exact = (1.0 - nodes ** (k + 1)) / (k + 1)
-            assert np.max(np.abs(tail @ fine ** k - exact)) <= 1e-13
+    def test_tail_integrals_exact(self, disk256, panels, points):
+        """Without a support: max(4P, 32) x max(Q, 8) over the whole chord,
+        exact for degree up to max(Q, 8) - 1 from anywhere on or off it."""
+        rng = np.random.default_rng(panels * 31 + points)
+        starts = np.column_stack([rng.uniform(-0.9, 0.0, 9), rng.uniform(-0.5, 0.5, 9)])
+        tau = rng.uniform(0.3, 0.9, 9)
+        t = rng.uniform(-0.2, 1.2, (9, 13)) * tau[:, None]
+        x_end = starts[:, :1] + tau[:, None]
+        x_from = starts[:, :1] + np.clip(t, 0.0, tau[:, None])
+        quad = QuadSettings(panels, points)
+        for k in range(max(points, 8)):
+            got = _tail_integrals(monomial_field(k, disk256), starts, np.array([1.0, 0.0]),
+                                  tau, t, quad)
+            exact = (x_end ** (k + 1) - x_from ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(got - exact)) <= 1e-13
+
+    def test_polynomial_tails_exact(self, ellipse256):
+        """A polynomial `a` takes one panel on its clipped span, exact;
+        chords that miss its support give exactly 0."""
+        a = phantom("shifted-poly-bump", ellipse256,
+                    params={"center": (0.4, -0.1), "radius": 0.45, "amplitude": 0.3})
+        rng = np.random.default_rng(5)
+        th = np.array([np.cos(0.3), np.sin(0.3)])
+        starts = rng.uniform(-1.0, 0.8, (40, 2))
+        _, tau, _ = ellipse256.line_spans(starts, th)
+        t = rng.uniform(-0.1, 1.1, (40, 11)) * tau[:, None]
+        got = _tail_integrals(a, starts, th, tau, t, QuadSettings())
+        exact = bump_chord_integral(a, starts[:, None, :], th,
+                                    np.clip(t, 0.0, tau[:, None]), tau[:, None])
+        assert np.max(np.abs(got - exact)) <= 1e-14
+        miss = bump_chord_integral(a, starts, th, 0.0, tau) == 0.0
+        assert np.any(miss) and np.all(got[miss] == 0.0)
 
     def test_cached_read_only(self):
-        fine, tail = _tail_rule(8, 8)
-        assert not fine.flags.writeable and not tail.flags.writeable
+        anti = _lagrange_antiderivatives(8)
+        assert anti.shape == (9, 8) and not anti.flags.writeable
         with pytest.raises(ValueError):
-            tail[0, 0] = 0.0
-        assert _tail_rule(8, 8)[1] is tail
+            anti[0, 0] = 0.0
+        assert _lagrange_antiderivatives(8) is anti
 
 
 def accuracy_case(name):
@@ -418,19 +483,37 @@ def accuracy_case(name):
 
 
 class TestForwardAccuracy:
-    """The attenuated forward is no less accurate than the trapezoid pass it replaced.
+    """The attenuated forward is no less accurate than the rules it replaced.
 
     Max relative error of the sinogram of the poly-bump source against
-    trapezoid_forward at 32x its steps, 64 nodes and 16 angles: `new` is
-    the tail rule's, `old` the former 8-step trapezoid pass's.  Each gate
-    is 1.5x `new` and lies below `old`.  The ellipse's poly-bump map has
-    its C^{1,1} edge inside the domain, which holds the tail rule near
-    5e-8 while its 32 fine panels cross it.  On the smooth disk maps
-    (poly-bump, gaussian) `new` is the reference's own error: against
-    128x the steps the tail rule's error is about 15x smaller.
+    trapezoid_forward at 32x its steps, 64 nodes and 16 angles.  `tail`
+    is the error of the former tail rule, which sampled every `a` on
+    max(4P, 32) x max(Q, 8) points over the whole chord; `old` that of
+    the 8-step trapezoid pass before it.  A polynomial `a` now takes one
+    exact panel on its clipped span, with the figures in EXACT_A; a
+    gaussian `a` keeps the tail rule's interpolants, so its figure is
+    still `tail`.  Each gate is 1.5x the figure, which lies at or below
+    `tail`, below `old`.  Every figure here is the reference's own
+    error: against 128x the steps the forward's error is about 15x
+    smaller.  The ellipse's map has its C^{1,1} edge inside the domain,
+    which held the tail rule near 5e-8 while its fine panels crossed it;
+    on the clipped span it reads as the disk does.
     """
 
-    @pytest.mark.parametrize("panels, points, name, new, old", [
+    EXACT_A = {
+        (2, 8, "disk-poly"): 5.62e-10, (2, 8, "ellipse-poly"): 5.62e-10,
+        (2, 8, "disk-shifted"): 1.28e-8,
+        (4, 6, "disk-poly"): 2.53e-10, (4, 6, "ellipse-poly"): 2.53e-10,
+        (4, 6, "disk-shifted"): 5.85e-9,
+        (8, 4, "disk-poly"): 1.42e-10, (8, 4, "ellipse-poly"): 1.42e-10,
+        (8, 4, "disk-shifted"): 3.31e-9,
+        (8, 8, "disk-poly"): 3.56e-11, (8, 8, "ellipse-poly"): 3.56e-11,
+        (8, 8, "disk-shifted"): 8.25e-10,
+        (2, 2, "disk-poly"): 6.49e-9, (2, 2, "ellipse-poly"): 6.49e-9,
+        (2, 2, "disk-shifted"): 2.88e-7,
+    }
+
+    @pytest.mark.parametrize("panels, points, name, tail, old", [
         (2, 8, "disk-poly", 5.62e-10, 2.83e-7),
         (2, 8, "ellipse-poly", 4.92e-8, 2.72e-6),
         (2, 8, "disk-shifted", 2.35e-7, 1.28e-5),
@@ -452,7 +535,8 @@ class TestForwardAccuracy:
         (2, 2, "disk-shifted", 5.01e-7, 3.20e-4),
         (2, 2, "disk-gauss", 1.20e-7, 2.25e-4),
     ])
-    def test_no_less_accurate(self, panels, points, name, new, old):
+    def test_no_less_accurate(self, panels, points, name, tail, old):
+        figure = self.EXACT_A.get((panels, points, name), tail)
         b, a = accuracy_case(name)
         f = phantom("poly-bump", b)
         ang, quad = AngularGrid(16), QuadSettings(panels, points)
@@ -460,5 +544,110 @@ class TestForwardAccuracy:
         scale = np.max(np.abs(ref))
         got = np.max(np.abs(forward_sinogram(f, a, b, ang, quad).data - ref)) / scale
         former = np.max(np.abs(trapezoid_forward(f, a, b, ang, quad) - ref)) / scale
-        assert got <= 1.5 * new < old
+        assert got <= 1.5 * figure and figure <= tail < old
         assert got < former
+
+
+def former_tail_rule(panels, points):
+    """The forward's former Da rule: nodes of max(4P, 32) x max(Q, 8) over
+    the whole chord and the matrix from samples there to the integrals
+    from each (P, Q) node to the chord's end."""
+    fp, fq = max(4 * panels, 32), max(points, 8)
+    fine, fine_w = composite_rule(fp, fq)
+    x, w = leggauss(fq)
+    anti = legint((np.arange(fq) + 0.5)[:, None] * legvander(x, fq - 1).T * w, axis=0)
+    nodes = composite_rule(panels, points)[0]
+    pan = np.minimum((nodes * fp).astype(int), fp - 1)
+    part = (legval(1.0, anti)[:, None] - legval(2.0 * (nodes * fp - pan) - 1.0, anti)) / (2.0 * fp)
+    col_pan = np.arange(fp * fq) // fq
+    tail = np.where(col_pan > pan[:, None], fine_w, 0.0)
+    tail[col_pan == pan[:, None]] = part.T.ravel()
+    return fine, tail
+
+
+def former_forward(f, a, boundary, angular, quad):
+    """The attenuated forward as it was with the former tail rule: every
+    rule over the whole chord."""
+    dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
+    taus = boundary.node_chord_lengths(dirs)
+    normal_dot = boundary.normals @ dirs.T
+    gl_frac, gl_w = composite_rule(quad.panels, quad.points)
+    fine, tail = former_tail_rule(quad.panels, quad.points)
+    data = np.zeros((boundary.n_nodes, angular.n_angles))
+    for j, th in enumerate(dirs):
+        out = normal_dot[:, j] > TOL_TANGENT
+        tau = taus[out, j]
+        entry = boundary.positions[out] - tau[:, None] * th[None, :]
+        fv = f(broadcast_points(entry, th, tau[:, None] * gl_frac[None, :]))
+        av = a(broadcast_points(entry, th, tau[:, None] * fine[None, :]))
+        fv = fv * np.exp(-tau[:, None] * (av @ tail.T))
+        data[out, j] = tau * np.einsum("mk,k->m", fv, gl_w, optimize=False)
+    return data
+
+
+class TestExactChords:
+    """Polynomial fields integrate exactly on chords clipped to their support."""
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse", "table"])
+    def test_poly_bump_profiles_exact(self, kind):
+        b = make_boundary("disk", 512) if kind == "disk" else off_disk_boundary(kind)
+        th = np.array([np.cos(0.7), np.sin(0.7)])
+        perp = np.array([-th[1], th[0]])
+        s = np.linspace(-1.45, 1.45, 301) if kind != "disk" else np.linspace(-1.2, 1.2, 301)
+        f = phantom("poly-bump", b, params={"amplitude": 0.7})
+        ref = 0.7 * (16.0 / 15.0) * np.maximum(1.0 - s * s, 0.0) ** 2.5
+        got = radon_profile(f, b, th, s)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+        assert np.all(got[np.abs(s) >= 1.0] == 0.0)
+        c, r = np.array([0.3, 0.15]), 0.55
+        g = phantom("shifted-poly-bump", b, params={"center": tuple(c), "radius": r,
+                                                    "amplitude": 0.4})
+        rho = (s - c @ perp) / r
+        ref = 0.4 * r * (16.0 / 15.0) * np.maximum(1.0 - rho * rho, 0.0) ** 2.5
+        got = radon_profile(g, b, th, s)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+        assert np.all(got[np.abs(rho) >= 1.0] == 0.0)
+
+    def test_missed_chords_exactly_zero(self, ellipse256):
+        """A chord that misses the support disk integrates to exactly 0,
+        whatever the quadrature."""
+        a = phantom("shifted-poly-bump", ellipse256, params={"center": (0.5, 0.2), "radius": 0.3})
+        th = np.array([1.0, 0.0])
+        starts = np.column_stack([np.full(7, -0.4), np.linspace(-0.9, -0.2, 7)])
+        _, tau, _ = ellipse256.line_spans(starts, th)
+        got = chord_integrals(a, starts, th, 0.0, tau, QuadSettings(2, 2))
+        assert np.all(got == 0.0)
+        lo, hi = clip_chords(a, starts, th, np.zeros(7), tau)
+        assert np.all(lo == hi)
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse"])
+    def test_shifted_attenuation_converges_to_forward(self, kind):
+        """`a`'s support, off centre, clips each chord elsewhere than f's: the
+        trapezoid oracle approaches the forward at second order in its steps."""
+        b = make_boundary("disk", 64) if kind == "disk" else make_boundary("ellipse", 64, a=1.5, b=1.0)
+        f = phantom("poly-bump", b)
+        a = phantom("shifted-poly-bump", b)
+        ang, quad = AngularGrid(16), QuadSettings(2, 8)
+        got = forward_sinogram(f, a, b, ang, quad).data
+        errs = [np.max(np.abs(trapezoid_forward(f, a, b, ang, quad, steps=n) - got))
+                for n in (64, 256, 1024)]
+        assert errs[0] > 12.0 * errs[1] > 144.0 * errs[2]
+        assert errs[2] <= 1e-9 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse"])
+    def test_gaussian_attenuation_keeps_tail_rule(self, kind):
+        """A gaussian `a` has no support: the forward samples it as the former
+        tail rule did and matches it to roundoff.  (No table here: the mask
+        of a gaussian costs a containment test per sample there.)"""
+        if kind == "disk":
+            b = make_boundary("disk", 128)
+            f = phantom("poly-bump", b)      # its support is the whole domain
+        else:
+            b = off_disk_boundary(kind)
+            f = phantom("gaussian-truncated", b, params={"center": (0.2, -0.1), "sigma": 0.4})
+        a = phantom("gaussian-truncated", b, params={"sigma": 0.5, "amplitude": 0.8})
+        ang = AngularGrid(16)
+        for quad in (QuadSettings(), QuadSettings(3, 5)):
+            got = forward_sinogram(f, a, b, ang, quad).data
+            ref = former_forward(f, a, b, ang, quad)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
