@@ -104,9 +104,9 @@ class IntegratingFactor:
 class InteriorFactors:
     """Factor data on the inside points of a Cartesian grid."""
 
-    def __init__(self, grid, inside, beta, a_values):
+    def __init__(self, grid, beta, a_values):
         self.grid = grid
-        self.inside = inside                # bool (ny*nx,)
+        self.inside = grid.inside           # bool (ny*nx,)
         self.beta = beta                    # (N+1, p_in)
         self.a_values = a_values            # (p_in,)
 
@@ -209,8 +209,7 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
 
     int_pts = None
     if interior_grid is not None:
-        inside = interior_grid.boundary.contains(interior_grid.points_all)
-        int_pts = interior_grid.points_all[inside]
+        int_pts = interior_grid.points_all[interior_grid.inside]
     h_b, h_i = _sample_h(a, boundary, angular, quad, s_samples, int_pts)
 
     alpha, beta, neg = _factor_modes(h_b, n_modes, tol_neg, "boundary")
@@ -225,7 +224,7 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
     if int_pts is not None:
         _, beta_i, neg_i = _factor_modes(h_i, n_modes, tol_neg, "interior grid")
         neg = max(neg, neg_i)
-        interior = InteriorFactors(interior_grid, inside, beta_i, a(int_pts))
+        interior = InteriorFactors(interior_grid, beta_i, a(int_pts))
 
     return IntegratingFactor(
         boundary, angular, n_modes, alpha, beta, a.is_zero,
@@ -289,6 +288,7 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
         same = (
             gi.nx == grid.nx and gi.ny == grid.ny
             and np.allclose(gi.xs, grid.xs) and np.allclose(gi.ys, grid.ys)
+            and np.array_equal(gi.inside, grid.inside)
         )
         if not same:
             raise GridMismatch("factors were built on a different interior grid")
@@ -297,11 +297,11 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     n_modes = g.n_modes
     ag_trace = ModeTrace(g.boundary, n_modes, convolve(factors.alpha, g.data))
 
-    eval_mask = grid.valid & inter.inside
     dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, margin=margin, field=True)
-    keep = inter.inside[grid.valid]
-    dv, v_data = dv[:, keep], v.data[:, keep]
-    fd_ok = ~fd_zeroed_mask(factors, grid)[eval_mask]
+    # column-major like v and the factor columns: each point's mode sum below
+    # then adds its terms in one order
+    dv = np.asfortranarray(dv)
+    fd_ok = ~fd_zeroed_mask(factors, grid)[grid.valid]
 
     # factor rows mapped onto the full picture for finite differences
     ny, nx = grid.ny, grid.nx
@@ -313,24 +313,20 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     dbx[:, :, 1:-1] = (beta_pic[:, :, 2:] - beta_pic[:, :, :-2]) / (2.0 * grid.hx)
     dby[:, 1:-1, :] = (beta_pic[:, 2:, :] - beta_pic[:, :-2, :]) / (2.0 * grid.hy)
     del_beta_pic = 0.5 * (dbx - 1.0j * dby)
-    del_beta = del_beta_pic.reshape(n_modes + 1, ny * nx)[:, eval_mask]
-    del_beta = np.where(fd_ok, del_beta, 0.0)
+    del_beta = del_beta_pic.reshape(n_modes + 1, ny * nx)[:, grid.valid]
 
-    # positions of the eval points inside the interior-point list
-    inside_idx = np.cumsum(inter.inside) - 1
-    take = inside_idx[eval_mask]
-    beta_here = inter.beta[:, take]
-    a_here = inter.a_values[take]
+    # the valid points among the inside ones, where beta and a are kept
+    pick = grid.valid[grid.inside]
+    beta_here = inter.beta[:, pick]
+    a_here = inter.a_values[pick]
 
-    u0 = np.real(np.sum(beta_here * v_data, axis=0))
+    u0 = np.real(np.sum(beta_here * v.data, axis=0))
 
-    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v_data[1:], axis=0)
+    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v.data[1:], axis=0)
 
     f_vals = 2.0 * np.real(del_u1) + a_here * u0
     f_vals = np.where(fd_ok, f_vals, 0.0)
-    out = np.zeros(ny * nx)
-    out[eval_mask] = f_vals
-    return out.reshape(ny, nx)
+    return grid.unflatten(f_vals)
 
 
 def fd_zeroed_mask(factors, grid):
@@ -345,8 +341,7 @@ def fd_zeroed_mask(factors, grid):
     """
     if factors.zero_attenuation:
         return np.zeros(grid.ny * grid.nx, dtype=bool)
-    inside = factors.interior.inside
-    pic = inside.reshape(grid.ny, grid.nx)
+    pic = factors.interior.inside.reshape(grid.ny, grid.nx)
     fd_ok = np.zeros_like(pic)
     fd_ok[1:-1, 1:-1] = pic[1:-1, 2:] & pic[1:-1, :-2] & pic[2:, 1:-1] & pic[:-2, 1:-1]
-    return grid.valid & inside & ~fd_ok.ravel()
+    return grid.valid & ~fd_ok.ravel()

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooCloseToBoundary, InconsistentInput, OutsideDomain
+from .geometry import ON_BOUNDARY_TOL
 from .harmonics import ModeTrace, weighted_norms
 
 
@@ -83,9 +84,9 @@ TARGET_CHUNK = 64
 def _require_interior(boundary, points, margin):
     """The points as complex targets, checked to lie inside, margin from the curve.
 
-    A CartesianGrid on this boundary stands for its valid points, which
-    passed the same two tests at the grid's margin: when that covers
-    `margin`, they are not run again.
+    One signed distance decides both.  A CartesianGrid on this boundary
+    stands for its valid points, which passed the same cut at the grid's
+    margin: when that covers `margin`, it is not made again.
     """
     if margin is None:
         margin = boundary.interior_margin()
@@ -94,11 +95,10 @@ def _require_interior(boundary, points, margin):
             return _as_complex_points(points.points)
         points = points.points
     z = _as_complex_points(points)
-    pts = np.column_stack([z.real, z.imag])
-    if not np.all(boundary.contains(pts)):
+    d = boundary.distance_to_boundary(np.column_stack([z.real, z.imag]))
+    if np.any(d < -ON_BOUNDARY_TOL):
         raise OutsideDomain("evaluation point outside the closed domain")
-    d = boundary.distance_to_boundary(pts) if margin > 0.0 else np.inf
-    if np.any(d < margin):
+    if margin > 0.0 and np.any(d < margin):
         raise TooCloseToBoundary(
             "evaluation point %g from the boundary; margin is %g "
             "(pass margin=0 to override, or use the trace operators)"
@@ -294,10 +294,11 @@ def _cauchy_field(g, targets, gg, cg):
 class CartesianGrid:
     """Regular Cartesian grid clipped to the domain interior.
 
-    Points are ordered row-major with x varying fastest.  `valid` marks
-    points inside the domain at roughly `margin` distance from the
-    boundary; evaluation happens on the valid subset and `unflatten`
-    scatters values back to the (ny, nx) picture with zeros elsewhere.
+    Points are ordered row-major with x varying fastest.  One signed
+    distance sets `inside` (the closed domain) and `valid` (at least
+    `margin` inside it); evaluation happens on the valid subset and
+    `unflatten` scatters values back to the (ny, nx) picture with zeros
+    elsewhere.
     """
 
     def __init__(self, boundary, nx, ny, margin=None, extent=None):
@@ -315,9 +316,9 @@ class CartesianGrid:
         gx, gy = np.meshgrid(self.xs, self.ys)
         self.points_all = np.column_stack([gx.ravel(), gy.ravel()])
         self.margin = boundary.interior_margin() if margin is None else float(margin)
-        inside = boundary.contains(self.points_all)
         dist = boundary.distance_to_boundary(self.points_all)
-        self.valid = inside & (dist >= self.margin)
+        self.inside = dist >= -ON_BOUNDARY_TOL
+        self.valid = dist >= self.margin
         self.points = self.points_all[self.valid]
 
     def unflatten(self, values, fill=0.0):

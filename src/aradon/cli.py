@@ -232,8 +232,7 @@ def cmd_phantom(cfg, args):
     f = cfg.make_phantom(which, boundary)
     grid = cfg.make_grid(boundary)
     vals = np.zeros(grid.ny * grid.nx)
-    inside = boundary.contains(grid.points_all)
-    vals[inside] = f(grid.points_all[inside])
+    vals[grid.inside] = f(grid.points_all[grid.inside])
     pic = vals.reshape(grid.ny, grid.nx)
     path = os.path.join(out, "phantom_%s.csv" % which)
     aio.write_field_csv(path, grid.xs, grid.ys, pic)

@@ -32,7 +32,7 @@ EXTREMUM_ITERS = 8         # cap on Newton steps refining the extrema of s(u) on
 ROOT_ITERS = 60            # cap on safeguarded Newton steps per arc crossing
 ROOT_STEP_TOL = 1e-13      # parameter step below which a Newton iterate counts as converged
 CURVATURE_FLOOR = 1e-6     # strictly positive curvature bound delta
-POINT_CHUNK = 128          # points per pass of the (points x polyline samples) searches
+POINT_CHUNK = 128          # points per pass of the (points x curve samples) distance search
 
 # Config-file spellings of the boundary kinds.
 KIND_ALIASES = {"disk": "unit-disk", "table": "generic"}
@@ -180,37 +180,18 @@ class ConvexBoundary:
             form = (pts[:, 0] / self.a) ** 2 + (pts[:, 1] / self.b) ** 2
             inside = form <= 1.0 + 2.0 * tol / min(self.a, self.b)
         else:
-            inside = self._winding_inside(pts) | (self.distance_to_boundary(pts) <= tol)
+            inside = self.distance_to_boundary(pts) >= -tol
         return inside if np.asarray(points).ndim == 2 else bool(inside[0])
 
-    def _winding_inside(self, pts):
-        # Ray-crossing parity against a dense polyline sample of the spline.
-        t = np.linspace(0.0, 2.0 * np.pi, 8 * self.n_nodes, endpoint=False)
-        poly = self.position_at(t)
-        x0, y0 = poly[:, 0], poly[:, 1]
-        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-        dx, dy = x1 - x0, y1 - y0 + 1e-300
-        inside = np.empty(len(pts), dtype=bool)
-        m = min(len(pts), POINT_CHUNK)
-        cut = np.empty((m, len(t)))                     # reused: no page faults per chunk
-        above0, above1 = np.empty((2, m, len(t)), dtype=bool)
-        for lo in range(0, len(pts), POINT_CHUNK):
-            px, py = pts[lo:lo + POINT_CHUNK, 0, None], pts[lo:lo + POINT_CHUNK, 1, None]
-            c, a0, a1 = cut[:len(px)], above0[:len(px)], above1[:len(px)]
-            np.subtract(py, y0, out=c)
-            c *= dx
-            c /= dy
-            c += x0                                     # x where each edge meets height py
-            np.not_equal(np.greater(y0, py, out=a0), np.greater(y1, py, out=a1), out=a0)
-            a0 &= np.less(px, c, out=a1)
-            inside[lo:lo + POINT_CHUNK] = np.count_nonzero(a0, axis=1) % 2 == 1
-        return inside
-
     def distance_to_boundary(self, points):
-        """Unsigned distance from each point to the curve (Newton-polished)."""
+        """Signed distance from each point to the curve, positive inside.
+
+        The sign is the side of the tangent at the Newton foot, exact on a
+        convex curve: the interior lies left of it.  The disk takes 1 - |p|.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "unit-disk":
-            d = np.abs(1.0 - np.hypot(pts[:, 0], pts[:, 1]))
+            d = 1.0 - np.hypot(pts[:, 0], pts[:, 1])
             return d if np.asarray(points).ndim == 2 else float(d[0])
         t = np.linspace(0.0, 2.0 * np.pi, 8 * self.n_nodes, endpoint=False)
         cand = self.position_at(t)
@@ -233,7 +214,9 @@ class ConvexBoundary:
             gp = np.sum(dw * dw, axis=1) + np.sum(r * ddw, axis=1)
             step = g / np.where(np.abs(gp) > 1e-300, gp, 1e-300)
             u = u - np.clip(step, -0.5, 0.5)
-        d = np.hypot(*(self.position_at(u) - pts).T)
+        r = pts - self.position_at(u)
+        d = np.hypot(r[:, 0], r[:, 1])
+        d = np.where(_cross(self._derivative_at(u), r) < 0.0, -d, d)
         return d if np.asarray(points).ndim == 2 else float(d[0])
 
     def interior_margin(self, n_spacings=3.0):
@@ -391,10 +374,6 @@ def make_boundary(kind, n_nodes, a=1.0, b=1.0, table=None):
     if kind == "ellipse":
         if a <= 0 or b <= 0:
             raise NonConvex("ellipse semi-axes must be positive")
-        if a == b == 1.0:
-            # Degenerate ellipse: identical to the unit disk, but keep the
-            # requested kind so descriptors round-trip.
-            return ConvexBoundary("ellipse", n_nodes, a=1.0, b=1.0)
         return ConvexBoundary("ellipse", n_nodes, a=a, b=b)
     if kind == "generic":
         return ConvexBoundary("generic", n_nodes, table=table)

@@ -223,7 +223,6 @@ def write_factors_cache(path, factors, config_hash=None):
                        float(gi.ys[0]), float(gi.ys[-1])],
         }
         arrays += [
-            ("inside", factors.interior.inside.astype(np.uint8), "<u1"),
             ("beta_interior", factors.interior.beta, "<c16"),
             ("a_values", factors.interior.a_values, "<f8"),
         ]
@@ -255,7 +254,8 @@ def read_factors_cache(path, boundary=None, angular=None):
     them (GridMismatch otherwise; a boundary matches when its descriptor
     equals the cached one) and the given objects are used so the factors
     share identity with the caller's grids.  Blocks are read by name, so
-    caches that also carry h and the interior alpha still load.
+    caches that also carry h, the interior alpha or an inside mask still
+    load if that mask is the inside set of the header's grid.
     """
     header, payload = _read_container(
         path, _FACTORS_FORMAT,
@@ -288,14 +288,21 @@ def read_factors_cache(path, boundary=None, angular=None):
     im = header.get("interior")
     if im is not None:
         _require(im, ("nx", "ny", "margin", "extent"), path, "interior")
-    names = ("alpha", "beta") + (() if im is None else ("inside", "beta_interior", "a_values"))
+    names = ("alpha", "beta") + (() if im is None else ("beta_interior", "a_values"))
+    if im is not None and any(isinstance(b, dict) and b.get("name") == "inside" for b in header["blocks"]):
+        names += ("inside",)  # an older cache's mask, checked against the grid
     data = _split_blocks(path, header["blocks"], payload, names)
     interior = None
     if im is not None:
         grid = CartesianGrid(boundary, im["nx"], im["ny"], margin=im["margin"],
                              extent=tuple(im["extent"]))
-        interior = InteriorFactors(grid, data["inside"].astype(bool),
-                                   data["beta_interior"], data["a_values"])
+        if "inside" in data and not np.array_equal(data["inside"].ravel() != 0, grid.inside):
+            raise GridMismatch("%s: its inside mask is not its grid's; rebuild it" % path)
+        n_in = int(np.count_nonzero(grid.inside))
+        if data["beta_interior"].shape[-1:] != (n_in,) or data["a_values"].shape != (n_in,):
+            raise ConfigError("%s: interior blocks are not %d points wide, the inside "
+                              "points of the header's grid" % (path, n_in))
+        interior = InteriorFactors(grid, data["beta_interior"], data["a_values"])
     return IntegratingFactor(
         boundary, angular, int(header["n_modes"]), data["alpha"], data["beta"],
         bool(header["zero_attenuation"]), header.get("a", {}),

@@ -101,13 +101,12 @@ def ray_points(starts, direction, t):
 
 
 class ScalarField:
-    """Scalar function on the closed domain, zero outside.
+    """Scalar function on the closed domain, where its callers sample it.
 
-    Wraps a vectorized formula of the coordinate planes (x, y).  With
-    `mask_domain` its values are set to zero outside the domain, for
-    formulas whose own support reaches past it.  Calling the field takes
-    points with a last axis of length 2; `planes` takes the coordinates
-    as two arrays of one shape, as ray_points lays them out.
+    Wraps a vectorized formula of the coordinate planes (x, y); no mask
+    cuts it off outside.  Calling the field takes points with a last axis
+    of length 2; `planes` takes the coordinates as two arrays of one
+    shape, as ray_points lays them out.
 
     A field may carry a `support` disk, (center, radius), outside which
     it is zero, and a `line_degree`: the degree of the polynomial it is
@@ -115,13 +114,10 @@ class ScalarField:
     (chord_integrals).
     """
 
-    def __init__(self, func, boundary, name="", params=None, mask_domain=False,
-                 support=None, line_degree=None):
+    def __init__(self, func, name="", params=None, support=None, line_degree=None):
         self._func = func
-        self.boundary = boundary
         self.name = name
         self.params = dict(params or {})
-        self._mask_domain = mask_domain
         self.support = support            # (center (2,), radius): zero outside
         self.line_degree = line_degree    # polynomial degree along lines inside support
 
@@ -132,11 +128,7 @@ class ScalarField:
 
     def planes(self, x, y):
         """Values at the points (x, y); x and y are arrays of one shape."""
-        out = np.asarray(self._func(x, y), dtype=float)
-        if self._mask_domain:
-            flat = np.stack([np.ravel(x), np.ravel(y)], axis=-1)
-            out = np.where(self.boundary.contains(flat).reshape(out.shape), out, 0.0)
-        return out
+        return np.asarray(self._func(x, y), dtype=float)
 
     @property
     def is_zero(self):
@@ -149,7 +141,7 @@ def phantom(name, boundary, params=None):
     poly-bump          (1 - |x|^2)^2 on the unit disk, 0 outside it (C^{1,1})
     shifted-poly-bump  same profile moved to `center`, support radius `radius`
     gaussian-truncated amplitude * exp(-|x-center|^2 / sigma^2), cut off
-                       at the boundary
+                       at the boundary by the domain its callers sample
     zero               identically 0
 
     Both bumps carry their support disk and line degree 4 (a quartic
@@ -164,7 +156,7 @@ def phantom(name, boundary, params=None):
             return amp * np.maximum(1.0 - r2, 0.0) ** 2
         c = np.zeros(2)
         _check_disk_support(boundary, c, 1.0, name)
-        return ScalarField(f, boundary, name=name, params={"amplitude": amp},
+        return ScalarField(f, name=name, params={"amplitude": amp},
                            support=(c, 1.0), line_degree=4)
     if name == "shifted-poly-bump":
         c = np.asarray(p.get("center", (0.3, 0.15)), dtype=float)
@@ -175,7 +167,7 @@ def phantom(name, boundary, params=None):
         def f(x, y):
             r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2
             return amp * np.maximum(1.0 - r2 / r ** 2, 0.0) ** 2
-        return ScalarField(f, boundary, name=name,
+        return ScalarField(f, name=name,
                            params={"center": tuple(c), "radius": r, "amplitude": amp},
                            support=(c, r), line_degree=4)
     if name == "gaussian-truncated":
@@ -186,20 +178,17 @@ def phantom(name, boundary, params=None):
         def f(x, y):
             r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2
             return amp * np.exp(-r2 / sig ** 2)
-        return ScalarField(f, boundary, name=name,
-                           params={"center": tuple(c), "sigma": sig, "amplitude": amp},
-                           mask_domain=True)
+        return ScalarField(f, name=name,
+                           params={"center": tuple(c), "sigma": sig, "amplitude": amp})
     if name == "zero":
-        return ScalarField(lambda x, y: np.zeros(np.shape(x)), boundary, name="zero")
+        return ScalarField(lambda x, y: np.zeros(np.shape(x)), name="zero")
     raise UnknownPhantom("unknown phantom %r" % (name,))
 
 
 def _check_disk_support(boundary, center, radius, name):
-    # The support disk must stay inside the closed domain.
-    t = np.linspace(0.0, 2.0 * np.pi, 16 * boundary.n_nodes, endpoint=False)
-    w = boundary.position_at(t)
-    dmin = float(np.min(np.hypot(w[:, 0] - center[0], w[:, 1] - center[1])))
-    if not boundary.contains(np.asarray(center, dtype=float)) or dmin < radius - 1e-12:
+    # The support disk must stay inside the closed domain: its centre at
+    # least `radius` inside the curve (a negative distance is outside).
+    if boundary.distance_to_boundary(np.asarray(center, dtype=float)) < radius - 1e-12:
         raise SupportViolation(
             "%s support disk (center %s, radius %g) leaks outside the domain"
             % (name, tuple(center), radius)

@@ -191,19 +191,21 @@ class TestReconstructCommand:
                              ids=["ellipse", "disk-attenuated"])
     def test_grid_points_checked_once(self, tmp_path, monkeypatch, boundary, attenuated):
         """The kernels take the grid's own inside and distance cut: the grid
-        makes the one distance call of a reconstruct."""
+        makes the one distance call on many points of a reconstruct.  The
+        others take one point each, the centre of a phantom's support disk."""
         cfg, sino = self._sinogram(tmp_path, boundary, attenuated)
         calls = []
         distance = ConvexBoundary.distance_to_boundary
 
         def counted(self, points):
-            calls.append(len(points))
+            calls.append(np.shape(points))
             return distance(self, points)
 
         monkeypatch.setattr(ConvexBoundary, "distance_to_boundary", counted)
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"),
                      sino]) == 0
-        assert calls == [20 * 20]
+        assert [s for s in calls if s != (2,)] == [(20 * 20, 2)]
+        assert len(calls) == 1 + (2 if attenuated else 1)
 
     def test_grid_margin_below_kernel_margin_exits_three(self, tmp_path, capsys):
         cfg, sino = self._sinogram(tmp_path, ELLIPSE, grid={"margin": 0.01})
@@ -546,6 +548,25 @@ def _drop_interior_nx(header, payload):
     return payload
 
 
+def _narrow_block(name):
+    """Drop the last point of block `name`: one narrower than the header
+    grid's inside set."""
+    def edit(header, payload):
+        offset = 0
+        for blk in header["blocks"]:
+            dt = np.dtype(blk["dtype"])
+            nbytes = int(np.prod(blk["shape"])) * dt.itemsize
+            if blk["name"] == name:
+                arr = np.frombuffer(payload, dtype=dt, count=nbytes // dt.itemsize,
+                                    offset=offset).reshape(blk["shape"])
+                blk["shape"][-1] -= 1
+                return (payload[:offset] + np.ascontiguousarray(arr[..., :-1]).tobytes()
+                        + payload[offset + nbytes:])
+            offset += nbytes
+        raise AssertionError("the cache has no %s block" % name)
+    return edit
+
+
 def _drop_block_key(key):
     def edit(header, payload):
         del header["blocks"][1][key]
@@ -565,12 +586,15 @@ class TestMalformedContainer:
         ("sinogram", _drop_boundary_kind),
         ("cache", _drop_boundary_kind),
         ("cache", _drop_interior_nx),
+        ("cache", _narrow_block("beta_interior")),
+        ("cache", _narrow_block("a_values")),
         ("cache", _drop_block_key("name")),
         ("cache", _drop_block_key("shape")),
         ("cache", _drop_block_key("dtype")),
     ], ids=["sinogram-angles", "cache-no-beta", "cache-block-past-payload",
             "cache-no-n-modes", "sinogram-boundary-no-kind", "cache-boundary-no-kind",
-            "cache-interior-no-nx", "cache-block-no-name", "cache-block-no-shape",
+            "cache-interior-no-nx", "cache-narrow-beta-interior",
+            "cache-narrow-a-values", "cache-block-no-name", "cache-block-no-shape",
             "cache-block-no-dtype"])
     def test_header_edit_exits_two(self, tmp_path, capsys, target, edit):
         cfg = write_config(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aradon.bukhgeim import CartesianGrid
 from aradon.errors import NonConvex, TooFewNodes
 from aradon.geometry import ON_BOUNDARY_TOL, make_boundary, tau_angular_jump
 
@@ -294,7 +295,8 @@ class TestLineSpans:
 
 class TestDistanceToBoundary:
     def test_chunked_search_exact_and_bounded(self):
-        """4096 points on the 512-node 1.5 x 1 ellipse: small peak, unchanged values."""
+        """4096 points on the 512-node 1.5 x 1 ellipse: small peak, unchanged
+        magnitudes, the sign of the side of the tangent at the foot."""
         b = make_boundary("ellipse", 512, a=1.5, b=1.0)
         xs, ys = np.meshgrid(np.linspace(-1.6, 1.6, 64), np.linspace(-1.1, 1.1, 64))
         pts = np.column_stack([xs.ravel(), ys.ravel()])
@@ -319,12 +321,15 @@ class TestDistanceToBoundary:
             step = g / np.where(np.abs(gp) > 1e-300, gp, 1e-300)
             u = u - np.clip(step, -0.5, 0.5)
         ref = np.hypot(*(b.position_at(u) - pts).T)
-        assert np.array_equal(d, ref)
+        assert np.array_equal(np.abs(d), ref)
+        form = (pts[:, 0] / 1.5) ** 2 + pts[:, 1] ** 2
+        assert np.array_equal(d > 0.0, form < 1.0)
+        assert 0 < np.sum(d > 0.0) < len(pts)
 
 
 class TestContains:
     def test_memory_bounded(self):
-        """1024 points on a 512-node table: small peak, unchanged membership."""
+        """1024 points on a 512-node table: small peak, the ellipse's membership."""
         ell = make_boundary("ellipse", 512, a=1.5, b=1.0)
         b = make_boundary("table", 512, table=ell.positions)
         xs, ys = np.meshgrid(np.linspace(-1.6, 1.6, 32), np.linspace(-1.1, 1.1, 32))
@@ -337,16 +342,59 @@ class TestContains:
             tracemalloc.stop()
         assert peak < 32e6
 
-        # reference: crossing parity against the 8n-sample polyline in one piece
-        poly = b.position_at(np.linspace(0.0, 2.0 * np.pi, 8 * b.n_nodes, endpoint=False))
-        x0, y0 = poly[:, 0], poly[:, 1]
-        x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-        px, py = pts[:, 0][:, None], pts[:, 1][:, None]
-        crosses = ((y0 > py) != (y1 > py)) & (
-            px < (x1 - x0) * (py - y0) / (y1 - y0 + 1e-300) + x0
-        )
-        parity = np.sum(crosses, axis=1) % 2 == 1
-        assert np.array_equal(b._winding_inside(pts), parity)
-        ref = parity | (b.distance_to_boundary(pts) <= ON_BOUNDARY_TOL)
-        assert np.array_equal(inside, ref)
+        # reference: the signed distance over all points in one piece, and
+        # the closed form of the ellipse the table samples
+        assert np.array_equal(inside, b.distance_to_boundary(pts) >= -ON_BOUNDARY_TOL)
+        assert np.array_equal(inside, ell.contains(pts))
         assert 0 < np.sum(inside) < len(pts)
+
+
+def _table64():
+    """The 64-node table of the 1.5 x 1 ellipse."""
+    u = 2.0 * np.pi * np.arange(64) / 64
+    return make_boundary("table", 64, table=np.column_stack([1.5 * np.cos(u), np.sin(u)]))
+
+
+class TestSignedDistance:
+    """One signed distance decides membership on every kind."""
+
+    def test_half_sagitta_inside_table(self):
+        """Points half a sagitta of the 8n-sample polyline inside the curve,
+        where a crossing test against that polyline reads them outside."""
+        b = _table64()
+        m = 8 * b.n_nodes
+        for k in (0, 37, 130, 301, 444):
+            u0, u1 = 2.0 * np.pi * k / m, 2.0 * np.pi * (k + 1) / m
+            w0, w1 = b.position_at(np.array([u0, u1]))
+            mid = b.position_at(0.5 * (u0 + u1))
+            chord = (w1 - w0) / np.hypot(*(w1 - w0))
+            inward = np.array([-chord[1], chord[0]])
+            sagitta = float(np.dot(0.5 * (w0 + w1) - mid, inward))
+            assert sagitta > 1e3 * ON_BOUNDARY_TOL
+            p = mid + 0.5 * sagitta * inward
+            assert b.contains(p)
+            assert b.distance_to_boundary(p) > 0.0
+            grid = CartesianGrid(b, 1, 1, extent=(p[0], p[0], p[1], p[1]))
+            assert np.array_equal(grid.points_all, p[None, :])
+            assert grid.inside.tolist() == [True]
+
+    def test_sign_on_every_kind(self, kinds):
+        """Positive inside, negative outside, against the closed-form
+        ellipse (the table samples it) away from a thin band round the curve."""
+        pts = np.random.default_rng(5).uniform([-2.4, -1.4], [2.4, 1.4], size=(4000, 2))
+        for b, a_x, b_y in kinds:
+            d = b.distance_to_boundary(pts)
+            form = (pts[:, 0] / a_x) ** 2 + (pts[:, 1] / b_y) ** 2
+            clear = np.abs(form - 1.0) > 1e-4
+            assert np.array_equal((d > 0.0)[clear], (form < 1.0)[clear])
+            assert np.sum(form < 1.0) > 100 and np.sum(form > 1.0) > 100
+            assert b.distance_to_boundary(np.zeros(2)) == pytest.approx(min(a_x, b_y), abs=1e-9)
+            assert b.distance_to_boundary(np.array([a_x + 0.5, 0.0])) == pytest.approx(-0.5, abs=1e-9)
+
+    def test_grid_inside_is_contains(self, kinds):
+        for b, _, _ in list(kinds) + [(_table64(), 1.5, 1.0)]:
+            for margin in (None, 0.0, 0.05):
+                grid = CartesianGrid(b, 41, 37, margin=margin)
+                assert np.array_equal(grid.inside, b.contains(grid.points_all))
+                assert not np.any(grid.valid & ~grid.inside)
+                assert 0 < np.sum(grid.valid) <= np.sum(grid.inside) < len(grid.points_all)

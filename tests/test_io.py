@@ -96,8 +96,8 @@ def factor_cases(disk256):
     ellipse and a 64-point table of that ellipse.
 
     Off the disk the attenuation is weak enough for build_h's gates, as
-    in test_attenuation's pairing cases.  The 12 x 11 grid has 132 inside
-    bytes, so the block after them starts unaligned.
+    in test_attenuation's pairing cases.  In the former layout the 12 x 11
+    grid's 132 inside bytes leave the block after them unaligned.
     """
     ellipse = make_boundary("ellipse", 128, a=1.5, b=1.0)
     table = make_boundary("table", 64,
@@ -125,6 +125,11 @@ def _assert_same_factors(back, fac):
         assert back.interior.grid.ny == fac.interior.grid.ny
 
 
+def _header(path):
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())
+
+
 def _round_trip(path, case, which):
     fac = case[which]
     write_factors_cache(path, fac)
@@ -143,51 +148,72 @@ class TestFactorsCache:
             _round_trip(tmp_path / "factors.bin", case, "interior")
 
     def test_blocks_read_as_views(self, tmp_path, factor_cases):
-        """Blocks are writable views of the one payload buffer; a block that
-        would start unaligned (after 132 inside bytes) is copied instead."""
+        """Blocks are writable views of the one payload buffer."""
         for case in factor_cases:
             fac = case["interior"]
             p = tmp_path / "factors.bin"
             write_factors_cache(p, fac)
             back = read_factors_cache(p)
-            for arr in (back.alpha, back.beta):
+            for arr in (back.alpha, back.beta, back.interior.beta, back.interior.a_values):
                 assert not arr.flags.owndata and arr.flags.writeable
-            for arr in (back.interior.beta, back.interior.a_values):
-                assert arr.flags.aligned and arr.flags.writeable
             _assert_same_factors(back, fac)
 
+    def test_no_inside_block(self, tmp_path, factor_cases):
+        """The inside points come from the header's grid: no block holds them."""
+        for case in factor_cases:
+            p = tmp_path / "factors.bin"
+            write_factors_cache(p, case["interior"])
+            header = _header(p)
+            assert [b["name"] for b in header["blocks"]] == [
+                "alpha", "beta", "beta_interior", "a_values"]
+            grid = read_factors_cache(p).interior.grid
+            assert header["blocks"][2]["shape"][1] == np.count_nonzero(grid.inside)
+
     def test_former_h_and_alpha_blocks_still_read(self, tmp_path, factor_cases):
-        """A cache that also carries h and the interior alpha, in the block
-        order such caches were written in, reads with the same factors."""
-        case = factor_cases[1]
-        fac = case["interior"]
-        p = tmp_path / "factors.bin"
-        write_factors_cache(p, fac)
-        with open(p, "rb") as fh:
-            header = json.loads(fh.readline())
-        rng = np.random.default_rng(3)
-        m = fac.angular.n_angles
-        p_in = fac.interior.beta.shape[1]
+        """A cache that also carries h, the interior alpha and the inside
+        mask, in the block order such caches were written in, reads with the
+        same factors.  The block after the 132 inside bytes starts
+        unaligned and is copied.  A stored mask that differs from the
+        header grid's inside set is refused."""
+        for case in factor_cases:
+            fac = case["interior"]
+            p = tmp_path / "factors.bin"
+            write_factors_cache(p, fac)
+            header = _header(p)
+            rng = np.random.default_rng(3)
+            m = fac.angular.n_angles
+            p_in = fac.interior.beta.shape[1]
 
-        def noise(*shape):  # the reader skips these blocks' values
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            def noise(*shape):  # the reader skips these blocks' values
+                return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        blocks, payload = aio._block_bytes([
-            ("h_boundary", noise(fac.boundary.n_nodes, m), "<c16"),
-            ("alpha", fac.alpha, "<c16"),
-            ("beta", fac.beta, "<c16"),
-            ("inside", fac.interior.inside.astype(np.uint8), "<u1"),
-            ("h_interior", noise(p_in, m), "<c16"),
-            ("alpha_interior", noise(9, p_in), "<c16"),
-            ("beta_interior", fac.interior.beta, "<c16"),
-            ("a_values", fac.interior.a_values, "<f8"),
-        ])
-        header["blocks"] = blocks
-        del header["checksum"]
-        old = tmp_path / "old_factors.bin"
-        aio._write_container(old, header, payload)
-        back = read_factors_cache(old, boundary=case["boundary"], angular=case["ang"])
-        _assert_same_factors(back, fac)
+            blocks, payload = aio._block_bytes([
+                ("h_boundary", noise(fac.boundary.n_nodes, m), "<c16"),
+                ("alpha", fac.alpha, "<c16"),
+                ("beta", fac.beta, "<c16"),
+                ("inside", fac.interior.inside.astype(np.uint8), "<u1"),
+                ("h_interior", noise(p_in, m), "<c16"),
+                ("alpha_interior", noise(9, p_in), "<c16"),
+                ("beta_interior", fac.interior.beta, "<c16"),
+                ("a_values", fac.interior.a_values, "<f8"),
+            ])
+            header["blocks"] = blocks
+            del header["checksum"]
+            old = tmp_path / "old_factors.bin"
+            aio._write_container(old, header, payload)
+            back = read_factors_cache(old, boundary=case["boundary"], angular=case["ang"])
+            _assert_same_factors(back, fac)
+            for arr in (back.interior.beta, back.interior.a_values):
+                assert arr.flags.aligned and arr.flags.writeable
+            # an inside mask that is not the header grid's inside set
+            start = sum(int(np.prod(b["shape"])) * np.dtype(b["dtype"]).itemsize
+                        for b in blocks[:3])
+            edge = int(np.flatnonzero(fac.interior.inside)[0])
+            flipped = bytearray(payload)
+            flipped[start + edge] = 0
+            aio._write_container(old, header, bytes(flipped))
+            with pytest.raises(GridMismatch, match="inside mask"):
+                read_factors_cache(old)
 
     def test_wrong_format_rejected(self, tmp_path, polybump_sino):
         p = tmp_path / "sino.bin"
