@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import AradonError, ConfigError, GridMismatch, InconsistentInput
 from .config import load_config, parse_config
-from .geometry import KIND_ALIASES
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
 from .bukhgeim import range_residual_0, reconstruct_f0
@@ -150,38 +149,11 @@ def _get_factors(cfg, args, sino, grid):
     return factors
 
 
-def _check_sino_grids(cfg, sino):
-    want_kind = KIND_ALIASES.get(cfg.boundary_kind, cfg.boundary_kind)
-    sb = sino.boundary
-    if sb.n_nodes != cfg.n_nodes or sb.kind != want_kind:
-        raise GridMismatch(
-            "sinogram has %s/%d nodes, config wants %s/%d"
-            % (sb.kind, sb.n_nodes, cfg.boundary_kind, cfg.n_nodes)
-        )
-    # A missing checksum (a sinogram older than the field) fails too.
-    if sb.kind == "generic" and \
-            sino.meta.get("table_checksum") != aio.table_checksum(cfg.table_path):
-        raise GridMismatch(
-            "sinogram has no checksum of the boundary table %s, or another "
-            "table's; re-run forward with this config" % cfg.table_path
-        )
-    if sb.kind == "ellipse" and (sb.a, sb.b) != (cfg.boundary_a, cfg.boundary_b):
-        raise GridMismatch(
-            "sinogram has the ellipse a=%r b=%r, config wants a=%r b=%r"
-            % (sb.a, sb.b, cfg.boundary_a, cfg.boundary_b)
-        )
-    if sino.angular.n_angles != cfg.n_angles:
-        raise GridMismatch(
-            "sinogram has %d angles, config wants %d"
-            % (sino.angular.n_angles, cfg.n_angles)
-        )
-
-
 def _load(cfg, args, interior):
     """The sinogram argument's modes, the grid (for `interior` only) and the
-    factors (None unless the file or --attenuated says attenuated)."""
-    sino = aio.read_sinogram(args.sinogram)
-    _check_sino_grids(cfg, sino)
+    factors (None unless the file or --attenuated says attenuated).  The
+    sinogram must be written on the config's boundary and angles."""
+    sino = aio.read_sinogram(args.sinogram, cfg.make_boundary(), cfg.make_angular())
     grid = cfg.make_grid(sino.boundary) if interior else None
     trace = project_minus(sino, cfg.n_modes)
     factors = None
@@ -244,8 +216,6 @@ def cmd_phantom(cfg, args):
 def cmd_forward(cfg, args):
     out = _outdir(cfg, args)
     sino = _forward(cfg, args.attenuated)
-    if cfg.boundary_kind == "table":
-        sino.meta["table_checksum"] = aio.table_checksum(cfg.table_path)
     path = os.path.join(out, "sinogram.bin")
     aio.write_sinogram(path, sino, config_hash=cfg.config_hash)
     if getattr(args, "csv", False):
@@ -350,7 +320,7 @@ def _rung_config(cfg, axis, value):
 
 def cmd_sweep(cfg, args):
     out = _outdir(cfg, args)
-    values = [int(v) for v in cfg.sweep_values] or list(_SWEEP_DEFAULTS[args.axis])
+    values = list(cfg.sweep_values or _SWEEP_DEFAULTS[args.axis])
     path = os.path.join(out, "sweep_%s.csv" % args.axis)
     failed = None
     with open(path, "w", newline="") as fh:

@@ -183,10 +183,10 @@ def parse_config(doc):
     sw = _expect_mapping(doc, "sweep", "config")
     _reject_unknown(sw, ("values",), "config.sweep")
     values = sw.get("values", [])
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ConfigError("config.sweep.values: expected a list of numbers")
+    if not isinstance(values, list) or None in values:
+        raise ConfigError("config.sweep.values: expected a list of integers")
+    values = [_get_num({"values": v}, "values", "config.sweep", None, integer=True)
+              for v in values]
 
     return RunConfig(
         raw=doc,

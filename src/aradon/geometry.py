@@ -139,34 +139,25 @@ class ConvexBoundary:
         self.perimeter = float(np.sum(self.speeds) * dt)
 
     # ------------------------------------------------------------------
-    # curve evaluation
+    # curve evaluation: the disk is the ellipse a = b = 1 (times 1.0 is exact)
 
     def position_at(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "unit-disk":
-            return np.stack([np.cos(t), np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
-        tm = np.mod(t, 2.0 * np.pi)
-        return self._spline(tm)
+        if self.kind == "generic":
+            return self._spline(np.mod(t, 2.0 * np.pi))
+        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
 
     def _derivative_at(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "unit-disk":
-            return np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        if self.kind == "ellipse":
-            return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
-        tm = np.mod(t, 2.0 * np.pi)
-        return self._spline(tm, 1)
+        if self.kind == "generic":
+            return self._spline(np.mod(t, 2.0 * np.pi), 1)
+        return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
 
     def _second_derivative_at(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "unit-disk":
-            return np.stack([-np.cos(t), -np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
-        tm = np.mod(t, 2.0 * np.pi)
-        return self._spline(tm, 2)
+        if self.kind == "generic":
+            return self._spline(np.mod(t, 2.0 * np.pi), 2)
+        return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
 
     # ------------------------------------------------------------------
     # membership and distance

@@ -90,6 +90,34 @@ def boundary_from_descriptor(desc):
                          a=desc.get("a", 1.0), b=desc.get("b", 1.0))
 
 
+def _boundary_words(desc):
+    words = {"unit-disk": "unit disk", "generic": "boundary table"}.get(desc["kind"], desc["kind"])
+    if desc["kind"] == "ellipse":
+        words += " a=%r b=%r" % (desc.get("a"), desc.get("b"))
+    return "%s of %d nodes" % (words, desc["n_nodes"])
+
+
+def _grids(header, path, boundary, angular):
+    """The boundary and angular grid of a file: the caller's own objects,
+    which the header must describe (GridMismatch otherwise), or else the
+    header's rebuilt.  A boundary matches when its descriptor (kind, node
+    count, ellipse axes, a table's node points) equals the header's."""
+    desc = _descriptor(header, path)
+    if boundary is None:
+        boundary = boundary_from_descriptor(desc)
+    elif boundary.descriptor() != desc:
+        raise GridMismatch("%s was written on another boundary (%s) than the run's (%s)"
+                           % (path, _boundary_words(desc),
+                              _boundary_words(boundary.descriptor())))
+    n_angles = int(header["n_angles"])
+    if angular is None:
+        angular = AngularGrid(n_angles)
+    elif angular.n_angles != n_angles:
+        raise GridMismatch("%s was written with %d angles, the run uses %d"
+                           % (path, n_angles, angular.n_angles))
+    return boundary, angular
+
+
 def write_sinogram(path, sino, config_hash=None):
     meta = dict(sino.meta or {})
     if config_hash is not None:
@@ -106,15 +134,16 @@ def write_sinogram(path, sino, config_hash=None):
     _write_container(path, header, np.ascontiguousarray(sino.data, dtype="<f8").tobytes())
 
 
-def read_sinogram(path):
+def read_sinogram(path, boundary=None, angular=None):
+    """Load a sinogram; `boundary`/`angular`, when given, are matched
+    against the header and used, as in read_factors_cache."""
     header, payload = _read_container(
         path, _SINO_FORMAT, ("boundary", "n_nodes", "n_angles", "attenuated"))
     shape = (int(header["n_nodes"]), int(header["n_angles"]))
     if len(payload) != 8 * shape[0] * shape[1]:
         raise ConfigError("%s: payload holds %d bytes, not %d x %d values"
                           % (path, len(payload), shape[0], shape[1]))
-    boundary = boundary_from_descriptor(_descriptor(header, path))
-    angular = AngularGrid(shape[1])
+    boundary, angular = _grids(header, path, boundary, angular)
     data = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return Sinogram(boundary, angular, data.copy(),
                     attenuated=bool(header["attenuated"]), meta=header.get("meta", {}))
@@ -251,39 +280,16 @@ def read_factors_cache(path, boundary=None, angular=None):
     """Load an integrating-factor cache.
 
     When `boundary`/`angular` are given, the cached grids must match
-    them (GridMismatch otherwise; a boundary matches when its descriptor
-    equals the cached one) and the given objects are used so the factors
-    share identity with the caller's grids.  Blocks are read by name, so
-    caches that also carry h, the interior alpha or an inside mask still
-    load if that mask is the inside set of the header's grid.
+    them (GridMismatch otherwise) and the given objects are used so the
+    factors share identity with the caller's grids.  Blocks are read by
+    name, so caches that also carry h, the interior alpha or an inside
+    mask still load if that mask is the inside set of the header's grid.
     """
     header, payload = _read_container(
         path, _FACTORS_FORMAT,
         ("boundary", "n_nodes", "n_angles", "n_modes", "zero_attenuation",
          "tol_neg", "max_neg_mode", "max_identity_dev", "blocks"))
-    desc = _descriptor(header, path)
-    if boundary is not None:
-        if boundary.n_nodes != int(header["n_nodes"]) or boundary.kind != desc["kind"]:
-            raise GridMismatch(
-                "cached factors use %s/%d nodes, run uses %s/%d"
-                % (desc["kind"], header["n_nodes"], boundary.kind, boundary.n_nodes)
-            )
-        # the descriptor also holds the ellipse axes and the table points
-        if json.loads(json.dumps(boundary.descriptor())) != desc:
-            raise GridMismatch(
-                "cached factors were built on another %s boundary than the run's"
-                % desc["kind"]
-            )
-    else:
-        boundary = boundary_from_descriptor(desc)
-    if angular is not None:
-        if angular.n_angles != int(header["n_angles"]):
-            raise GridMismatch(
-                "cached factors use %d angles, run uses %d"
-                % (header["n_angles"], angular.n_angles)
-            )
-    else:
-        angular = AngularGrid(int(header["n_angles"]))
+    boundary, angular = _grids(header, path, boundary, angular)
 
     im = header.get("interior")
     if im is not None:
@@ -309,11 +315,6 @@ def read_factors_cache(path, boundary=None, angular=None):
         float(header["tol_neg"]), float(header["max_neg_mode"]),
         float(header["max_identity_dev"]), interior,
     )
-
-
-def table_checksum(path):
-    """sha256 of a boundary table file's points as read, '<f8' row-major."""
-    return _checksum(np.ascontiguousarray(read_boundary_table(path), dtype="<f8").tobytes())
 
 
 def read_boundary_table(path):

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 from aradon import io as aio
+from aradon.bukhgeim import range_residual_0
 from aradon.cli import main
 from aradon.config import load_config
 from aradon.geometry import ConvexBoundary
+from aradon.harmonics import project_minus
+from aradon.xray import forward_sinogram, phantom
 
 
 def write_config(path, **overrides):
@@ -271,17 +274,41 @@ class TestTableBoundary:
         assert main(["check", "--config", ellipse, "--out",
                      str(tmp_path / "chk"), sino]) == 0
 
-    def test_missing_table_checksum_exits_two(self, tmp_path, capsys):
+    def test_sinogram_without_table_checksum_exits_zero(self, tmp_path):
+        """A table sinogram with no table checksum in its meta, or a stale one,
+        checks: its boundary descriptor alone decides the match."""
         ellipse = self._table_config(tmp_path, "ellipse", 1.5)
         assert main(["forward", "--config", ellipse, "--out", str(tmp_path / "fw")]) == 0
         sino = aio.read_sinogram(str(tmp_path / "fw" / "sinogram.bin"))
-        del sino.meta["table_checksum"]
         old = str(tmp_path / "old.bin")
-        aio.write_sinogram(old, sino)
-        capsys.readouterr()
-        assert main(["check", "--config", ellipse, "--out",
-                     str(tmp_path / "chk"), old]) == 2
-        assert "re-run forward" in capsys.readouterr().err
+        for meta in ({}, {"table_checksum": "0" * 64}):
+            sino.meta = meta
+            aio.write_sinogram(old, sino)
+            assert main(["check", "--config", ellipse, "--out",
+                         str(tmp_path / "chk"), old]) == 0
+
+    def test_check_runs_on_the_forward_curve(self, tmp_path):
+        """At 100 nodes the spline through a 48-point table is not the spline
+        through its node positions: check tests the data on the config's
+        curve, the one forward used."""
+        u = 2.0 * np.pi * np.arange(48) / 48
+        table = tmp_path / "boundary.csv"
+        np.savetxt(table, np.column_stack([1.5 * np.cos(u), np.sin(u)]),
+                   delimiter=",", header="x,y", comments="", fmt="%.17g")
+        path = write_config(tmp_path / "run.json",
+                            boundary={"kind": "table", "n_nodes": 100,
+                                      "table_path": str(table)},
+                            modes={"n": 15, "angles": 32})
+        assert main(["forward", "--config", path, "--out", str(tmp_path / "fw")]) == 0
+        assert main(["check", "--config", path, "--out", str(tmp_path / "chk"),
+                     str(tmp_path / "fw" / "sinogram.bin")]) == 0
+        with open(tmp_path / "chk" / "residual.json") as fh:
+            relative = json.load(fh)["relative"]
+        cfg = load_config(path)
+        b = cfg.make_boundary()
+        sino = forward_sinogram(cfg.make_phantom("f", b), phantom("zero", b), b,
+                                cfg.make_angular(), quad=cfg.make_quad())
+        assert relative == range_residual_0(project_minus(sino, 15)).relative
 
 
 class TestFactorsAndCache:
@@ -504,6 +531,14 @@ class TestConfigErrors:
         assert main(["forward", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
         assert "boundry" in capsys.readouterr().err
+
+    def test_fractional_sweep_value_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path / "frac.json", sweep={"values": [4.7, 6.2]})
+        assert main(["sweep", "--config", path, "--out", str(tmp_path),
+                     "modes"]) == 2
+        assert "config.sweep.values" in capsys.readouterr().err
+        assert load_config(write_config(tmp_path / "whole.json",
+                                        sweep={"values": [8.0]})).sweep_values == (8,)
 
     def test_angles_too_few_for_modes(self, tmp_path):
         path = write_config(tmp_path / "coarse.json",

@@ -138,6 +138,26 @@ def _round_trip(path, case, which):
     assert back.boundary is case["boundary"]
 
 
+def _ellipse_table(a, n_nodes):
+    """The spline through 48 points of the a x 1 ellipse, at n_nodes nodes."""
+    u = 2.0 * np.pi * np.arange(48) / 48
+    return make_boundary("table", n_nodes, table=np.column_stack([a * np.cos(u), np.sin(u)]))
+
+
+# case: (written boundary, the run's boundary, the run's angle count, the
+# words of the refusal); the file is written with 16 angles
+_ELLIPSE = make_boundary("ellipse", 64, a=1.5, b=1.0)
+_GRID_MISMATCHES = {
+    "node-count": (make_boundary("disk", 64), make_boundary("disk", 128), 16,
+                   "unit disk of 64 nodes.*unit disk of 128 nodes"),
+    "ellipse-axes": (_ELLIPSE, make_boundary("ellipse", 64, a=2.0, b=1.0), 16,
+                     "ellipse a=1.5 b=1.0 .*ellipse a=2.0 b=1.0 "),
+    "table": (_ellipse_table(1.5, 64), _ellipse_table(1.3, 64), 16,
+              "another boundary \\(boundary table of 64 nodes"),
+    "angle-count": (_ELLIPSE, _ELLIPSE, 32, "16 angles, the run uses 32"),
+}
+
+
 class TestFactorsCache:
     def test_boundary_only_round_trip(self, tmp_path, factor_cases):
         for case in factor_cases:
@@ -221,16 +241,25 @@ class TestFactorsCache:
         with pytest.raises(ConfigError):
             read_factors_cache(p)
 
-    def test_grid_mismatch_on_read(self, tmp_path, disk256, disk512):
-        ang = AngularGrid(64)
-        a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
-        fac = build_h(a, disk256, ang, 8)
-        p = tmp_path / "factors.bin"
-        write_factors_cache(p, fac)
-        with pytest.raises(GridMismatch):
-            read_factors_cache(p, boundary=disk512, angular=ang)
-        with pytest.raises(GridMismatch):
-            read_factors_cache(p, boundary=disk256, angular=AngularGrid(32))
+    @pytest.mark.parametrize("reader", ["sinogram", "factors"])
+    @pytest.mark.parametrize("case", sorted(_GRID_MISMATCHES))
+    def test_grid_mismatch_on_read(self, tmp_path, case, reader):
+        """Both readers refuse a file whose boundary descriptor or angle count
+        is not the caller's, and return the caller's own objects otherwise."""
+        written, other, other_angles, words = _GRID_MISMATCHES[case]
+        ang = AngularGrid(16)
+        p = tmp_path / "file.bin"
+        if reader == "sinogram":
+            write_sinogram(p, forward_sinogram(phantom("poly-bump", written),
+                                               phantom("zero", written), written, ang))
+            read = read_sinogram
+        else:
+            write_factors_cache(p, build_h(phantom("zero", written), written, ang, 4))
+            read = read_factors_cache
+        with pytest.raises(GridMismatch, match=words):
+            read(p, other, AngularGrid(other_angles))
+        back = read(p, written, ang)
+        assert back.boundary is written and back.angular is ang
 
 
 class TestBoundaryTable:
