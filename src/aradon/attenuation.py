@@ -10,7 +10,8 @@ source is recovered from u = beta * v via f = 2 Re(d u_{-1}) + a u_0.
 
 build_h computes Ra and its finite Hilbert transform on the symmetric
 offset grid of `s_samples` points once per direction pair theta,
-theta + pi: Ra(s, theta + pi) = Ra(-s, theta).
+theta + pi: Ra(s, theta + pi) = Ra(-s, theta).  One not-a-knot cubic
+spline fit per build interpolates every profile between the offsets.
 
 Factor builds validate their own algebra: alpha * beta must reproduce
 the convolution identity and the negative modes of e^{+-h} must vanish
@@ -21,7 +22,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     SupportTouchesEdge,
@@ -63,23 +63,80 @@ def finite_hilbert(samples):
         H_i = (1/pi) [ sum_{k>=1} (f_{i-k} - f_{i+k})/k - (f_{i+1} - f_{i-1})/2 ]
 
     The grid spacing cancels.  Endpoint samples must vanish: the scheme
-    assumes the support is strictly inside the grid.
+    assumes the support is strictly inside the grid.  Samples of shape
+    (S, k) are k profiles, one per column, each transformed as alone.
     """
     f = np.asarray(samples, dtype=float)
     n = len(f)
     if n < 4:
         raise ValueError("need at least 4 samples")
-    if abs(f[0]) > 1e-12 or abs(f[-1]) > 1e-12:
+    first, last = np.max(np.abs(f[0])), np.max(np.abs(f[-1]))
+    if first > 1e-12 or last > 1e-12:
         raise SupportTouchesEdge(
-            "endpoint samples are %.3g / %.3g, expected 0" % (f[0], f[-1])
+            "endpoint samples are %.3g / %.3g, expected 0" % (first, last)
         )
     nfft, spectrum = _hilbert_kernel_spectrum(n)
-    pair_sum = np.fft.irfft(np.fft.rfft(f, nfft) * spectrum, nfft)[n - 1:2 * n - 1]
-    corr = np.zeros(n)
-    corr[1:-1] = (f[2:] - f[:-2]) / 2.0
-    corr[0] = f[1] / 2.0
-    corr[-1] = -f[-2] / 2.0
-    return (pair_sum - corr) / np.pi
+    # profiles as contiguous rows: the FFTs of strided columns are slower
+    rows = np.ascontiguousarray(np.moveaxis(f, 0, -1))
+    pair_sum = np.fft.irfft(np.fft.rfft(rows, nfft) * spectrum, nfft)[..., n - 1:2 * n - 1]
+    corr = np.zeros_like(rows)
+    corr[..., 1:-1] = (rows[..., 2:] - rows[..., :-2]) / 2.0
+    corr[..., 0] = rows[..., 1] / 2.0
+    corr[..., -1] = -rows[..., -2] / 2.0
+    return np.ascontiguousarray(np.moveaxis((pair_sum - corr) / np.pi, -1, 0))
+
+
+def _spline_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic splines through the columns of y.
+
+    x is the (S,) increasing knot grid, y the (S, k) values.  The system is
+    scipy's CubicSpline's tridiagonal one; its matrix depends on x alone,
+    so the scalar elimination of a Thomas sweep runs once and each knot
+    costs one row update of the right-hand side on the way down and one
+    on the way back.  Returns (S, k).
+    """
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    n = len(x)
+    sub, diag, sup = np.zeros(n), np.empty(n), np.zeros(n)
+    rhs = np.empty(y.shape)
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    sub[1:-1] = dx[1:]
+    sup[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    # not-a-knot: the third derivative is continuous across x[1] and x[-2]
+    d = x[2] - x[0]
+    diag[0], sup[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], sub[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+
+    piv, mult = diag.tolist(), [0.0] * n
+    for i in range(1, n):
+        mult[i] = sub[i] / piv[i - 1]
+        piv[i] = diag[i] - mult[i] * sup[i - 1]
+    rows, tmp = list(rhs), np.empty(rhs.shape[1:])
+    for i in range(1, n):
+        rows[i] -= np.multiply(mult[i], rows[i - 1], out=tmp)
+    rhs /= np.array(piv)[:, None]
+    sup = (sup / piv).tolist()
+    for i in range(n - 2, -1, -1):
+        rows[i] -= np.multiply(sup[i], rows[i + 1], out=tmp)
+    return rhs
+
+
+def _spline_eval(x, y, slopes, at):
+    """The cubic Hermite spline with knot values y and knot slopes (S,) at
+    the points `at`, each read off its knot interval as scipy's PPoly does
+    (the end intervals extend outwards), by Horner's rule."""
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(x) - 2)
+    h = x[i + 1] - x[i]
+    s = at - x[i]
+    y0, d0 = y[i], slopes[i]
+    secant = (y[i + 1] - y0) / h
+    t = (d0 + slopes[i + 1] - 2.0 * secant) / h
+    return ((t / h * s + ((secant - d0) / h - t)) * s + d0) * s + y0
 
 
 class IntegratingFactor:
@@ -151,10 +208,10 @@ def _sample_h(a, boundary, angular, quad, s_samples, points):
     `points` (None without them).
 
     With an even number of angles, direction j + M/2 is theta_j + pi, so
-    it reads the profile of direction j at -s with the Hilbert column
-    negated (Ra(s, theta + pi) = Ra(-s, theta), and H is odd under the
-    flip): Ra and HRa are computed for the first M/2 directions only.
-    Da is integrated for every direction.
+    it reads the profile of direction j at -s, conjugated (Ra(s, theta +
+    pi) = Ra(-s, theta), and H is odd under the flip): Ra and HRa are
+    computed for the first M/2 directions only, and one spline fit takes
+    all their (I - iH)Ra profiles.  Da is integrated for every direction.
     """
     m_ang = angular.n_angles
     n = boundary.n_nodes
@@ -165,15 +222,25 @@ def _sample_h(a, boundary, angular, quad, s_samples, points):
 
     h_b = np.zeros((n, m_ang), dtype=complex)
     h_i = None if points is None else np.zeros((len(points), m_ang), dtype=complex)
+    sites = [boundary.positions] if h_i is None else [boundary.positions, points]
     paired = m_ang % 2 == 0
     n_base = m_ang // 2 if paired else m_ang
+    ra = np.column_stack([radon_profile(a, boundary, dirs[j], s_grid, quad)
+                          for j in range(n_base)])
+    # one complex column per base direction; the spline is linear in the
+    # data, so its real and imaginary parts are fitted as two real columns
+    profiles = ra - 1.0j * finite_hilbert(ra)
+    slopes = _spline_slopes(s_grid, profiles.view(float)).view(complex)
     for j in range(n_base):
-        ra = radon_profile(a, boundary, dirs[j], s_grid, quad)
-        profile = CubicSpline(s_grid, np.column_stack([ra, finite_hilbert(ra)]))
         # (direction, sign): the opposite direction reads the profile at -s
-        for k, sign in ((j, 1.0), (j + n_base, -1.0)) if paired else ((j, 1.0),):
+        pair = ((j, 1.0), (j + n_base, -1.0)) if paired else ((j, 1.0),)
+        offsets = np.concatenate([sign * (xy @ np.array([-dirs[k][1], dirs[k][0]]))
+                                  for k, sign in pair for xy in sites])
+        lin = _spline_eval(s_grid, profiles[:, j], slopes[:, j], offsets).reshape(len(pair), -1)
+        for (k, sign), lin_k in zip(pair, lin):
             th = dirs[k]
-            perp = np.array([-th[1], th[0]])
+            if sign < 0.0:
+                lin_k = np.conj(lin_k)
 
             # Da at boundary nodes: zero on outgoing/tangential rays, the
             # full chord integral on incoming ones.
@@ -183,14 +250,12 @@ def _sample_h(a, boundary, angular, quad, s_samples, points):
                 da_b[incoming] = chord_integrals(
                     a, boundary.positions[incoming], th, 0.0, taus[incoming, k], quad
                 )
-            ra_b, hr_b = profile(sign * (boundary.positions @ perp)).T
-            h_b[:, k] = da_b - 0.5 * (ra_b - 1.0j * sign * hr_b)
+            h_b[:, k] = da_b - 0.5 * lin_k[:n]
 
-            if h_i is not None and len(points):
+            if h_i is not None:
                 _, tau_fwd, _ = boundary.line_spans(points, th)
                 da_i = chord_integrals(a, points, th, 0.0, tau_fwd, quad)
-                ra_i, hr_i = profile(sign * (points @ perp)).T
-                h_i[:, k] = da_i - 0.5 * (ra_i - 1.0j * sign * hr_i)
+                h_i[:, k] = da_i - 0.5 * lin_k[n:]
     return h_b, h_i
 
 

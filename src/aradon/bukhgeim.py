@@ -237,7 +237,8 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
                 ratio[rows, cols] = np.conj(wd[cols]) / wd[cols]
         if with_c:
             c_acc[sl] = q @ c_rows
-        np.divide(1.0, np.multiply(u, u, out=r_pow), out=r_pow)
+        if len(m):
+            np.divide(1.0, np.multiply(u, u, out=r_pow), out=r_pow)
         for p in range(n_pow):
             if with_g and 0 < 2 * p <= top:      # base r^p: rows 2p..N into rows 0..N-2p
                 base *= ratio

@@ -21,7 +21,6 @@ the direction (cos phi, sin phi).
 """
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonConvex, TooFewNodes, OutsideDomain
 
@@ -112,6 +111,9 @@ class ConvexBoundary:
                 pts = pts[::-1]
             ts = 2.0 * np.pi * np.arange(len(pts) + 1) / len(pts)
             closed = np.vstack([pts, pts[:1]])
+            # imported here: scipy.interpolate takes most of a start-up, and
+            # only point tables need it
+            from scipy.interpolate import CubicSpline
             self._spline = CubicSpline(ts, closed, bc_type="periodic")
 
         t = self.params

@@ -103,6 +103,9 @@ def _grids(header, path, boundary, angular):
     header's rebuilt.  A boundary matches when its descriptor (kind, node
     count, ellipse axes, a table's node points) equals the header's."""
     desc = _descriptor(header, path)
+    if int(header["n_nodes"]) != desc["n_nodes"]:
+        raise ConfigError("%s: header has %d nodes, its boundary descriptor %d"
+                          % (path, int(header["n_nodes"]), desc["n_nodes"]))
     if boundary is None:
         boundary = boundary_from_descriptor(desc)
     elif boundary.descriptor() != desc:

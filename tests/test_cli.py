@@ -563,6 +563,12 @@ def _drop_beta_block(header, payload):
     raise AssertionError("the cache has no beta block")
 
 
+def _halve_nodes(header, payload):
+    """n_nodes and payload of half the nodes, against a descriptor of all."""
+    header["n_nodes"] //= 2
+    return payload[:len(payload) // 2]
+
+
 def _grow_first_block(header, payload):
     header["blocks"][0]["shape"][0] += 1
     return payload
@@ -615,6 +621,7 @@ class TestMalformedContainer:
 
     @pytest.mark.parametrize("target, edit", [
         ("sinogram", _halve_angles),
+        ("sinogram", _halve_nodes),
         ("cache", _drop_beta_block),
         ("cache", _grow_first_block),
         ("cache", _drop_n_modes),
@@ -626,7 +633,7 @@ class TestMalformedContainer:
         ("cache", _drop_block_key("name")),
         ("cache", _drop_block_key("shape")),
         ("cache", _drop_block_key("dtype")),
-    ], ids=["sinogram-angles", "cache-no-beta", "cache-block-past-payload",
+    ], ids=["sinogram-angles", "sinogram-nodes", "cache-no-beta", "cache-block-past-payload",
             "cache-no-n-modes", "sinogram-boundary-no-kind", "cache-boundary-no-kind",
             "cache-interior-no-nx", "cache-narrow-beta-interior",
             "cache-narrow-a-values", "cache-block-no-name", "cache-block-no-shape",
