@@ -12,6 +12,10 @@ build_h computes Ra and its finite Hilbert transform on the symmetric
 offset grid of `s_samples` points once per direction pair theta,
 theta + pi: Ra(s, theta + pi) = Ra(-s, theta).  One not-a-knot cubic
 spline fit per build interpolates every profile between the offsets.
+The interior factors are streamed: build_h walks the inside points of the
+grid in chunks and keeps only beta there, and the attenuated reconstruct
+walks the valid points the same way, so neither h nor any per-point
+transform of it is held on the whole grid.
 
 Factor builds validate their own algebra: alpha * beta must reproduce
 the convolution identity and the negative modes of e^{+-h} must vanish
@@ -38,14 +42,27 @@ from .bukhgeim import (
 )
 from .xray import QuadSettings, chord_integrals, radon_profile, _directions
 
+# Entries of h (inside points x directions) per pass of build_h's interior
+# stream, 1024 points at 128 angles; entries of e^{-+h} and their FFTs per
+# block of _factor_modes; valid grid points per pass of the attenuated
+# reconstruct (a whole number of bukhgeim's TARGET_CHUNK at 512 nodes, so
+# the kernels see the targets in the chunks of one whole call).
+H_CHUNK = 1 << 17
+MODE_CHUNK = 1 << 15
+RECON_CHUNK = 1024
+
 
 @lru_cache(maxsize=None)  # keyed by sample count: one per offset grid
 def _hilbert_kernel_spectrum(n):
     """FFT length and read-only rfft of the 1/k kernel on shifts 1-n..n-1."""
     shifts = np.arange(1 - n, n, dtype=float)
     kern = np.where(shifts == 0.0, 0.0, 1.0 / np.where(shifts == 0.0, 1.0, shifts))
+    # The linear convolution of n samples with the 2n-1 taps has 3n-2
+    # terms, of which n-1..2n-2 are kept.  A circular one of length
+    # L >= 2n-1 folds term k onto k - L, and neither k + L >= 3n-2 nor
+    # k - L < 0 reaches the kept ones from the computed range 0..3n-3.
     nfft = 1
-    while nfft < 3 * n - 2:  # linear convolution of n samples with 2n-1 taps
+    while nfft < 2 * n - 1:
         nfft *= 2
     spectrum = np.fft.rfft(kern, nfft)
     spectrum.flags.writeable = False
@@ -78,7 +95,9 @@ def finite_hilbert(samples):
     nfft, spectrum = _hilbert_kernel_spectrum(n)
     # profiles as contiguous rows: the FFTs of strided columns are slower
     rows = np.ascontiguousarray(np.moveaxis(f, 0, -1))
-    pair_sum = np.fft.irfft(np.fft.rfft(rows, nfft) * spectrum, nfft)[..., n - 1:2 * n - 1]
+    spec = np.fft.rfft(rows, nfft)
+    spec *= spectrum
+    pair_sum = np.fft.irfft(spec, nfft)[..., n - 1:2 * n - 1]
     corr = np.zeros_like(rows)
     corr[..., 1:-1] = (rows[..., 2:] - rows[..., :-2]) / 2.0
     corr[..., 0] = rows[..., 1] / 2.0
@@ -96,14 +115,18 @@ def _spline_slopes(x, y):
     on the way back.  Returns (S, k).
     """
     dx = np.diff(x)
-    slope = np.diff(y, axis=0) / dx[:, None]
+    slope = np.diff(y, axis=0)
+    slope /= dx[:, None]
     n = len(x)
     sub, diag, sup = np.zeros(n), np.empty(n), np.zeros(n)
     rhs = np.empty(y.shape)
     diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
     sub[1:-1] = dx[1:]
     sup[1:-1] = dx[:-1]
-    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    # 3 (dx_i slope_{i-1} + dx_{i-1} slope_i), in place: no (S, k) temporaries
+    inner = np.multiply(dx[1:, None], slope[:-1], out=rhs[1:-1])
+    inner += dx[:-1, None] * slope[1:]
+    inner *= 3.0
     # not-a-knot: the third derivative is continuous across x[1] and x[-2]
     d = x[2] - x[0]
     diag[0], sup[0] = dx[1], d
@@ -129,8 +152,14 @@ def _spline_slopes(x, y):
 def _spline_eval(x, y, slopes, at):
     """The cubic Hermite spline with knot values y and knot slopes (S,) at
     the points `at`, each read off its knot interval as scipy's PPoly does
-    (the end intervals extend outwards), by Horner's rule."""
-    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, len(x) - 2)
+    (the end intervals extend outwards), by Horner's rule.  The knots x are
+    uniform: floor((at - x0) / dx) is off by at most one from the interval,
+    and one comparison with each of its knots corrects it."""
+    last = len(x) - 2
+    i = np.clip(np.floor((at - x[0]) * (last + 1) / (x[-1] - x[0])), 0, last).astype(np.intp)
+    i -= at < x[i]
+    i += at >= x[i + 1]
+    np.clip(i, 0, last, out=i)
     h = x[i + 1] - x[i]
     s = at - x[i]
     y0, d0 = y[i], slopes[i]
@@ -168,27 +197,40 @@ class InteriorFactors:
         self.a_values = a_values            # (p_in,)
 
 
-def _factor_modes(h_values, n_modes, tol_neg, what):
-    """Nonnegative mode sequences of e^{-h} and e^{+h}, with validation."""
-    m = h_values.shape[1]
-    em = np.exp(-h_values)
-    ep = np.exp(+h_values)
-    cm = np.fft.fft(em, axis=1) / m
-    cp = np.fft.fft(ep, axis=1) / m
-    neg = 0.0
+def _slices(n, size):
+    """Slices of range(n), `size` long; a lone last index joins the slice
+    before it (one row would make a BLAS product a matrix-vector one)."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _factor_modes(h_values, n_modes):
+    """Nonnegative mode rows (N+1, p) of e^{-h} and e^{+h} at the p points of
+    h_values (p, M), and the largest negative mode of either.  The points
+    run in blocks of MODE_CHUNK entries, each row transformed alone."""
+    p, m = h_values.shape
     n_neg = min(n_modes, m // 2 - 1)
-    if n_neg >= 1:
-        neg_idx = m - np.arange(1, n_neg + 1)
-        neg = max(float(np.max(np.abs(cm[:, neg_idx]))),
-                  float(np.max(np.abs(cp[:, neg_idx]))))
-    alpha = cm[:, : n_modes + 1].T.copy()
-    beta = cp[:, : n_modes + 1].T.copy()
+    neg_idx = m - np.arange(1, n_neg + 1)
+    rows = np.empty((2, n_modes + 1, p), dtype=complex)      # alpha, beta
+    neg = 0.0
+    for sl in _slices(p, max(1, MODE_CHUNK // m)):
+        for out, sign in zip(rows, (-1.0, 1.0)):
+            c = np.fft.fft(np.exp(-h_values[sl] if sign < 0.0 else h_values[sl]), axis=1)
+            c /= m
+            if n_neg >= 1:
+                neg = max(neg, float(np.max(np.abs(c[:, neg_idx]))))
+            out[:, sl] = c[:, : n_modes + 1].T
+    return rows[0], rows[1], neg
+
+
+def _check_leak(neg, tol_neg, what):
     if neg > tol_neg:
         raise FactorBuildError(
             "negative angular modes of e^{+-h} reach %.3g > %.3g on the %s; "
             "h is inconsistent with the vanishing-mode structure" % (neg, tol_neg, what)
         )
-    return alpha, beta, neg
 
 
 def _seq_product_deviation(alpha, beta):
@@ -203,81 +245,96 @@ def default_s_grid(boundary, n_samples=2048):
     return np.linspace(-1.2 * radius, 1.2 * radius, n_samples)
 
 
-def _sample_h(a, boundary, angular, quad, s_samples, points):
-    """h = Da - (1/2)(I - iH)Ra, (n_nodes, M) on the nodes and (p, M) on
-    `points` (None without them).
+class _HSampler:
+    """h = Da - (1/2)(I - iH)Ra on every direction, at the nodes or at any
+    inside points.
 
     With an even number of angles, direction j + M/2 is theta_j + pi, so
     it reads the profile of direction j at -s, conjugated (Ra(s, theta +
     pi) = Ra(-s, theta), and H is odd under the flip): Ra and HRa are
-    computed for the first M/2 directions only, and one spline fit takes
-    all their (I - iH)Ra profiles.  Da is integrated for every direction.
+    computed once, for the first M/2 directions only, and one spline fit
+    takes all their (I - iH)Ra profiles.  Da is integrated for every
+    direction, at each call.
     """
-    m_ang = angular.n_angles
-    n = boundary.n_nodes
-    s_grid = default_s_grid(boundary, s_samples)
-    dirs = _directions(angular.angles)
-    taus = boundary.node_chord_lengths(dirs)
-    normal_dot = boundary.normals @ dirs.T
 
-    h_b = np.zeros((n, m_ang), dtype=complex)
-    h_i = None if points is None else np.zeros((len(points), m_ang), dtype=complex)
-    sites = [boundary.positions] if h_i is None else [boundary.positions, points]
-    paired = m_ang % 2 == 0
-    n_base = m_ang // 2 if paired else m_ang
-    ra = np.column_stack([radon_profile(a, boundary, dirs[j], s_grid, quad)
-                          for j in range(n_base)])
-    # one complex column per base direction; the spline is linear in the
-    # data, so its real and imaginary parts are fitted as two real columns
-    profiles = ra - 1.0j * finite_hilbert(ra)
-    slopes = _spline_slopes(s_grid, profiles.view(float)).view(complex)
-    for j in range(n_base):
-        # (direction, sign): the opposite direction reads the profile at -s
-        pair = ((j, 1.0), (j + n_base, -1.0)) if paired else ((j, 1.0),)
-        offsets = np.concatenate([sign * (xy @ np.array([-dirs[k][1], dirs[k][0]]))
-                                  for k, sign in pair for xy in sites])
-        lin = _spline_eval(s_grid, profiles[:, j], slopes[:, j], offsets).reshape(len(pair), -1)
-        for (k, sign), lin_k in zip(pair, lin):
-            th = dirs[k]
-            if sign < 0.0:
-                lin_k = np.conj(lin_k)
+    def __init__(self, a, boundary, angular, quad, s_samples):
+        self.a, self.boundary, self.quad = a, boundary, quad
+        self.dirs = _directions(angular.angles)
+        m_ang = angular.n_angles
+        self.paired = m_ang % 2 == 0
+        self.n_base = m_ang // 2 if self.paired else m_ang
+        self.s_grid = default_s_grid(boundary, s_samples)
+        ra = np.column_stack([radon_profile(a, boundary, self.dirs[j], self.s_grid, quad)
+                              for j in range(self.n_base)])
+        # one complex column per base direction; the spline is linear in the
+        # data, so its real and imaginary parts are fitted as two real columns
+        self.profiles = ra - 1.0j * finite_hilbert(ra)
+        self.slopes = _spline_slopes(self.s_grid, self.profiles.view(float)).view(complex)
 
-            # Da at boundary nodes: zero on outgoing/tangential rays, the
-            # full chord integral on incoming ones.
-            da_b = np.zeros(n)
-            incoming = normal_dot[:, k] < 0.0
-            if np.any(incoming):
-                da_b[incoming] = chord_integrals(
-                    a, boundary.positions[incoming], th, 0.0, taus[incoming, k], quad
-                )
-            h_b[:, k] = da_b - 0.5 * lin_k[:n]
+    def _h(self, xy, da):
+        """h at the points xy (p, 2), (p, M); da(k) is Da along direction k."""
+        dirs = self.dirs
+        h = np.empty((len(xy), len(dirs)), dtype=complex)
+        for j in range(self.n_base):
+            # (direction, sign): the opposite direction reads the profile at -s
+            pair = ((j, 1.0), (j + self.n_base, -1.0)) if self.paired else ((j, 1.0),)
+            offsets = np.concatenate([sign * (xy @ np.array([-dirs[k][1], dirs[k][0]]))
+                                      for k, sign in pair])
+            lin = _spline_eval(self.s_grid, self.profiles[:, j], self.slopes[:, j],
+                               offsets).reshape(len(pair), -1)
+            for (k, sign), lin_k in zip(pair, lin):
+                if sign < 0.0:
+                    lin_k = np.conj(lin_k)
+                h[:, k] = da(k) - 0.5 * lin_k
+        return h
 
-            if h_i is not None:
-                _, tau_fwd, _ = boundary.line_spans(points, th)
-                da_i = chord_integrals(a, points, th, 0.0, tau_fwd, quad)
-                h_i[:, k] = da_i - 0.5 * lin_k[n:]
-    return h_b, h_i
+    def nodes(self):
+        """h on the nodes, (n_nodes, M).  Da is zero on outgoing and
+        tangential rays and the full chord integral on incoming ones."""
+        b = self.boundary
+        taus = b.node_chord_lengths(self.dirs)
+        incoming = b.normals @ self.dirs.T < 0.0
+
+        def da(k):
+            out = np.zeros(b.n_nodes)
+            if np.any(incoming[:, k]):
+                out[incoming[:, k]] = chord_integrals(
+                    self.a, b.positions[incoming[:, k]], self.dirs[k], 0.0,
+                    taus[incoming[:, k], k], self.quad)
+            return out
+        return self._h(b.positions, da)
+
+    def at(self, points):
+        """h at inside points (p, 2), (p, M).  Da runs to the chord's end:
+        the end of `a`'s support disk, which lies in the closed domain, when
+        it has one (clip_chords cuts the chord there), else the curve."""
+        def da(k):
+            th = self.dirs[k]
+            if self.a.support is not None:
+                return chord_integrals(self.a, points, th, 0.0, np.inf, self.quad)
+            _, end, _ = self.boundary.line_spans(points, th)
+            return chord_integrals(self.a, points, th, 0.0, end, self.quad)
+        return self._h(points, da)
 
 
 def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
             interior_grid=None, tol_neg=1e-6, tol_identity=1e-8):
     """Integrating factor of the attenuation on the boundary cylinder.
 
-    Samples h on the nodes (and on the inside points of `interior_grid`,
-    which reconstruction needs), with Ra on the offset grid
+    Samples h on the nodes, with Ra on the offset grid
     `default_s_grid(boundary, s_samples)`, and keeps the nonnegative mode
-    sequences alpha, beta of e^{-+h} on the nodes and beta inside.  Zero
-    attenuation takes the same path: h = 0 gives the identity rows.
+    sequences alpha, beta of e^{-+h} there.  With `interior_grid`, which
+    reconstruction needs, it walks the grid's inside points in chunks of
+    H_CHUNK entries of h (points x directions) and keeps only beta; no
+    point's h or modes depend on the chunk.  Zero attenuation takes the
+    same path: h = 0 gives the identity rows.
     """
     quad = quad or QuadSettings()
     angular.check_modes(n_modes)
+    sampler = _HSampler(a, boundary, angular, quad, s_samples)
 
-    int_pts = None
-    if interior_grid is not None:
-        int_pts = interior_grid.points_all[interior_grid.inside]
-    h_b, h_i = _sample_h(a, boundary, angular, quad, s_samples, int_pts)
-
-    alpha, beta, neg = _factor_modes(h_b, n_modes, tol_neg, "boundary")
+    alpha, beta, neg = _factor_modes(sampler.nodes(), n_modes)
+    _check_leak(neg, tol_neg, "boundary")
     dev = _seq_product_deviation(alpha, beta)
     if dev > tol_identity:
         raise FactorBuildError(
@@ -286,10 +343,16 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
         )
 
     interior = None
-    if int_pts is not None:
-        _, beta_i, neg_i = _factor_modes(h_i, n_modes, tol_neg, "interior grid")
+    if interior_grid is not None:
+        pts = interior_grid.points_all[interior_grid.inside]
+        beta_i = np.empty((n_modes + 1, len(pts)), dtype=complex)
+        neg_i = 0.0
+        for sl in _slices(len(pts), max(1, H_CHUNK // angular.n_angles)):
+            _, beta_i[:, sl], neg_c = _factor_modes(sampler.at(pts[sl]), n_modes)
+            neg_i = max(neg_i, neg_c)
+        _check_leak(neg_i, tol_neg, "interior grid")
         neg = max(neg, neg_i)
-        interior = InteriorFactors(interior_grid, beta_i, a(int_pts))
+        interior = InteriorFactors(interior_grid, beta_i, a(pts))
 
     return IntegratingFactor(
         boundary, angular, n_modes, alpha, beta, a.is_zero,
@@ -332,7 +395,8 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     the grid, and evaluates f = 2 Re(d u_{-1}) + a u_0.  The derivative
     of u splits by the product rule: d v modes come from the explicit
     boundary kernels, d beta from centered differences of the interior
-    factor grid (beta is smooth; v is the singular part).
+    factor grid (beta is smooth; v is the singular part).  The valid points
+    are walked in chunks of RECON_CHUNK, so only the picture is held whole.
     """
     _check_match(g, factors)
     if factors.zero_attenuation:
@@ -362,36 +426,42 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     n_modes = g.n_modes
     ag_trace = ModeTrace(g.boundary, n_modes, convolve(factors.alpha, g.data))
 
-    dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, margin=margin, field=True)
-    # column-major like v and the factor columns: each point's mode sum below
-    # then adds its terms in one order
-    dv = np.asfortranarray(dv)
-    fd_ok = ~fd_zeroed_mask(factors, grid)[grid.valid]
-
-    # factor rows mapped onto the full picture for finite differences
-    ny, nx = grid.ny, grid.nx
-    beta_pic = np.full((n_modes + 1, ny * nx), np.nan, dtype=complex)
-    beta_pic[:, inter.inside] = inter.beta
-    beta_pic = beta_pic.reshape(n_modes + 1, ny, nx)
-    dbx = np.full_like(beta_pic, np.nan)
-    dby = np.full_like(beta_pic, np.nan)
-    dbx[:, :, 1:-1] = (beta_pic[:, :, 2:] - beta_pic[:, :, :-2]) / (2.0 * grid.hx)
-    dby[:, 1:-1, :] = (beta_pic[:, 2:, :] - beta_pic[:, :-2, :]) / (2.0 * grid.hy)
-    del_beta_pic = 0.5 * (dbx - 1.0j * dby)
-    del_beta = del_beta_pic.reshape(n_modes + 1, ny * nx)[:, grid.valid]
-
-    # the valid points among the inside ones, where beta and a are kept
-    pick = grid.valid[grid.inside]
-    beta_here = inter.beta[:, pick]
-    a_here = inter.a_values[pick]
-
-    u0 = np.real(np.sum(beta_here * v.data, axis=0))
-
-    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v.data[1:], axis=0)
-
-    f_vals = 2.0 * np.real(del_u1) + a_here * u0
-    f_vals = np.where(fd_ok, f_vals, 0.0)
+    # the column of each grid point in the inside-point blocks
+    col = np.full(grid.ny * grid.nx, -1)
+    col[inter.inside] = np.arange(len(inter.a_values))
+    at = np.flatnonzero(grid.valid)
+    fd_ok = ~fd_zeroed_mask(factors, grid)[at]
+    f_vals = np.empty(len(at))
+    for sl in _slices(len(at), RECON_CHUNK):
+        dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, margin=margin,
+                            field=True, part=sl)
+        f_vals[sl] = _source_values(inter, grid, col, at[sl], fd_ok[sl], dv, v.data)
     return grid.unflatten(f_vals)
+
+
+def _source_values(inter, grid, col, q, ok, dv, v):
+    """f = 2 Re(d u_{-1}) + a u_0 at the grid points q (flat indices), from
+    d v_{-1..-N} (dv) and v (rows 0..N) there; 0 where `ok` is False.
+
+    d beta comes from centred differences of beta's columns at the four
+    neighbours; a point without all four reads its own column instead.
+    """
+    n_modes = len(dv)
+
+    def beta_at(step):
+        return inter.beta[:, col[np.where(ok, q + step, q)]]
+
+    dbx = (beta_at(1) - beta_at(-1)) / (2.0 * grid.hx)
+    dby = (beta_at(grid.nx) - beta_at(-grid.nx)) / (2.0 * grid.hy)
+    del_beta = 0.5 * (dbx - 1.0j * dby)
+    here = col[q]
+    beta_here = inter.beta[:, here]
+    # every operand column-major, like these column picks: each point's
+    # mode sum then adds its terms in one order, whatever the chunk
+    dv = np.asfortranarray(dv)
+    u0 = np.real(np.sum(beta_here * v, axis=0))
+    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v[1:], axis=0)
+    return np.where(ok, 2.0 * np.real(del_u1) + inter.a_values[here] * u0, 0.0)
 
 
 def fd_zeroed_mask(factors, grid):

@@ -81,8 +81,9 @@ EPS_FLOOR = 1e-12
 TARGET_CHUNK = 64
 
 
-def _require_interior(boundary, points, margin):
-    """The points as complex targets, checked to lie inside, margin from the curve.
+def _require_interior(boundary, points, margin, part=slice(None)):
+    """The points (their slice `part`) as complex targets, checked to lie
+    inside, margin from the curve.
 
     One signed distance decides both.  A CartesianGrid on this boundary
     stands for its valid points, which passed the same cut at the grid's
@@ -92,9 +93,9 @@ def _require_interior(boundary, points, margin):
         margin = boundary.interior_margin()
     if isinstance(points, CartesianGrid):
         if points.boundary is boundary and points.margin >= margin:
-            return _as_complex_points(points.points)
+            return _as_complex_points(points.points[part])
         points = points.points
-    z = _as_complex_points(points)
+    z = _as_complex_points(points)[part]
     d = boundary.distance_to_boundary(np.column_stack([z.real, z.imag]))
     if np.any(d < -ON_BOUNDARY_TOL):
         raise OutsideDomain("evaluation point outside the closed domain")
@@ -158,9 +159,9 @@ def _S_apply(g_data, boundary):
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
     dt = 2.0 * np.pi / n
-    diff = w[None, :] - w[:, None]           # [m, i] = w_i - w_m
-    np.fill_diagonal(diff, 1.0)
-    kernel = wd[None, :] / diff
+    kernel = w[None, :] - w[:, None]         # [m, i] = w_i - w_m
+    np.fill_diagonal(kernel, 1.0)
+    np.divide(wd[None, :], kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
     row_sum = np.sum(kernel, axis=1)
     gdot = _spectral_derivative(g_data)
@@ -226,7 +227,8 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
             rows = np.nonzero(node_targets[sl] >= 0)[0]
             cols = node_targets[sl][rows]
             u[rows, cols] = 1.0                  # placeholder, replaced below
-        np.divide(wd[None, :], u, out=q)
+        if with_g or with_c:                     # w'/u: G's base and C's kernel
+            np.divide(wd[None, :], u, out=q)
         np.divide(np.conjugate(u, out=ratio), u, out=ratio)
         if with_g:
             base[...] = (2.0 / np.pi) * np.imag(q) * dt
@@ -328,7 +330,7 @@ class CartesianGrid:
         return out.reshape(self.ny, self.nx)
 
 
-def del_v_minus(g, d, points, margin=None, field=False):
+def del_v_minus(g, d, points, margin=None, field=False, part=slice(None)):
     """d v_{-d} at interior points from the trace, by explicit kernels.
 
     2 pi i times the value is the j-sum of dw-integrals with kernels
@@ -349,9 +351,10 @@ def del_v_minus(g, d, points, margin=None, field=False):
     shape (len(d), P) in the order asked.  points may be a CartesianGrid,
     for its valid points (see _require_interior).  With `field` the same sweep
     also builds the map itself, and the call returns the pair
-    (derivatives, cauchy_build(g, points)).
+    (derivatives, cauchy_build(g, points)).  `part`, a slice of the points,
+    evaluates at those alone.
     """
-    targets = _require_interior(g.boundary, points, margin)
+    targets = _require_interior(g.boundary, points, margin, part)
     gg, cg, out = _sweep(g.data, g.boundary, targets, with_g=field, with_c=field, orders=d)
     out = out[0] if np.ndim(d) == 0 else out
     return (out, _cauchy_field(g, targets, gg, cg)) if field else out

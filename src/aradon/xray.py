@@ -109,9 +109,9 @@ class ScalarField:
     shape, as ray_points lays them out.
 
     A field may carry a `support` disk, (center, radius), outside which
-    it is zero, and a `line_degree`: the degree of the polynomial it is
-    along every line inside that disk.  Chord integrals read both
-    (chord_integrals).
+    it is zero and which lies in the closed domain, and a `line_degree`:
+    the degree of the polynomial it is along every line inside that disk.
+    Chord integrals read both (chord_integrals).
     """
 
     def __init__(self, func, name="", params=None, support=None, line_degree=None):
@@ -302,13 +302,20 @@ def _tail_integrals(a, starts, direction, tau, t, quad):
 
 
 def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
-    """Full-line integrals of `a` on a whole vector of offsets at once."""
+    """Full-line integrals of `a` on a whole vector of offsets at once.
+
+    A field with a support disk, which lies in the closed domain, takes
+    whole lines: clip_chords cuts them to the disk, so the curve's
+    crossings are not needed.
+    """
     th = np.asarray(theta, float)
     perp = np.array([-th[1], th[0]])
     s_values = np.asarray(s_values, float)
     if a.is_zero:
         return np.zeros(len(s_values))
     p0s = s_values[:, None] * perp[None, :]
+    if a.support is not None:
+        return chord_integrals(a, p0s, th, -np.inf, np.inf, quad)
     t_lo, t_hi, _ = boundary.line_spans(p0s, th)
     return chord_integrals(a, p0s, th, t_lo, t_hi, quad)
 

@@ -1,11 +1,13 @@
 """Finite Hilbert transform, integrating factors, and the attenuated cycle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from aradon import attenuation
 from aradon.attenuation import (
-    _sample_h,
+    _HSampler,
     _spline_eval,
     _spline_slopes,
     build_h,
@@ -23,10 +25,10 @@ from aradon.errors import (
     InconsistentInput,
     SupportTouchesEdge,
 )
-from aradon.geometry import make_boundary
+from aradon.geometry import ConvexBoundary, make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
 from aradon.xray import QuadSettings, chord_integrals, forward_sinogram, phantom, radon_profile
-from oracles import bump_chord_integral, residual_route_gap
+from oracles import bump_chord_integral, direct_finite_hilbert, residual_route_gap
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,13 @@ class TestFiniteHilbert:
         assert np.array_equal(finite_hilbert(f), (pair_sum - corr) / np.pi)
         assert not attenuation._hilbert_kernel_spectrum(n)[1].flags.writeable
 
+    @pytest.mark.parametrize("n", [4, 5, 17, 64, 300, 2048])
+    def test_matches_direct_sum(self, n):
+        """The FFT convolution of length at least 2S - 1 against the O(S^2) sum."""
+        f = np.zeros(n)
+        f[1:-1] = np.random.default_rng(n).standard_normal(n - 2)
+        assert np.max(np.abs(finite_hilbert(f) - direct_finite_hilbert(f))) <= 1e-14 * np.max(np.abs(f))
+
     def test_columns_match_single_profiles(self):
         rng = np.random.default_rng(11)
         f = np.zeros((512, 6))
@@ -129,6 +138,24 @@ class TestProfileSpline:
             assert np.max(np.abs(got - ref[:, j])) <= 1e-14 * np.max(np.abs(y[:, j]))
 
 
+    def test_interval_lookup_matches_searchsorted(self, disk256):
+        """The floor-and-correct interval of _spline_eval is searchsorted's,
+        at the knots, one ulp either side of them and past both ends."""
+        s_grid = default_s_grid(disk256, 300)
+        rng = np.random.default_rng(9)
+        y, slopes = rng.standard_normal((2, 300))
+        at = np.concatenate([s_grid, np.nextafter(s_grid, -np.inf), np.nextafter(s_grid, np.inf),
+                             [s_grid[0] - 0.5, s_grid[-1] + 0.5],
+                             rng.uniform(s_grid[0], s_grid[-1], 1000)])
+        i = np.clip(np.searchsorted(s_grid, at, side="right") - 1, 0, len(s_grid) - 2)
+        h = s_grid[i + 1] - s_grid[i]
+        s = at - s_grid[i]
+        secant = (y[i + 1] - y[i]) / h
+        t = (slopes[i] + slopes[i + 1] - 2.0 * secant) / h
+        ref = ((t / h * s + ((secant - slopes[i]) / h - t)) * s + slopes[i]) * s + y[i]
+        assert np.array_equal(_spline_eval(s_grid, y, slopes, at), ref)
+
+
 _U64 = 2.0 * np.pi * np.arange(64) / 64
 
 
@@ -155,7 +182,9 @@ _PAIR_S = 512
 
 
 def _per_direction_h(a, boundary, angular, int_pts):
-    """h on the nodes and `int_pts` with one Ra/HRa profile per direction."""
+    """h on the nodes and `int_pts` with one Ra/HRa profile per direction;
+    every chord, of the profile and of the interior Da, ends on the curve
+    (line_spans), whether or not `a` has a support disk."""
     s_grid = default_s_grid(boundary, _PAIR_S)
     dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
     taus = boundary.node_chord_lengths(dirs)
@@ -164,7 +193,8 @@ def _per_direction_h(a, boundary, angular, int_pts):
     h_i = np.zeros((len(int_pts), angular.n_angles), dtype=complex)
     for j, th in enumerate(dirs):
         perp = np.array([-th[1], th[0]])
-        ra = radon_profile(a, boundary, th, s_grid, _PAIR_QUAD)
+        p0s = s_grid[:, None] * perp[None, :]
+        ra = chord_integrals(a, p0s, th, *boundary.line_spans(p0s, th)[:2], _PAIR_QUAD)
         ra_spline = CubicSpline(s_grid, ra)
         hr_spline = CubicSpline(s_grid, finite_hilbert(ra))
         da_b = np.zeros(boundary.n_nodes)
@@ -181,12 +211,18 @@ def _per_direction_h(a, boundary, angular, int_pts):
     return h_b, h_i
 
 
+def _sampled_h(a, boundary, angular, int_pts):
+    """build_h's h on the nodes and at `int_pts`, as the reference gives it."""
+    sampler = _HSampler(a, boundary, angular, _PAIR_QUAD, _PAIR_S)
+    return sampler.nodes(), sampler.at(int_pts)
+
+
 @pytest.fixture(scope="module", params=[(kind, parity)
                                         for kind in ("disk", "ellipse", "table")
                                         for parity in ("even", "odd")],
                 ids=lambda p: "%s-%s" % p)
 def paired_build(request):
-    """_sample_h (profile calls counted) and the per-direction reference."""
+    """build_h's sampler (profile calls counted) and the per-direction reference."""
     kind, parity = request.param
     boundary, a, _, m_even = _pairing_case(kind)
     angular = AngularGrid(m_even if parity == "even" else m_even + 1)
@@ -200,7 +236,7 @@ def paired_build(request):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attenuation, "radon_profile", counted)
-        h = _sample_h(a, boundary, angular, _PAIR_QUAD, _PAIR_S, int_pts)
+        h = _sampled_h(a, boundary, angular, int_pts)
     return {"h": h, "ref": _per_direction_h(a, boundary, angular, int_pts),
             "calls": len(calls), "n_angles": angular.n_angles}
 
@@ -219,9 +255,121 @@ class TestAntipodalPairing:
         assert paired_build["calls"] == (m // 2 if m % 2 == 0 else m)
 
 
+def _table64():
+    return make_boundary("table", 64, table=np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)]))
+
+
+class TestTableFactors:
+    """On a point table, a bump `a` ends every chord of its profiles and of
+    the interior Da on its support disk, so no curve crossing is solved
+    past the nodes' own."""
+
+    @pytest.fixture(scope="class")
+    def table_case(self):
+        boundary = _table64()
+        return boundary, phantom("shifted-poly-bump", boundary, params={"amplitude": 0.3})
+
+    def test_line_spans_only_on_nodes(self, table_case):
+        boundary, a = table_case
+        seen = []
+        original = ConvexBoundary.line_spans
+
+        def counted(self, points, direction):
+            seen.append(np.array(points))
+            return original(self, points, direction)
+
+        # gates lifted: 32 angles leave this `a`'s leak at 4.8e-4, and the
+        # chords are what is counted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ConvexBoundary, "line_spans", counted)
+            build_h(a, boundary, AngularGrid(32), 8, QuadSettings(4, 4), s_samples=512,
+                    interior_grid=CartesianGrid(boundary, 16, 16), tol_neg=1.0, tol_identity=1.0)
+        assert len(seen) == 32
+        assert all(np.array_equal(p, boundary.positions) for p in seen)
+
+    def test_h_matches_per_direction_reference(self, table_case):
+        boundary, a = table_case
+        angular = AngularGrid(64)
+        pts = CartesianGrid(boundary, 12, 12).points_all
+        int_pts = pts[boundary.contains(pts)]
+        got = _sampled_h(a, boundary, angular, int_pts)
+        for h, ref in zip(got, _per_direction_h(a, boundary, angular, int_pts)):
+            assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.fixture(scope="module", params=["disk", "table"])
+def stream_case(request):
+    """An attenuated problem whose grid the default chunks split, both in
+    build_h (1024 points at 128 angles) and in the reconstruct (1024)."""
+    if request.param == "disk":
+        boundary, n_grid = make_boundary("disk", 128), 48
+        a = phantom("poly-bump", boundary, params={"amplitude": 0.3})
+    else:
+        # 64 nodes keep a margin of 0.37 from the curve: a finer grid
+        boundary, n_grid = _table64(), 64
+        a = phantom("shifted-poly-bump", boundary, params={"amplitude": 0.3})
+    f = phantom("shifted-poly-bump", boundary, params={"center": (-0.2, 0.1), "radius": 0.6})
+    ang = AngularGrid(128)
+    g = project_minus(forward_sinogram(f, a, boundary, ang, QuadSettings(4, 4)), 16)
+    return boundary, a, ang, g, CartesianGrid(boundary, n_grid, n_grid)
+
+
+class TestStreamChunks:
+    """No bit of beta, the leak or the picture depends on the chunks that
+    build_h and the attenuated reconstruct walk the grid in."""
+
+    @staticmethod
+    def _run(case, points):
+        boundary, a, ang, g, grid = case
+        with pytest.MonkeyPatch.context() as mp:
+            if points is not None:
+                mp.setattr(attenuation, "H_CHUNK", points * ang.n_angles)
+                mp.setattr(attenuation, "RECON_CHUNK", points)
+            # gates lifted: on the table this `a` leaks 1.6e-6 at 128 angles
+            fac = build_h(a, boundary, ang, g.n_modes, QuadSettings(4, 4), s_samples=512,
+                          interior_grid=grid, tol_neg=1.0, tol_identity=1.0)
+            pic = reconstruct_f_attenuated(g, fac, grid)
+        return fac, pic
+
+    def test_chunks_move_no_bits(self, stream_case):
+        grid = stream_case[4]
+        assert 1024 < np.count_nonzero(grid.valid) < np.count_nonzero(grid.inside)
+        fac, pic = self._run(stream_case, None)
+        assert np.count_nonzero(pic) > 0.9 * np.count_nonzero(grid.valid)
+        for points in (37, grid.nx * grid.ny):
+            other, other_pic = self._run(stream_case, points)
+            assert np.array_equal(other.interior.beta, fac.interior.beta)
+            assert other.max_neg_mode == fac.max_neg_mode
+            assert np.array_equal(other_pic, pic)
+
+
+class TestStreamMemory:
+    """The attenuated route holds beta and a fixed chunk, not h or its
+    transforms on every inside point (parent: build_h 145 MB, reconstruct
+    73 MB at this size)."""
+
+    def test_peaks_at_128x128(self, disk512, ang128):
+        a = phantom("poly-bump", disk512, params={"amplitude": 0.3})
+        g = project_minus(forward_sinogram(phantom("poly-bump", disk512), a, disk512, ang128), 32)
+        grid = CartesianGrid(disk512, 128, 128)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fac, build_peak = traced_peak(lambda: build_h(a, disk512, ang128, 32, interior_grid=grid))
+        _, recon_peak = traced_peak(lambda: reconstruct_f_attenuated(g, fac, grid))
+        assert build_peak <= 24e6
+        assert recon_peak <= 24e6
+
+
 class TestInteriorDa:
-    """Da of a polynomial `a` on interior points, as _sample_h takes it, is
-    exact whatever the quadrature settings."""
+    """Da of a polynomial `a` on interior points is exact whatever the
+    quadrature settings, with the chord ending on the curve and, as
+    build_h takes it, open past the support disk."""
 
     @pytest.mark.parametrize("kind", ["disk", "ellipse", "table"])
     def test_polynomial_da_exact(self, kind):
@@ -237,8 +385,9 @@ class TestInteriorDa:
                 _, tau_fwd, _ = boundary.line_spans(pts, th)
                 exact = bump_chord_integral(field, pts, th, 0.0, tau_fwd)
                 for quad in (QuadSettings(), QuadSettings(1, 2)):
-                    got = chord_integrals(field, pts, th, 0.0, tau_fwd, quad)
-                    assert np.max(np.abs(got - exact)) <= 1e-14 * scale
+                    for end in (tau_fwd, np.inf):
+                        got = chord_integrals(field, pts, th, 0.0, end, quad)
+                        assert np.max(np.abs(got - exact)) <= 1e-14 * scale
 
 
 class TestFlipIdentities:
