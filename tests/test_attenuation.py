@@ -137,7 +137,6 @@ class TestProfileSpline:
             got = _spline_eval(s_grid, y[:, j], slopes[:, j], at)
             assert np.max(np.abs(got - ref[:, j])) <= 1e-14 * np.max(np.abs(y[:, j]))
 
-
     def test_interval_lookup_matches_searchsorted(self, disk256):
         """The floor-and-correct interval of _spline_eval is searchsorted's,
         at the knots, one ulp either side of them and past both ends."""
@@ -159,6 +158,11 @@ class TestProfileSpline:
 _U64 = 2.0 * np.pi * np.arange(64) / 64
 
 
+def _table64():
+    """The 64-point table of the 1.5 x 1 ellipse, at 64 nodes."""
+    return make_boundary("table", 64, table=np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)]))
+
+
 def _pairing_case(kind):
     """Boundary, attenuation, N and even M that pass build_h's gates.
 
@@ -172,8 +176,7 @@ def _pairing_case(kind):
     if kind == "ellipse":
         b = make_boundary("ellipse", 128, a=1.5, b=1.0)
     else:
-        b = make_boundary("table", 64,
-                          table=np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)]))
+        b = _table64()
     return b, phantom("poly-bump", b, params={"amplitude": 0.005}), 16, 64
 
 
@@ -253,10 +256,6 @@ class TestAntipodalPairing:
     def test_one_profile_per_pair(self, paired_build):
         m = paired_build["n_angles"]
         assert paired_build["calls"] == (m // 2 if m % 2 == 0 else m)
-
-
-def _table64():
-    return make_boundary("table", 64, table=np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)]))
 
 
 class TestTableFactors:
