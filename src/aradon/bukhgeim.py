@@ -17,12 +17,13 @@ together: each power of r is formed once per chunk of targets and meets
 every trace row it multiplies in one BLAS matrix product, r^j times G's
 base for G, r^m / (w - xi)^2 for d v_{-d} of every order at once (see
 del_v_minus).  The same w'/(w - xi) gives C's kernel, one more product,
-and G's base, so the boundary G, the interior map v = (1/2) G g + C g
-and every derivative order share one pass over the kernels.  The
-targets run in chunks of TARGET_CHUNK through (chunk x nodes) work
-arrays allocated once per call, and are the row dimension of every
-product, so no value depends on the chunk size unless a target falls
-alone into the last chunk (a matrix-vector product).
+and G's base, so the boundary S = I + 2 C (C a principal value on the
+nodes) and G, the interior map v = (1/2) G g + C g and every derivative
+order share one pass over the kernels.  The targets run in chunks of
+TARGET_CHUNK through (chunk x nodes) work arrays allocated once per
+call, and are the row dimension of every product, so no value depends
+on the chunk size unless a target falls alone into the last chunk (a
+matrix-vector product).
 """
 
 import warnings
@@ -142,35 +143,10 @@ def _as_complex_points(points):
 
 
 def op_S(g):
-    """Boundary principal-value Cauchy integral, componentwise.
-
-    Uses singularity subtraction: the smooth difference quotient is
-    integrated by the trapezoid rule with the diagonal replaced by its
-    limit (the parameter derivative of the mode values, computed
-    spectrally), and the subtracted constant contributes exactly itself
-    since the p.v. integral of dw/(w - xi_0) over a smooth closed curve
-    is pi*i.
-    """
-    return ModeTrace(g.boundary, g.n_modes, _S_apply(g.data, g.boundary))
-
-
-def _S_apply(g_data, boundary):
-    n = boundary.n_nodes
-    w = boundary.complex_nodes()
-    wd = boundary.complex_velocity()
-    dt = 2.0 * np.pi / n
-    kernel = w[None, :] - w[:, None]         # [m, i] = w_i - w_m
-    np.fill_diagonal(kernel, 1.0)
-    np.divide(wd[None, :], kernel, out=kernel)
-    np.fill_diagonal(kernel, 0.0)
-    row_sum = np.sum(kernel, axis=1)
-    gdot = _spectral_derivative(g_data)
-    smooth = (
-        g_data @ kernel.T
-        - g_data * row_sum[None, :]
-        + gdot
-    )
-    return smooth * (dt / (1.0j * np.pi)) + g_data
+    """Boundary principal-value Cauchy integral, componentwise: g + 2 C g,
+    with C on the nodes by singularity subtraction (see _sweep), since the
+    p.v. integral of dw/(w - xi_0) over a smooth closed curve is pi*i."""
+    return ModeTrace(g.boundary, g.n_modes, _boundary_S_G(g, with_g=False)[0])
 
 
 def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=False,
@@ -184,9 +160,11 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     B_j = base r^j adds row k + 2j into G's row k, and R_m = r^m / u^2
     applied to the columns M_m[:, d] = (m + 1) (w' g_{d+2m} - conj(w')
     g_{d+2m+2}) (rows past N zero) sums d v_{-d} (see del_v_minus).  C is
-    (w'/u) g^T, and w'/u gives G's base.  Node targets (node_targets >= 0,
-    G only) get the double-layer diagonal limit kappa |w'| / 2 in the base
-    and the tangential limit conj(w')/w' in the ratio.  Targets run in
+    (w'/u) g^T, and w'/u gives G's base.  Node targets (node_targets >= 0)
+    get the double-layer diagonal limit kappa |w'| / 2 in the base, the
+    tangential limit conj(w')/w' in the ratio, and C's principal value:
+    w'/u with its diagonal zeroed, minus g at the target times the row
+    sum, plus the smooth quotient's diagonal limit g'.  Targets run in
     chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes) through work
     arrays allocated once per call; each target is a row of every product,
     so no value depends on how targets fall into chunks of two or more.
@@ -214,9 +192,10 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
             for p, k in zip(m, active)]
     n_pow = max(top // 2 + 1 if with_g else 0, len(m))
     g_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_g else None
-    c_acc = np.empty((len(targets), n_rows), dtype=complex) if with_c else None
+    c_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_c else None
     d_acc = np.zeros((len(targets), len(uniq)), dtype=complex)
     c_rows = (g_data * scale).T
+    gdot = _spectral_derivative(g_data) if with_c and node_targets is not None else None
     chunk = TARGET_CHUNK * max(1, 512 // n)
     work = np.empty((5, min(chunk, len(targets)), n), dtype=complex)
     for lo in range(0, len(targets), chunk):
@@ -229,7 +208,8 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
             u[rows, cols] = 1.0                  # placeholder, replaced below
         if with_g or with_c:                     # w'/u: G's base and C's kernel
             np.divide(wd[None, :], u, out=q)
-        np.divide(np.conjugate(u, out=ratio), u, out=ratio)
+        if with_g or len(m):                     # r: G's and the orders' ratio
+            np.divide(np.conjugate(u, out=ratio), u, out=ratio)
         if with_g:
             base[...] = (2.0 / np.pi) * np.imag(q) * dt
             if node_targets is not None:
@@ -238,7 +218,11 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
                 ) * dt
                 ratio[rows, cols] = np.conj(wd[cols]) / wd[cols]
         if with_c:
-            c_acc[sl] = q @ c_rows
+            if node_targets is not None:         # principal value: S g = g + 2 C g
+                q[rows, cols] = 0.0
+                c_acc[lo + rows] = scale * (
+                    gdot[:, cols] - g_data[:, cols] * np.sum(q[rows], axis=1)).T
+            c_acc[sl] += q @ c_rows
         if len(m):
             np.divide(1.0, np.multiply(u, u, out=r_pow), out=r_pow)
         for p in range(n_pow):
@@ -252,16 +236,18 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     return (None if g_acc is None else g_acc.T), (None if c_acc is None else c_acc.T), d_out
 
 
-def _G_boundary(g_data, boundary):
-    targets = boundary.complex_nodes()
-    node_targets = np.arange(boundary.n_nodes)
-    return _sweep(g_data, boundary, targets, node_targets)[0]
+def _boundary_S_G(g, with_g=True):
+    """S g and G g (None without `with_g`) at the nodes, from one sweep: on
+    node targets its C is the principal value, so S g = g + 2 C g."""
+    b = g.boundary
+    gg, cg, _ = _sweep(g.data, b, b.complex_nodes(), np.arange(b.n_nodes), with_g, True)
+    return g.data + 2.0 * cg, gg
 
 
 def hilbert_H0(g):
     """Hilbert transform of the trace: H0 g = i (S g + G g)."""
-    data = 1.0j * (_S_apply(g.data, g.boundary) + _G_boundary(g.data, g.boundary))
-    return ModeTrace(g.boundary, g.n_modes, data)
+    s, gg = _boundary_S_G(g)
+    return ModeTrace(g.boundary, g.n_modes, 1.0j * (s + gg))
 
 
 def _make_residual(res_data, in_data, boundary, n_modes):
@@ -278,7 +264,8 @@ def range_residual_0(g):
 
     Identical to (I + i H0) g; zero exactly on traces of A-analytic maps.
     """
-    res_data = g.data - _S_apply(g.data, g.boundary) - _G_boundary(g.data, g.boundary)
+    s, gg = _boundary_S_G(g)
+    res_data = g.data - s - gg
     return _make_residual(res_data, g.data, g.boundary, g.n_modes)
 
 

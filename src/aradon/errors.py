@@ -30,10 +30,6 @@ class GridTooCoarse(AradonError):
     """Angular grid too coarse for the requested mode count (M < 2N+2)."""
 
 
-class NegativeEntry(AradonError):
-    """A vector required to be nonnegative has a negative entry."""
-
-
 class UnknownPhantom(AradonError):
     """Phantom name not in the shipped catalogue."""
 

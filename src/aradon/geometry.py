@@ -11,9 +11,8 @@ works in two ways: disks and ellipses solve the quadric in closed form;
 point tables use that s(u) = theta x w(u) is monotone on the two arcs
 between its extrema, so each crossing is bracketed by a searchsorted on
 one arc and polished by Newton kept inside the bracket.  Node chord
-lengths, the chord quadratures of the forward and of the integrating
-factors, and the jump of the chord-length derivative across tangential
-directions are all built on it.
+lengths and the chord quadratures of the forward and of the integrating
+factors are all built on it.
 
 Conventions: curves are traversed counterclockwise; the outward normal is
 the tangent rotated clockwise by 90 degrees; angles phi always refer to
@@ -22,7 +21,7 @@ the direction (cos phi, sin phi).
 
 import numpy as np
 
-from .errors import NonConvex, TooFewNodes, OutsideDomain
+from .errors import NonConvex, TooFewNodes
 
 # Tolerances shared by the geometric predicates.
 ON_BOUNDARY_TOL = 1e-9     # distance below which a point counts as lying on the curve
@@ -35,13 +34,6 @@ POINT_CHUNK = 128          # points per pass of the (points x curve samples) dis
 
 # Config-file spellings of the boundary kinds.
 KIND_ALIASES = {"disk": "unit-disk", "table": "generic"}
-
-
-def _as_point(p):
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
-        raise ValueError("expected a 2-vector, got shape %r" % (p.shape,))
-    return p
 
 
 def _cross(u, v):
@@ -89,6 +81,8 @@ class ConvexBoundary:
         Node positions, unit tangents, outward unit normals.
     curvatures, speeds : (n,) arrays
         kappa(t_i) and |w'(t_i)| at the nodes.
+    table : (m, 2) array, "generic" only
+        The point table the spline is fitted to, counterclockwise.
     """
 
     def __init__(self, kind, n_nodes, a=1.0, b=1.0, table=None):
@@ -102,13 +96,14 @@ class ConvexBoundary:
         self._spline = None
 
         if kind == "generic":
-            pts = np.asarray(table, dtype=float)
+            pts = np.array(table, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 8:
                 raise NonConvex("generic boundary needs a table of at least 8 (x, y) rows")
             # Normalize to counterclockwise orientation before fitting.
             area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
             if area2 < 0:
                 pts = pts[::-1]
+            self.table = pts
             ts = 2.0 * np.pi * np.arange(len(pts) + 1) / len(pts)
             closed = np.vstack([pts, pts[:1]])
             # imported here: scipy.interpolate takes most of a start-up, and
@@ -346,7 +341,7 @@ class ConvexBoundary:
             desc["a"] = self.a
             desc["b"] = self.b
         if self.kind == "generic":
-            desc["table"] = [[float(x), float(y)] for x, y in self.positions]
+            desc["table"] = [[float(x), float(y)] for x, y in self.table]
         return desc
 
 
@@ -371,24 +366,3 @@ def make_boundary(kind, n_nodes, a=1.0, b=1.0, table=None):
     if kind == "generic":
         return ConvexBoundary("generic", n_nodes, table=table)
     raise NonConvex("unknown boundary kind %r" % (kind,))
-
-
-def tau_angular_jump(boundary, z0, h_phi=1e-3):
-    """Jump of the phi-derivative of the chord length across tangency.
-
-    z0 may be a node index or a node position.  The chord length
-    tau(z0, theta(phi)) vanishes at the tangential direction phi0 and
-    grows like 2 R0 |sin(phi - phi0)| on both sides, so the derivative
-    jump is estimated as (tau(phi0+h) + tau(phi0-h)) / h -> 4 R0.
-    """
-    if np.isscalar(z0) or (isinstance(z0, np.ndarray) and z0.ndim == 0):
-        idx = int(z0)
-    else:
-        z = _as_point(z0)
-        idx = int(np.argmin(np.sum((boundary.positions - z) ** 2, axis=1)))
-        if np.hypot(*(boundary.positions[idx] - z)) > 1e-8:
-            raise OutsideDomain("z0 is not a boundary node")
-    tang = boundary.tangents[idx]
-    phis = np.arctan2(tang[1], tang[0]) + np.array([h_phi, -h_phi])
-    taus = boundary.node_chord_lengths(np.column_stack([np.cos(phis), np.sin(phis)]))
-    return float(np.sum(taus[idx]) / h_phi)

@@ -3,9 +3,8 @@
 Boundary data g(z, theta) is reduced to its nonpositive angular modes:
 a ModeTrace stores rows k = 0..N with row k holding g_{-k} at every
 boundary node.  The module provides the projection onto nonpositive
-modes, truncated and power-series sequence convolution, the weighted
-norms used as decay diagnostics, and the two summation identities for
-nonnegative sequences that underpin the convolution norm bounds.
+modes, truncated and power-series sequence convolution, and the
+weighted norms used as decay diagnostics.
 
 All angular grids are uniform, phi_j = 2 pi j / M, and projections are
 plain DFTs: exact for trigonometric polynomials of degree <= N whenever
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, NegativeEntry
+from .errors import GridTooCoarse
 
 
 @dataclass(frozen=True)
@@ -125,13 +124,6 @@ def convolve_seq(a, b):
     return out
 
 
-def identity_seq(n_modes):
-    """Convolution identity <1, 0, 0, ...>."""
-    e = np.zeros(n_modes + 1, dtype=complex)
-    e[0] = 1.0
-    return e
-
-
 def weighted_norms(v):
     """Truncated decay norms of a mode trace.
 
@@ -144,35 +136,3 @@ def weighted_norms(v):
     l11 = float(np.max(np.sum(k[:, None] * absv, axis=0)))
     l12 = float(np.max(np.sum((k ** 2)[:, None] * absv, axis=0)))
     return l11, l12, l1
-
-
-def lemma21_identity(c):
-    """Both sides of the two summation identities for nonnegative sequences.
-
-    The input vector holds c_1..c_J (c[i] is the coefficient of index
-    i+1).  Identity (i): sum_{k>=1} sum_{n>=0} k c_{k+n} equals
-    sum_j j(j+1)/2 c_j.  Identity (ii): the same double sum without the
-    factor k equals sum_j j c_j.  Left sides are computed by a literal
-    double loop, right sides by the weighted single sums.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1:
-        raise ValueError("expected a 1-D vector")
-    if np.any(c < 0.0):
-        raise NegativeEntry("sequence entries must be nonnegative")
-    jmax = len(c)
-
-    def cval(j):
-        return c[j - 1] if 1 <= j <= jmax else 0.0
-
-    lhs_i = 0.0
-    lhs_ii = 0.0
-    for k in range(1, jmax + 1):
-        for n in range(0, jmax - k + 1):
-            lhs_i += k * cval(k + n)
-            lhs_ii += cval(k + n)
-    j = np.arange(1, jmax + 1, dtype=float)
-    rhs_i = float(np.sum(j * (j + 1) / 2.0 * c))
-    rhs_ii = float(np.sum(j * c))
-    return lhs_i, rhs_i, lhs_ii, rhs_ii
-

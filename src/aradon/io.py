@@ -101,7 +101,8 @@ def _grids(header, path, boundary, angular):
     """The boundary and angular grid of a file: the caller's own objects,
     which the header must describe (GridMismatch otherwise), or else the
     header's rebuilt.  A boundary matches when its descriptor (kind, node
-    count, ellipse axes, a table's node points) equals the header's."""
+    count, ellipse axes, the counterclockwise table a spline boundary was
+    fitted to) equals the header's."""
     desc = _descriptor(header, path)
     if int(header["n_nodes"]) != desc["n_nodes"]:
         raise ConfigError("%s: header has %d nodes, its boundary descriptor %d"

@@ -3,12 +3,16 @@
 Each checker recomputes a property of the chain by a route of its own
 (dense trapezoid sums, trigonometric interpolation, finite differences,
 a second operator ordering), so it can judge the library's outputs
-without sharing their quadratures.  Tests import it like conftest.
+without sharing their quadratures.  It also holds the dense n x n
+principal-value kernel, the reference for the boundary sweep's S, and the
+identities of the paper's Lemma 2.1 and the chord-length jump at
+tangency, which no command needs.  Tests import it like conftest.
 """
 import numpy as np
 
 from aradon.attenuation import range_residual_a
 from aradon.bukhgeim import hilbert_H0
+from aradon.errors import OutsideDomain
 from aradon.geometry import TOL_TANGENT
 from aradon.harmonics import ModeTrace, convolve
 
@@ -31,6 +35,93 @@ def direct_finite_hilbert(f):
         out += (pad[i - k] - pad[i + k]) / k
     out -= (pad[i + 1] - pad[i - 1]) / 2.0
     return out / np.pi
+
+
+def dense_S(g_data, boundary):
+    """Principal-value Cauchy integral of every mode row at the nodes, from
+    one dense n x n kernel: the smooth quotient (g_i - g_m) w'_i / (w_i - w_m)
+    by the trapezoid rule, its diagonal limit the spectral g'."""
+    n = boundary.n_nodes
+    w = boundary.complex_nodes()
+    wd = boundary.complex_velocity()
+    dt = 2.0 * np.pi / n
+    kernel = w[None, :] - w[:, None]         # [m, i] = w_i - w_m
+    np.fill_diagonal(kernel, 1.0)
+    np.divide(wd[None, :], kernel, out=kernel)
+    np.fill_diagonal(kernel, 0.0)
+    row_sum = np.sum(kernel, axis=1)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    gdot = np.fft.ifft(1j * k[None, :] * np.fft.fft(g_data, axis=1), axis=1)
+    smooth = g_data @ kernel.T - g_data * row_sum[None, :] + gdot
+    return smooth * (dt / (1.0j * np.pi)) + g_data
+
+
+def identity_seq(n_modes):
+    """Convolution identity <1, 0, 0, ...>."""
+    e = np.zeros(n_modes + 1, dtype=complex)
+    e[0] = 1.0
+    return e
+
+
+def lemma21_identity(c):
+    """Both sides of the two summation identities for nonnegative sequences.
+
+    The input vector holds c_1..c_J (c[i] is the coefficient of index
+    i+1).  Identity (i): sum_{k>=1} sum_{n>=0} k c_{k+n} equals
+    sum_j j(j+1)/2 c_j.  Identity (ii): the same double sum without the
+    factor k equals sum_j j c_j.  Left sides are computed by a literal
+    double loop, right sides by the weighted single sums.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError("expected a 1-D vector")
+    if np.any(c < 0.0):
+        raise ValueError("sequence entries must be nonnegative")
+    jmax = len(c)
+
+    def cval(j):
+        return c[j - 1] if 1 <= j <= jmax else 0.0
+
+    lhs_i = 0.0
+    lhs_ii = 0.0
+    for k in range(1, jmax + 1):
+        for n in range(0, jmax - k + 1):
+            lhs_i += k * cval(k + n)
+            lhs_ii += cval(k + n)
+    j = np.arange(1, jmax + 1, dtype=float)
+    rhs_i = float(np.sum(j * (j + 1) / 2.0 * c))
+    rhs_ii = float(np.sum(j * c))
+    return lhs_i, rhs_i, lhs_ii, rhs_ii
+
+
+def _as_point(p):
+    p = np.asarray(p, dtype=float)
+    if p.shape != (2,):
+        raise ValueError("expected a 2-vector, got shape %r" % (p.shape,))
+    return p
+
+
+def tau_angular_jump(boundary, z0, h_phi=1e-3):
+    """Jump of the phi-derivative of the chord length across tangency.
+
+    z0 may be a node index or a node position.  The chord length
+    tau(z0, theta(phi)) vanishes at the tangential direction phi0 and
+    grows like 2 R0 |sin(phi - phi0)| on both sides, so the derivative
+    jump is estimated as (tau(phi0+h) + tau(phi0-h)) / h -> 4 R0.
+    """
+    if np.isscalar(z0) or (isinstance(z0, np.ndarray) and z0.ndim == 0):
+        idx = int(z0)
+    else:
+        z = _as_point(z0)
+        idx = int(np.argmin(np.sum((boundary.positions - z) ** 2, axis=1)))
+        if np.hypot(*(boundary.positions[idx] - z)) > 1e-8:
+            raise OutsideDomain("z0 is not a boundary node")
+    tang = boundary.tangents[idx]
+    phis = np.arctan2(tang[1], tang[0]) + np.array([h_phi, -h_phi])
+    taus = boundary.node_chord_lengths(np.column_stack([np.cos(phis), np.sin(phis)]))
+    return float(np.sum(taus[idx]) / h_phi)
 
 
 def nearest_param(boundary, point):

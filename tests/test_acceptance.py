@@ -25,17 +25,16 @@ from aradon.bukhgeim import (
     reconstruct_f0,
 )
 from aradon.cli import main
-from aradon.geometry import make_boundary, tau_angular_jump
+from aradon.geometry import make_boundary
 from aradon.harmonics import (
     AngularGrid,
     ModeTrace,
     convolve_seq,
-    identity_seq,
-    lemma21_identity,
     project_minus,
     weighted_norms,
 )
 from aradon.xray import QuadSettings, forward_sinogram, phantom, radon_profile
+from oracles import identity_seq, lemma21_identity, tau_angular_jump
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
 from aradon.xray import forward_sinogram, phantom
 from conftest import algebraic_trace
-from oracles import aanaliticity_defect
+from oracles import aanaliticity_defect, dense_S
 
 
 @pytest.fixture(scope="module")
@@ -373,9 +373,30 @@ class TestSharedSweep:
         b = g.boundary
         nodes = np.arange(b.n_nodes)
         ref = ref_G(g.data, b, b.complex_nodes(), nodes)
-        assert_roundoff(bukhgeim._G_boundary(g.data, b), ref)
+        assert_roundoff(bukhgeim._boundary_S_G(g)[1], ref)
         one = bukhgeim._sweep(g.data, b, b.complex_nodes()[5:6], np.array([5]))[0]
         assert_roundoff(one[:, 0], ref[:, 5])
+
+    def test_boundary_S(self, sweep_case):
+        """S from the sweep's principal-value C on the nodes, and H0 and the
+        residual built on it, against the dense n x n kernel; a lone node
+        target and node targets mixed with interior ones give the same C."""
+        g, pts = sweep_case
+        b = g.boundary
+        s_ref = dense_S(g.data, b)
+        g_ref = ref_G(g.data, b, b.complex_nodes(), np.arange(b.n_nodes))
+        assert_roundoff(op_S(g).data, s_ref)
+        assert_roundoff(hilbert_H0(g).data, 1j * (s_ref + g_ref))
+        assert_roundoff(range_residual_0(g).residual.data, g.data - s_ref - g_ref)
+        c_ref = (s_ref - g.data) / 2.0
+        one = bukhgeim._sweep(g.data, b, b.complex_nodes()[5:6], np.array([5]), with_c=True)[1]
+        assert_roundoff(one[:, 0], c_ref[:, 5])
+        mix = np.array([-1, 5, -1, -1, 17, 100, -1])
+        targets = np.where(mix >= 0, b.complex_nodes()[mix], pts[:len(mix)])
+        c = bukhgeim._sweep(g.data, b, targets, mix, with_g=False, with_c=True)[1]
+        inner = bukhgeim._sweep(g.data, b, targets[mix < 0], with_g=False, with_c=True)[1]
+        assert_roundoff(c[:, mix >= 0], c_ref[:, mix[mix >= 0]])
+        assert_roundoff(c[:, mix < 0], inner)
 
     def test_interior_G(self, sweep_case):
         g, pts = sweep_case

@@ -6,7 +6,8 @@ import pytest
 
 from aradon.bukhgeim import CartesianGrid
 from aradon.errors import NonConvex, TooFewNodes
-from aradon.geometry import ON_BOUNDARY_TOL, make_boundary, tau_angular_jump
+from aradon.geometry import ON_BOUNDARY_TOL, make_boundary
+from oracles import tau_angular_jump
 
 
 def ellipse_chord_oracle(a, b, z, d):

@@ -263,6 +263,21 @@ class TestFactorsCache:
 
 
 class TestBoundaryTable:
+    def test_read_back_is_the_config_curve(self, tmp_path):
+        """A table sinogram read without a boundary rebuilds the config's own
+        spline, also when the nodes are not the table's points."""
+        b = _ellipse_table(1.5, 100)
+        assert len(b.table) == 48
+        p = tmp_path / "sino.bin"
+        write_sinogram(p, forward_sinogram(phantom("poly-bump", b), phantom("zero", b),
+                                           b, AngularGrid(16)))
+        back = read_sinogram(p).boundary
+        assert back.descriptor() == b.descriptor()
+        assert np.array_equal(back.normals, b.normals)
+        assert np.array_equal(back.curvatures, b.curvatures)
+        th = np.array([[np.cos(0.3), np.sin(0.3)]])
+        assert np.array_equal(back.node_chord_lengths(th), b.node_chord_lengths(th))
+
     def test_csv_reader(self, tmp_path):
         t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         pts = np.stack([1.3 * np.cos(t), 0.9 * np.sin(t)], axis=1)
