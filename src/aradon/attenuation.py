@@ -40,7 +40,7 @@ from .bukhgeim import (
     del_v_minus,
     reconstruct_f0,
 )
-from .xray import QuadSettings, chord_integrals, radon_profile, _directions
+from .xray import QuadSettings, chord_integrals, radon_profile, ray_span, _directions
 
 # Entries of h (inside points x directions) per pass of build_h's interior
 # stream, 1024 points at 128 angles; entries of e^{-+h} and their FFTs per
@@ -246,8 +246,8 @@ def default_s_grid(boundary, n_samples=2048):
 
 
 class _HSampler:
-    """h = Da - (1/2)(I - iH)Ra on every direction, at the nodes or at any
-    inside points.
+    """h = Da - (1/2)(I - iH)Ra on every direction, at any points of the
+    closed domain, the nodes among them.
 
     With an even number of angles, direction j + M/2 is theta_j + pi, so
     it reads the profile of direction j at -s, conjugated (Ra(s, theta +
@@ -271,50 +271,26 @@ class _HSampler:
         self.profiles = ra - 1.0j * finite_hilbert(ra)
         self.slopes = _spline_slopes(self.s_grid, self.profiles.view(float)).view(complex)
 
-    def _h(self, xy, da):
-        """h at the points xy (p, 2), (p, M); da(k) is Da along direction k."""
+    def at(self, points):
+        """h at the points (p, 2), (p, M).  Da runs along each ray from its
+        point to the ray's end (ray_span); from a node that is the whole
+        chord on incoming rays and, to roundoff, nothing on the others."""
         dirs = self.dirs
-        h = np.empty((len(xy), len(dirs)), dtype=complex)
+        h = np.empty((len(points), len(dirs)), dtype=complex)
         for j in range(self.n_base):
             # (direction, sign): the opposite direction reads the profile at -s
             pair = ((j, 1.0), (j + self.n_base, -1.0)) if self.paired else ((j, 1.0),)
-            offsets = np.concatenate([sign * (xy @ np.array([-dirs[k][1], dirs[k][0]]))
+            offsets = np.concatenate([sign * (points @ np.array([-dirs[k][1], dirs[k][0]]))
                                       for k, sign in pair])
             lin = _spline_eval(self.s_grid, self.profiles[:, j], self.slopes[:, j],
                                offsets).reshape(len(pair), -1)
             for (k, sign), lin_k in zip(pair, lin):
                 if sign < 0.0:
                     lin_k = np.conj(lin_k)
-                h[:, k] = da(k) - 0.5 * lin_k
+                _, end = ray_span((self.a,), self.boundary, points, dirs[k])
+                da = chord_integrals(self.a, points, dirs[k], 0.0, end, self.quad)
+                h[:, k] = da - 0.5 * lin_k
         return h
-
-    def nodes(self):
-        """h on the nodes, (n_nodes, M).  Da is zero on outgoing and
-        tangential rays and the full chord integral on incoming ones."""
-        b = self.boundary
-        taus = b.node_chord_lengths(self.dirs)
-        incoming = b.normals @ self.dirs.T < 0.0
-
-        def da(k):
-            out = np.zeros(b.n_nodes)
-            if np.any(incoming[:, k]):
-                out[incoming[:, k]] = chord_integrals(
-                    self.a, b.positions[incoming[:, k]], self.dirs[k], 0.0,
-                    taus[incoming[:, k], k], self.quad)
-            return out
-        return self._h(b.positions, da)
-
-    def at(self, points):
-        """h at inside points (p, 2), (p, M).  Da runs to the chord's end:
-        the end of `a`'s support disk, which lies in the closed domain, when
-        it has one (clip_chords cuts the chord there), else the curve."""
-        def da(k):
-            th = self.dirs[k]
-            if self.a.support is not None:
-                return chord_integrals(self.a, points, th, 0.0, np.inf, self.quad)
-            _, end, _ = self.boundary.line_spans(points, th)
-            return chord_integrals(self.a, points, th, 0.0, end, self.quad)
-        return self._h(points, da)
 
 
 def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
@@ -333,7 +309,7 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
     angular.check_modes(n_modes)
     sampler = _HSampler(a, boundary, angular, quad, s_samples)
 
-    alpha, beta, neg = _factor_modes(sampler.nodes(), n_modes)
+    alpha, beta, neg = _factor_modes(sampler.at(boundary.positions), n_modes)
     _check_leak(neg, tol_neg, "boundary")
     dev = _seq_product_deviation(alpha, beta)
     if dev > tol_identity:
@@ -388,7 +364,7 @@ def range_residual_a(g, factors):
     return _make_residual(res_data, g.data, g.boundary, g.n_modes)
 
 
-def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
+def reconstruct_f_attenuated(g, factors, grid, gate=0.05):
     """Source reconstruction from attenuated boundary data.
 
     Builds v from the conjugated trace alpha * g, forms u = beta * v on
@@ -400,7 +376,7 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     """
     _check_match(g, factors)
     if factors.zero_attenuation:
-        return reconstruct_f0(g, grid, margin=margin, gate=gate)
+        return reconstruct_f0(g, grid, gate=gate)
 
     check = range_residual_a(g, factors)
     if check.relative > gate:
@@ -433,8 +409,7 @@ def reconstruct_f_attenuated(g, factors, grid, margin=None, gate=0.05):
     fd_ok = ~fd_zeroed_mask(factors, grid)[at]
     f_vals = np.empty(len(at))
     for sl in _slices(len(at), RECON_CHUNK):
-        dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, margin=margin,
-                            field=True, part=sl)
+        dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, field=True, part=sl)
         f_vals[sl] = _source_values(inter, grid, col, at[sl], fd_ok[sl], dv, v.data)
     return grid.unflatten(f_vals)
 

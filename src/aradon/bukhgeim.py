@@ -317,7 +317,7 @@ class CartesianGrid:
         return out.reshape(self.ny, self.nx)
 
 
-def del_v_minus(g, d, points, margin=None, field=False, part=slice(None)):
+def del_v_minus(g, d, points, field=False, part=slice(None)):
     """d v_{-d} at interior points from the trace, by explicit kernels.
 
     2 pi i times the value is the j-sum of dw-integrals with kernels
@@ -341,13 +341,13 @@ def del_v_minus(g, d, points, margin=None, field=False, part=slice(None)):
     (derivatives, cauchy_build(g, points)).  `part`, a slice of the points,
     evaluates at those alone.
     """
-    targets = _require_interior(g.boundary, points, margin, part)
+    targets = _require_interior(g.boundary, points, None, part)
     gg, cg, out = _sweep(g.data, g.boundary, targets, with_g=field, with_c=field, orders=d)
     out = out[0] if np.ndim(d) == 0 else out
     return (out, _cauchy_field(g, targets, gg, cg)) if field else out
 
 
-def reconstruct_f0(g, grid, margin=None, gate=0.05):
+def reconstruct_f0(g, grid, gate=0.05):
     """Source term from consistent non-attenuated boundary data.
 
     Returns the picture 2 Re(d v_{-1}) on the grid (zeros outside the
@@ -362,5 +362,5 @@ def reconstruct_f0(g, grid, margin=None, gate=0.05):
             "in range" % (check.relative, gate),
             InconsistentInput,
         )
-    vals = 2.0 * np.real(del_v_minus(g, 1, grid, margin=margin))
+    vals = 2.0 * np.real(del_v_minus(g, 1, grid))
     return grid.unflatten(vals)

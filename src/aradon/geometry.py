@@ -10,9 +10,7 @@ returns the two crossings of many parallel lines with the curve.  It
 works in two ways: disks and ellipses solve the quadric in closed form;
 point tables use that s(u) = theta x w(u) is monotone on the two arcs
 between its extrema, so each crossing is bracketed by a searchsorted on
-one arc and polished by Newton kept inside the bracket.  Node chord
-lengths and the chord quadratures of the forward and of the integrating
-factors are all built on it.
+one arc and polished by Newton kept inside the bracket.
 
 Conventions: curves are traversed counterclockwise; the outward normal is
 the tangent rotated clockwise by 90 degrees; angles phi always refer to

@@ -1,8 +1,9 @@
 """Forward modeling: ray transforms, sinogram assembly, analytic phantoms.
 
 The full-line transform integrates across the whole domain, on many
-parallel lines at once.  No crossing with the domain is solved here:
-every chord and line span comes from the geometry's one primitive,
+parallel lines at once.  One helper, ray_span, decides how far every
+line and ray runs: unbounded when each field on it has a support disk,
+else to the curve crossings of the geometry's one primitive,
 ConvexBoundary.line_spans.  Every chord integral goes through one
 helper, chord_integrals: it clips the chord to the field's support disk
 (clip_chords), integrates a field that is a polynomial along lines
@@ -14,8 +15,8 @@ layout would make every sample a stride-2 write and every field read a
 stride-2 read.
 forward_sinogram produces the canonical boundary data of an attenuated
 ray transform: on outgoing node/direction pairs it carries the
-attenuated ray integral of the source over the full chord, on incoming
-and tangential pairs it is zero.
+attenuated ray integral of the source along the ray back from the node,
+on incoming and tangential pairs it is zero.
 """
 
 from dataclasses import dataclass
@@ -218,6 +219,23 @@ def _directions(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+def ray_span(fields, boundary, starts, direction):
+    """(t_lo, t_hi): how far the lines starts + t * direction run for the
+    integrals of `fields` on them; a ray from a point of the closed domain
+    runs over [0, t_hi].
+
+    When every field has a support disk, which lies in the closed domain
+    and which clip_chords cuts each line to, the lines are whole.  Else
+    line_spans solves their crossings with the curve, once for all the
+    fields: a field without a support, the zero one too, never runs to
+    infinity, where its zero samples would read inf * 0 = NaN.
+    """
+    if all(f.support is not None for f in fields):
+        return -np.inf, np.inf
+    t_lo, t_hi, _ = boundary.line_spans(starts, direction)
+    return t_lo, t_hi
+
+
 def clip_chords(field, starts, direction, t_lo, t_hi):
     """The part of each chord starts + t * direction, t in [t_lo, t_hi],
     inside the field's support disk, as (lo, hi) arrays with hi == lo where
@@ -258,8 +276,8 @@ def chord_integrals(field, starts, direction, t_lo, t_hi, quad=QuadSettings()):
 
 
 def _tail_integrals(a, starts, direction, tau, t, quad):
-    """Da: integrals of `a` from each position t (m, K) on the chords
-    starts + s * direction to their ends s = tau (m,).
+    """Integrals of `a` from each position t (m, K) on the rays
+    starts + s * direction to their ends s = tau, ray_span's t_hi.
 
     `a` is sampled on its own rule: one EXACT_POINTS panel on its clipped
     span for a polynomial `a` (exact), else max(4P, 32) panels x max(Q, 8)
@@ -302,52 +320,50 @@ def _tail_integrals(a, starts, direction, tau, t, quad):
 
 
 def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
-    """Full-line integrals of `a` on a whole vector of offsets at once.
-
-    A field with a support disk, which lies in the closed domain, takes
-    whole lines: clip_chords cuts them to the disk, so the curve's
-    crossings are not needed.
-    """
+    """Full-line integrals of `a` on a whole vector of offsets at once,
+    over the lines' ray_span."""
     th = np.asarray(theta, float)
     perp = np.array([-th[1], th[0]])
     s_values = np.asarray(s_values, float)
     if a.is_zero:
         return np.zeros(len(s_values))
     p0s = s_values[:, None] * perp[None, :]
-    if a.support is not None:
-        return chord_integrals(a, p0s, th, -np.inf, np.inf, quad)
-    t_lo, t_hi, _ = boundary.line_spans(p0s, th)
-    return chord_integrals(a, p0s, th, t_lo, t_hi, quad)
+    return chord_integrals(a, p0s, th, *ray_span((a,), boundary, p0s, th), quad)
 
 
 def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
     """Canonical attenuated boundary data of the source f.
 
     On outgoing pairs (n(z) . theta > 0) the value is the integral of
-    f e^{-Da} over the full chord ending at z; incoming and tangential
-    pairs are zero.  Without attenuation that is chord_integrals of f.
-    With it, quad's composite rule runs over f's clipped chord and Da at
-    its nodes comes from _tail_integrals (README, "Forward quadrature").
+    f e^{-Da} along the ray z - t theta, t >= 0, back from z to its
+    ray_span's end; incoming and tangential pairs are zero.  Without
+    attenuation that is chord_integrals of f.  With it, quad's composite
+    rule runs over f's clipped ray, and Da at its nodes, the integral of
+    `a` from the node on to z, is `a`'s whole back ray less its tail from
+    the node (_tail_integrals; README, "Forward quadrature").
     """
     dirs = _directions(angular.angles)
-    taus = boundary.node_chord_lengths(dirs)          # (n_nodes, M)
     normal_dot = boundary.normals @ dirs.T            # (n_nodes, M)
     gl_frac, gl_w = quad.nodes_weights()
 
     attenuated = not a.is_zero
+    fields = (f, a) if attenuated else (f,)
     data = np.zeros((boundary.n_nodes, angular.n_angles))
     for j in range(angular.n_angles):
-        th = dirs[j]
+        back = -dirs[j]
         out_mask = normal_dot[:, j] > TOL_TANGENT
         if not np.any(out_mask):
             continue
-        tau = taus[out_mask, j]                       # (m,)
-        entry = boundary.positions[out_mask] - tau[:, None] * th[None, :]
+        z = boundary.positions[out_mask]
+        _, end = ray_span(fields, boundary, z, back)
         if not attenuated:
-            data[out_mask, j] = chord_integrals(f, entry, th, 0.0, tau, quad)
+            data[out_mask, j] = chord_integrals(f, z, back, 0.0, end, quad)
             continue
-        _, span, t, fv = _sample_chords(f, entry, th, 0.0, tau, gl_frac)   # (m, K)
-        fv = fv * np.exp(-_tail_integrals(a, entry, th, tau, t, quad))
+        _, span, t, fv = _sample_chords(f, z, back, 0.0, end, gl_frac)   # (m, K)
+        # tails from z itself (column 0) and from each of f's nodes
+        t_from = np.concatenate((np.zeros((len(z), 1)), t), axis=1)
+        tails = _tail_integrals(a, z, back, end, t_from, quad)
+        fv *= np.exp(tails[:, 1:] - tails[:, :1])
         data[out_mask, j] = span * np.einsum("mk,k->m", fv, gl_w, optimize=False)
 
     meta = {

@@ -4,11 +4,13 @@ Each checker recomputes a property of the chain by a route of its own
 (dense trapezoid sums, trigonometric interpolation, finite differences,
 a second operator ordering), so it can judge the library's outputs
 without sharing their quadratures.  It also holds the dense n x n
-principal-value kernel, the reference for the boundary sweep's S, and the
+principal-value kernel, the reference for the boundary sweep's S, the
+closed-form integrating factor of a bump attenuation on the disk, and the
 identities of the paper's Lemma 2.1 and the chord-length jump at
 tangency, which no command needs.  Tests import it like conftest.
 """
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from aradon.attenuation import range_residual_a
 from aradon.bukhgeim import hilbert_H0
@@ -202,6 +204,29 @@ def bump_chord_integral(a, starts, th, t_lo, t_hi):
     lo = np.clip(t_lo + b, -w, w)
     hi = np.clip(t_hi + b, -w, w)
     return np.where(hi > lo, anti(hi) - anti(lo), 0.0)
+
+
+def poly_bump_h(c, points, angles):
+    """The integrating factor h = Da - (1/2)(Ra - i HRa) of the attenuation
+    a = c (1 - |x|^2)^2 on the unit disk, in closed form, at the points
+    (p, 2) of the closed disk on every direction: (p, M).
+
+    Along x + t theta, 1 - |x + t theta|^2 = q - 2 p t - t^2 with
+    p = x . theta and q = 1 - |x|^2, so Da is a quintic in the exit
+    distance L = -p + sqrt(p^2 + q).  Ra(s) = (16c/15)(1 - s^2)^{5/2}, and
+    its finite Hilbert transform is (16c/15)(5/8 T1 - 5/16 T3 + 1/16 T5)(s),
+    both at s = x . theta_perp, theta_perp = (-sin theta, cos theta).
+    """
+    p = points @ np.array([np.cos(angles), np.sin(angles)])
+    s = points @ np.array([-np.sin(angles), np.cos(angles)])
+    q = np.maximum(1.0 - np.sum(points * points, axis=1), 0.0)[:, None]
+    L = -p + np.sqrt(p * p + q)
+    da = c * (q * q * L - 2.0 * p * q * L ** 2 + (4.0 * p * p - 2.0 * q) * L ** 3 / 3.0
+              + p * L ** 4 + L ** 5 / 5.0)
+    scale = 16.0 * c / 15.0
+    ra = scale * np.maximum(1.0 - s * s, 0.0) ** 2.5
+    hra = scale * chebval(s, [0.0, 5.0 / 8.0, 0.0, -5.0 / 16.0, 0.0, 1.0 / 16.0])
+    return da - 0.5 * (ra - 1.0j * hra)
 
 
 def _support_span(f, entry, theta, tau):

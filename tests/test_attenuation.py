@@ -25,10 +25,10 @@ from aradon.errors import (
     InconsistentInput,
     SupportTouchesEdge,
 )
-from aradon.geometry import ConvexBoundary, make_boundary
+from aradon.geometry import TOL_TANGENT, ConvexBoundary, make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, project_minus
 from aradon.xray import QuadSettings, chord_integrals, forward_sinogram, phantom, radon_profile
-from oracles import bump_chord_integral, direct_finite_hilbert, residual_route_gap
+from oracles import bump_chord_integral, direct_finite_hilbert, poly_bump_h, residual_route_gap
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +215,10 @@ def _per_direction_h(a, boundary, angular, int_pts):
 
 
 def _sampled_h(a, boundary, angular, int_pts):
-    """build_h's h on the nodes and at `int_pts`, as the reference gives it."""
+    """build_h's h on the nodes and at `int_pts`, as the reference gives it:
+    the nodes are points like any other."""
     sampler = _HSampler(a, boundary, angular, _PAIR_QUAD, _PAIR_S)
-    return sampler.nodes(), sampler.at(int_pts)
+    return sampler.at(boundary.positions), sampler.at(int_pts)
 
 
 @pytest.fixture(scope="module", params=[(kind, parity)
@@ -259,32 +260,64 @@ class TestAntipodalPairing:
 
 
 class TestTableFactors:
-    """On a point table, a bump `a` ends every chord of its profiles and of
-    the interior Da on its support disk, so no curve crossing is solved
-    past the nodes' own."""
+    """On a point table, bump fields end every ray of their profiles, of
+    Da and of the forward on their support disks, so no curve crossing is
+    solved; fields without a support solve one per ray, for all of them."""
 
     @pytest.fixture(scope="class")
     def table_case(self):
         boundary = _table64()
         return boundary, phantom("shifted-poly-bump", boundary, params={"amplitude": 0.3})
 
+    @staticmethod
+    def _crossings(run):
+        """The points of each line_spans call that run() makes, and its
+        number of node_chord_lengths calls."""
+        seen, lengths = [], []
+        spans, chords = ConvexBoundary.line_spans, ConvexBoundary.node_chord_lengths
+
+        def counted_spans(self, points, direction):
+            seen.append(np.array(points))
+            return spans(self, points, direction)
+
+        def counted_chords(self, directions):
+            lengths.append(1)
+            return chords(self, directions)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ConvexBoundary, "line_spans", counted_spans)
+            mp.setattr(ConvexBoundary, "node_chord_lengths", counted_chords)
+            run()
+        return seen, len(lengths)
+
     def test_line_spans_only_on_nodes(self, table_case):
         boundary, a = table_case
-        seen = []
-        original = ConvexBoundary.line_spans
-
-        def counted(self, points, direction):
-            seen.append(np.array(points))
-            return original(self, points, direction)
-
+        f = phantom("shifted-poly-bump", boundary, params={"center": (-0.2, 0.1), "radius": 0.6})
+        ang, quad = AngularGrid(32), QuadSettings(4, 4)
         # gates lifted: 32 angles leave this `a`'s leak at 4.8e-4, and the
-        # chords are what is counted
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ConvexBoundary, "line_spans", counted)
-            build_h(a, boundary, AngularGrid(32), 8, QuadSettings(4, 4), s_samples=512,
-                    interior_grid=CartesianGrid(boundary, 16, 16), tol_neg=1.0, tol_identity=1.0)
-        assert len(seen) == 32
-        assert all(np.array_equal(p, boundary.positions) for p in seen)
+        # crossings are what is counted
+        runs = (lambda: build_h(a, boundary, ang, 8, quad, s_samples=512,
+                                interior_grid=CartesianGrid(boundary, 16, 16),
+                                tol_neg=1.0, tol_identity=1.0),
+                lambda: forward_sinogram(f, phantom("zero", boundary), boundary, ang, quad),
+                lambda: forward_sinogram(f, a, boundary, ang, quad))
+        for run in runs:
+            assert self._crossings(run) == ([], 0)
+
+    def test_one_crossing_per_forward_ray(self):
+        """Gaussian f and `a`: the attenuated forward solves the crossings of
+        each direction's outgoing rays once, at their nodes."""
+        boundary = _table64()
+        f = phantom("gaussian-truncated", boundary, params={"center": (0.2, -0.1), "sigma": 0.4})
+        a = phantom("gaussian-truncated", boundary, params={"sigma": 0.5, "amplitude": 0.3})
+        ang = AngularGrid(32)
+        seen, lengths = self._crossings(
+            lambda: forward_sinogram(f, a, boundary, ang, QuadSettings(4, 4)))
+        dirs = np.column_stack([np.cos(ang.angles), np.sin(ang.angles)])
+        outgoing = (boundary.normals @ dirs.T > TOL_TANGENT).T
+        outgoing = outgoing[outgoing.any(axis=1)]
+        assert lengths == 0 and len(seen) == len(outgoing)
+        assert all(np.array_equal(p, boundary.positions[out]) for p, out in zip(seen, outgoing))
 
     def test_h_matches_per_direction_reference(self, table_case):
         boundary, a = table_case
@@ -410,6 +443,38 @@ class TestFlipIdentities:
     def test_opposite_direction_reverses_profile(self, profiles):
         for ra, ra_opposite in profiles:
             assert np.max(np.abs(ra_opposite - ra[::-1])) <= 1e-15 * np.max(np.abs(ra))
+
+
+class TestClosedFormH:
+    """build_h against the closed-form h of a = c (1 - |x|^2)^2 on the disk
+    (tests/oracles.poly_bump_h).  Measured: alpha error 5.12e-10, beta
+    5.15e-10, interior beta 3.21e-10, leak 5.153e-10; the exact h leaks
+    1.1e-16.  The leak tracks the true beta error, which makes it the
+    factors' error indicator."""
+
+    @staticmethod
+    def _modes(h, n_modes):
+        """Rows 0..N of e^{-h} and e^{+h} as _factor_modes takes them, and
+        the largest negative mode of either."""
+        m = h.shape[1]
+        coef = [np.fft.fft(np.exp(sign * h), axis=1) / m for sign in (-1.0, 1.0)]
+        leak = max(np.max(np.abs(c[:, m - np.arange(1, n_modes + 1)])) for c in coef)
+        return coef[0][:, :n_modes + 1].T, coef[1][:, :n_modes + 1].T, leak
+
+    def test_factors_match_closed_form(self, disk512, ang128):
+        c, n_modes = 0.3, 32
+        grid = CartesianGrid(disk512, 64, 64)
+        fac = build_h(phantom("poly-bump", disk512, params={"amplitude": c}), disk512, ang128,
+                      n_modes, interior_grid=grid)
+        alpha, beta, leak = self._modes(poly_bump_h(c, disk512.positions, ang128.angles), n_modes)
+        _, beta_i, leak_i = self._modes(
+            poly_bump_h(c, grid.points_all[grid.inside], ang128.angles), n_modes)
+        assert max(leak, leak_i) <= 1e-15
+        beta_err = np.max(np.abs(fac.beta - beta))
+        assert np.max(np.abs(fac.alpha - alpha)) <= 1e-9
+        assert beta_err <= 1e-9
+        assert np.max(np.abs(fac.interior.beta - beta_i)) <= 1e-9
+        assert 0.5 <= fac.max_neg_mode / beta_err <= 2.0
 
 
 class TestIntegratingFactor:

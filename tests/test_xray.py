@@ -296,11 +296,12 @@ def reference_profile(a, boundary, th, s_values, quad):
 
 
 def reference_forward(f, a, boundary, angular, quad):
-    """Forward data with every sample point from broadcast_points.
+    """Forward data with every sample point from broadcast_points, on the
+    ray z - t theta back from each outgoing node z over its chord length.
 
     With attenuation `a` must be a polynomial on its support: Da at each
-    node is then one EXACT_POINTS Gauss-Legendre panel of its own, from
-    the node (clipped to a's span) to the end of a's span.
+    of f's nodes is then one EXACT_POINTS Gauss-Legendre panel of its own,
+    over a's span on the ray from its start up to the node.
     """
     dirs = np.column_stack([np.cos(angular.angles), np.sin(angular.angles)])
     taus = boundary.node_chord_lengths(dirs)
@@ -313,19 +314,19 @@ def reference_forward(f, a, boundary, angular, quad):
         if not np.any(out):
             continue
         tau = taus[out, j]
-        entry = boundary.positions[out] - tau[:, None] * th[None, :]
+        z, back = boundary.positions[out], -th
         if a.is_zero:
-            data[out, j] = reference_chords(f, entry, th, np.zeros_like(tau), tau, quad)
+            data[out, j] = reference_chords(f, z, back, np.zeros_like(tau), tau, quad)
             continue
         assert a.line_degree is not None
-        lo, hi = clip_chords(f, entry, th, np.zeros_like(tau), tau)
+        lo, hi = clip_chords(f, z, back, np.zeros_like(tau), tau)
         t = lo[:, None] + (hi - lo)[:, None] * gl_frac[None, :]
-        fv = f(broadcast_points(entry, th, t))
-        a_lo, a_hi = clip_chords(a, entry, th, np.zeros_like(tau), tau)
-        start = np.clip(t, a_lo[:, None], a_hi[:, None])
-        half = (a_hi[:, None] - start) / 2.0                       # (m, K)
-        s_a = start[:, :, None] + half[:, :, None] * (x + 1.0)     # (m, K, 8)
-        av = a(broadcast_points(entry, th, s_a.reshape(len(tau), -1))).reshape(s_a.shape)
+        fv = f(broadcast_points(z, back, t))
+        a_lo, a_hi = clip_chords(a, z, back, np.zeros_like(tau), tau)
+        stop = np.clip(t, a_lo[:, None], a_hi[:, None])
+        half = (stop - a_lo[:, None]) / 2.0                        # (m, K)
+        s_a = a_lo[:, None, None] + half[:, :, None] * (x + 1.0)   # (m, K, 8)
+        av = a(broadcast_points(z, back, s_a.reshape(len(tau), -1))).reshape(s_a.shape)
         da = half * (av @ w)
         data[out, j] = (hi - lo) * np.einsum("mk,k->m", fv * np.exp(-da), gl_w, optimize=False)
     return data
