@@ -8,10 +8,11 @@ non-attenuated one: H_a = beta * H_0 (alpha * .), the attenuated range
 condition is (I + i H_a) applied to the nonpositive projection, and the
 source is recovered from u = beta * v via f = 2 Re(d u_{-1}) + a u_0.
 
-build_h computes Ra and its finite Hilbert transform on the symmetric
-offset grid of `s_samples` points once per direction pair theta,
-theta + pi: Ra(s, theta + pi) = Ra(-s, theta).  One not-a-knot cubic
-spline fit per build interpolates every profile between the offsets.
+build_h expands Ra, once per direction pair theta, theta + pi, in a
+sine series of phi, s = mid + half cos(phi), on the offset interval
+where Ra can be nonzero.  sin(m phi) -> cos(m phi) is the finite Hilbert
+transform there, so (I - iH)Ra is one power series (finite_hilbert), and
+h is exact in the offset once the series has converged.
 The interior factors are streamed: build_h walks the inside points of the
 grid in chunks and keeps only beta there, and the attenuated reconstruct
 walks the valid points the same way, so neither h nor any per-point
@@ -23,16 +24,10 @@ to tolerance, otherwise the build raises instead of guessing at signs.
 """
 
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    SupportTouchesEdge,
-    FactorBuildError,
-    GridMismatch,
-    InconsistentInput,
-)
+from .errors import FactorBuildError, GridMismatch, InconsistentInput
 from .harmonics import ModeTrace, convolve, convolve_seq
 from .bukhgeim import (
     hilbert_H0,
@@ -51,121 +46,39 @@ H_CHUNK = 1 << 17
 MODE_CHUNK = 1 << 15
 RECON_CHUNK = 1024
 
-
-@lru_cache(maxsize=None)  # keyed by sample count: one per offset grid
-def _hilbert_kernel_spectrum(n):
-    """FFT length and read-only rfft of the 1/k kernel on shifts 1-n..n-1."""
-    shifts = np.arange(1 - n, n, dtype=float)
-    kern = np.where(shifts == 0.0, 0.0, 1.0 / np.where(shifts == 0.0, 1.0, shifts))
-    # The linear convolution of n samples with the 2n-1 taps has 3n-2
-    # terms, of which n-1..2n-2 are kept.  A circular one of length
-    # L >= 2n-1 folds term k onto k - L, and neither k + L >= 3n-2 nor
-    # k - L < 0 reaches the kept ones from the computed range 0..3n-3.
-    nfft = 1
-    while nfft < 2 * n - 1:
-        nfft *= 2
-    spectrum = np.fft.rfft(kern, nfft)
-    spectrum.flags.writeable = False
-    return nfft, spectrum
+# The offset series of Ra has converged when the last quarter of its
+# coefficients is below this fraction of the largest.
+SERIES_TOL = 1e-15
 
 
-def finite_hilbert(samples):
-    """Finite Hilbert transform on a uniform grid, compact support inside.
-
-    Evaluates (1/pi) p.v. integral of f(t)/(s - t) dt at every grid
-    point by pairing t = s - u against t = s + u (the odd combination is
-    regular at u = 0) plus the trapezoid endpoint term, which restores
-    second-order accuracy:
-
-        H_i = (1/pi) [ sum_{k>=1} (f_{i-k} - f_{i+k})/k - (f_{i+1} - f_{i-1})/2 ]
-
-    The grid spacing cancels.  Endpoint samples must vanish: the scheme
-    assumes the support is strictly inside the grid.  Samples of shape
-    (S, k) are k profiles, one per column, each transformed as alone.
-    """
-    f = np.asarray(samples, dtype=float)
-    n = len(f)
-    if n < 4:
-        raise ValueError("need at least 4 samples")
-    first, last = np.max(np.abs(f[0])), np.max(np.abs(f[-1]))
-    if first > 1e-12 or last > 1e-12:
-        raise SupportTouchesEdge(
-            "endpoint samples are %.3g / %.3g, expected 0" % (first, last)
-        )
-    nfft, spectrum = _hilbert_kernel_spectrum(n)
-    # profiles as contiguous rows: the FFTs of strided columns are slower
-    rows = np.ascontiguousarray(np.moveaxis(f, 0, -1))
-    spec = np.fft.rfft(rows, nfft)
-    spec *= spectrum
-    pair_sum = np.fft.irfft(spec, nfft)[..., n - 1:2 * n - 1]
-    corr = np.zeros_like(rows)
-    corr[..., 1:-1] = (rows[..., 2:] - rows[..., :-2]) / 2.0
-    corr[..., 0] = rows[..., 1] / 2.0
-    corr[..., -1] = -rows[..., -2] / 2.0
-    return np.ascontiguousarray(np.moveaxis((pair_sum - corr) / np.pi, -1, 0))
+def _sine_series(values):
+    """Coefficients b_1..b_n of sum_m b_m sin(m phi) through the n values
+    at phi_j = j pi / (n + 1), j = 1..n, along axis 0: a discrete sine
+    transform, taken as the rfft of the odd extension (0, v, 0, -v
+    reversed), whose mode m is -2i sum_j v_j sin(m phi_j)."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    zero = np.zeros((1,) + v.shape[1:])
+    odd = np.concatenate([zero, v, zero, -v[::-1]])
+    return -np.fft.rfft(odd, axis=0)[1:n + 1].imag / (n + 1)
 
 
-def _spline_slopes(x, y):
-    """Knot slopes of the not-a-knot cubic splines through the columns of y.
-
-    x is the (S,) increasing knot grid, y the (S, k) values.  The system is
-    scipy's CubicSpline's tridiagonal one; its matrix depends on x alone,
-    so the scalar elimination of a Thomas sweep runs once and each knot
-    costs one row update of the right-hand side on the way down and one
-    on the way back.  Returns (S, k).
-    """
-    dx = np.diff(x)
-    slope = np.diff(y, axis=0)
-    slope /= dx[:, None]
-    n = len(x)
-    sub, diag, sup = np.zeros(n), np.empty(n), np.zeros(n)
-    rhs = np.empty(y.shape)
-    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    sub[1:-1] = dx[1:]
-    sup[1:-1] = dx[:-1]
-    # 3 (dx_i slope_{i-1} + dx_{i-1} slope_i), in place: no (S, k) temporaries
-    inner = np.multiply(dx[1:, None], slope[:-1], out=rhs[1:-1])
-    inner += dx[:-1, None] * slope[1:]
-    inner *= 3.0
-    # not-a-knot: the third derivative is continuous across x[1] and x[-2]
-    d = x[2] - x[0]
-    diag[0], sup[0] = dx[1], d
-    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    diag[-1], sub[-1] = dx[-2], d
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-
-    piv, mult = diag.tolist(), [0.0] * n
-    for i in range(1, n):
-        mult[i] = sub[i] / piv[i - 1]
-        piv[i] = diag[i] - mult[i] * sup[i - 1]
-    rows, tmp = list(rhs), np.empty(rhs.shape[1:])
-    for i in range(1, n):
-        rows[i] -= np.multiply(mult[i], rows[i - 1], out=tmp)
-    rhs /= np.array(piv)[:, None]
-    sup = (sup / piv).tolist()
-    for i in range(n - 2, -1, -1):
-        rows[i] -= np.multiply(sup[i], rows[i + 1], out=tmp)
-    return rhs
-
-
-def _spline_eval(x, y, slopes, at):
-    """The cubic Hermite spline with knot values y and knot slopes (S,) at
-    the points `at`, each read off its knot interval as scipy's PPoly does
-    (the end intervals extend outwards), by Horner's rule.  The knots x are
-    uniform: floor((at - x0) / dx) is off by at most one from the interval,
-    and one comparison with each of its knots corrects it."""
-    last = len(x) - 2
-    i = np.clip(np.floor((at - x[0]) * (last + 1) / (x[-1] - x[0])), 0, last).astype(np.intp)
-    i -= at < x[i]
-    i += at >= x[i + 1]
-    np.clip(i, 0, last, out=i)
-    h = x[i + 1] - x[i]
-    s = at - x[i]
-    y0, d0 = y[i], slopes[i]
-    secant = (y[i + 1] - y0) / h
-    t = (d0 + slopes[i + 1] - 2.0 * secant) / h
-    return ((t / h * s + ((secant - d0) / h - t)) * s + d0) * s + y0
+def finite_hilbert(b, u):
+    """sum_m b_m zeta^m at the points u by Horner's rule.  Its real part
+    is the finite Hilbert transform (1/pi) p.v. integral f(t)/(u - t) dt
+    of f = sum b_m sin(m phi) on [-1, 1], u = cos(phi), and its imaginary
+    part is f: zeta = e^{i phi} on |u| <= 1, and the real u - sgn(u)
+    sqrt(u^2 - 1), taken free of cancellation, outside.  An empty b sums
+    to 0."""
+    u = np.asarray(u, dtype=float)
+    au = np.abs(u)
+    zeta = np.where(au <= 1.0, u + 1.0j * np.sqrt(np.maximum(1.0 - u * u, 0.0)),
+                    np.sign(u) / (np.maximum(au, 1.0) + np.sqrt(np.maximum(u * u - 1.0, 0.0))))
+    out = np.zeros(u.shape, dtype=complex)
+    for coef in b[::-1]:
+        out += coef
+        out *= zeta
+    return out
 
 
 class IntegratingFactor:
@@ -240,21 +153,20 @@ def _seq_product_deviation(alpha, beta):
     return float(np.max(np.abs(prod)))
 
 
-def default_s_grid(boundary, n_samples=2048):
-    radius = float(np.max(np.hypot(*boundary.positions.T)))
-    return np.linspace(-1.2 * radius, 1.2 * radius, n_samples)
-
-
 class _HSampler:
     """h = Da - (1/2)(I - iH)Ra on every direction, at any points of the
     closed domain, the nodes among them.
 
-    With an even number of angles, direction j + M/2 is theta_j + pi, so
-    it reads the profile of direction j at -s, conjugated (Ra(s, theta +
-    pi) = Ra(-s, theta), and H is odd under the flip): Ra and HRa are
-    computed once, for the first M/2 directions only, and one spline fit
-    takes all their (I - iH)Ra profiles.  Da is integrated for every
-    direction, at each call.
+    Ra is nonzero only for offsets s in [mid - half, mid + half], `a`'s
+    support disk or else the domain's extent projected on theta_perp.
+    Its n samples at s = mid + half cos(j pi / (n + 1)) give the sine
+    series b, and (I - iH)Ra = -i finite_hilbert(b, (s - mid) / half).
+    n starts at 15 and doubles to 2n + 1, sampling only the new points,
+    until the last quarter of b is below SERIES_TOL of its largest entry
+    or 2n + 1 would pass `s_samples`; trailing b under roundoff go.
+    With an even number of angles, direction j + M/2 reads the series of
+    direction j at -s, conjugated (Ra(s, theta + pi) = Ra(-s, theta), and
+    H is odd under the flip).  Da is integrated for every direction.
     """
 
     def __init__(self, a, boundary, angular, quad, s_samples):
@@ -263,13 +175,35 @@ class _HSampler:
         m_ang = angular.n_angles
         self.paired = m_ang % 2 == 0
         self.n_base = m_ang // 2 if self.paired else m_ang
-        self.s_grid = default_s_grid(boundary, s_samples)
-        ra = np.column_stack([radon_profile(a, boundary, self.dirs[j], self.s_grid, quad)
-                              for j in range(self.n_base)])
-        # one complex column per base direction; the spline is linear in the
-        # data, so its real and imaginary parts are fitted as two real columns
-        self.profiles = ra - 1.0j * finite_hilbert(ra)
-        self.slopes = _spline_slopes(self.s_grid, self.profiles.view(float)).view(complex)
+        self.series = [self._series(self.dirs[j], s_samples) for j in range(self.n_base)]
+
+    def _series(self, theta, s_samples):
+        """(mid, half, b) of direction theta."""
+        if self.a.support is not None:
+            center, half = self.a.support
+            mid = theta[0] * center[1] - theta[1] * center[0]
+        else:
+            (lo, hi), _ = self.boundary.extent(theta)
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+        def ra(phi):
+            return radon_profile(self.a, self.boundary, theta, mid + half * np.cos(phi),
+                                 self.quad)
+
+        n = 15
+        values = ra(np.pi * np.arange(1, n + 1) / (n + 1))
+        while True:
+            b = _sine_series(values)
+            scale = np.max(np.abs(b))
+            if np.max(np.abs(b[3 * n // 4:])) <= SERIES_TOL * scale or 2 * n + 1 > s_samples:
+                break
+            # the old points are the even ones of the doubled grid
+            merged = np.empty(2 * n + 1)
+            merged[1::2] = values
+            merged[0::2] = ra(np.pi * np.arange(1, 2 * n + 2, 2) / (2 * n + 2))
+            values, n = merged, 2 * n + 1
+        keep = np.flatnonzero(np.abs(b) > np.finfo(float).eps * scale)
+        return mid, half, b[:keep[-1] + 1 if keep.size else 0]
 
     def at(self, points):
         """h at the points (p, 2), (p, M).  Da runs along each ray from its
@@ -277,14 +211,13 @@ class _HSampler:
         chord on incoming rays and, to roundoff, nothing on the others."""
         dirs = self.dirs
         h = np.empty((len(points), len(dirs)), dtype=complex)
-        for j in range(self.n_base):
-            # (direction, sign): the opposite direction reads the profile at -s
+        for j, (mid, half, b) in enumerate(self.series):
+            # (direction, sign): the opposite direction reads the series at -s
             pair = ((j, 1.0), (j + self.n_base, -1.0)) if self.paired else ((j, 1.0),)
             offsets = np.concatenate([sign * (points @ np.array([-dirs[k][1], dirs[k][0]]))
                                       for k, sign in pair])
-            lin = _spline_eval(self.s_grid, self.profiles[:, j], self.slopes[:, j],
-                               offsets).reshape(len(pair), -1)
-            for (k, sign), lin_k in zip(pair, lin):
+            lin = -1.0j * finite_hilbert(b, (offsets - mid) / half)
+            for (k, sign), lin_k in zip(pair, lin.reshape(len(pair), -1)):
                 if sign < 0.0:
                     lin_k = np.conj(lin_k)
                 _, end = ray_span((self.a,), self.boundary, points, dirs[k])
@@ -297,9 +230,9 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
             interior_grid=None, tol_neg=1e-6, tol_identity=1e-8):
     """Integrating factor of the attenuation on the boundary cylinder.
 
-    Samples h on the nodes, with Ra on the offset grid
-    `default_s_grid(boundary, s_samples)`, and keeps the nonnegative mode
-    sequences alpha, beta of e^{-+h} there.  With `interior_grid`, which
+    Samples h on the nodes, with Ra expanded in its offset sine series
+    of at most `s_samples` terms (_HSampler), and keeps the nonnegative
+    mode sequences alpha, beta of e^{-+h} there.  With `interior_grid`, which
     reconstruction needs, it walks the grid's inside points in chunks of
     H_CHUNK entries of h (points x directions) and keeps only beta; no
     point's h or modes depend on the chunk.  Zero attenuation takes the

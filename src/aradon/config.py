@@ -7,6 +7,7 @@ output file for provenance.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -15,7 +16,13 @@ from .harmonics import AngularGrid
 from .xray import QuadSettings, phantom
 from .bukhgeim import CartesianGrid
 
-_KNOWN_PHANTOMS = ("poly-bump", "shifted-poly-bump", "gaussian-truncated", "zero")
+# The params each phantom takes.
+_PHANTOM_PARAMS = {
+    "poly-bump": ("amplitude",),
+    "shifted-poly-bump": ("center", "radius", "amplitude"),
+    "gaussian-truncated": ("center", "sigma", "amplitude"),
+    "zero": (),
+}
 
 
 def _expect_mapping(doc, key, where):
@@ -31,16 +38,21 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError("%s: unknown keys %s" % (where, sorted(extra)))
 
 
-def _get_num(d, key, where, default, lo=None, integer=False):
+def _get_num(d, key, where, default, lo=None, integer=False, above=None):
     val = d.get(key, default)
     if val is None:
         return None
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError("%s.%s: expected a number" % (where, key))
+    # json reads NaN, Infinity and overflowing literals such as 1e400
+    if not abs(val) < math.inf:
+        raise ConfigError("%s.%s: expected a finite number" % (where, key))
     if integer and int(val) != val:
         raise ConfigError("%s.%s: expected an integer" % (where, key))
     if lo is not None and val < lo:
         raise ConfigError("%s.%s: must be >= %s" % (where, key, lo))
+    if above is not None and val <= above:
+        raise ConfigError("%s.%s: must be > %s" % (where, key, above))
     return int(val) if integer else float(val)
 
 
@@ -103,15 +115,23 @@ def _phantom_spec(d, key, where, default_name):
     spec = _expect_mapping(d, key, where)
     _reject_unknown(spec, ("name", "params"), "%s.%s" % (where, key))
     name = spec.get("name", default_name)
-    if name not in _KNOWN_PHANTOMS:
+    if not isinstance(name, str) or name not in _PHANTOM_PARAMS:
         raise ConfigError(
             "%s.%s.name: unknown phantom %r (choices: %s)"
-            % (where, key, name, ", ".join(_KNOWN_PHANTOMS))
+            % (where, key, name, ", ".join(_PHANTOM_PARAMS))
         )
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("%s.%s.params: expected an object" % (where, key))
-    return {"name": name, "params": dict(params)}
+    params = _expect_mapping(spec, "params", "%s.%s" % (where, key))
+    where = "%s.%s.params" % (where, key)
+    _reject_unknown(params, _PHANTOM_PARAMS[name], where)
+    center = params.get("center", [0.0, 0.0])
+    if not isinstance(center, list) or len(center) != 2 or None in center:
+        raise ConfigError("%s.center: expected two numbers" % where)
+    for c in center:
+        _get_num({"center": c}, "center", where, None)
+    _get_num(params, "amplitude", where, None)
+    for positive in ("radius", "sigma"):
+        _get_num(params, positive, where, None, above=0.0)
+    return {"name": name, "params": params}
 
 
 def parse_config(doc):

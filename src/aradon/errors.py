@@ -46,10 +46,6 @@ class GridMismatch(AradonError):
     """Operands built on different boundary or angular grids."""
 
 
-class SupportTouchesEdge(AradonError):
-    """Samples on the finite Hilbert grid do not vanish at the endpoints."""
-
-
 class FactorBuildError(AradonError):
     """Integrating factor failed its analyticity self-checks."""
 

@@ -24,7 +24,7 @@ from .errors import NonConvex, TooFewNodes
 # Tolerances shared by the geometric predicates.
 ON_BOUNDARY_TOL = 1e-9     # distance below which a point counts as lying on the curve
 TOL_TANGENT = 1e-9         # |n . theta| below this is tangential (variety Z)
-EXTREMUM_ITERS = 8         # cap on Newton steps refining the extrema of s(u) on point tables
+EXTREMUM_ITERS = 8         # cap on Newton steps refining the extrema of s(u)
 ROOT_ITERS = 60            # cap on safeguarded Newton steps per arc crossing
 ROOT_STEP_TOL = 1e-13      # parameter step below which a Newton iterate counts as converged
 CURVATURE_FLOOR = 1e-6     # strictly positive curvature bound delta
@@ -233,10 +233,11 @@ class ConvexBoundary:
         return (np.where(hit, np.minimum(r1, r2), 0.0),
                 np.where(hit, np.maximum(r1, r2), 0.0), hit)
 
-    def _arc_crossings(self, p, d):
-        # s(u) = d x w(u) has one minimum and one maximum on a strictly
-        # convex curve and is monotone on the two arcs between them; the
-        # line through p crosses where s(u) = d x p, once on each arc.
+    def extent(self, direction):
+        """(s_min, s_max) of the offset s(u) = direction x w(u) over the
+        curve, and the parameters u where s takes them: the extremal nodes
+        refined by Newton on s'(u) = 0."""
+        d = np.asarray(direction, dtype=float)
         s_nodes = _cross(d, self.positions)
         u_ext = self.params[[np.argmin(s_nodes), np.argmax(s_nodes)]]
         dt = 2.0 * np.pi / self.n_nodes
@@ -247,7 +248,14 @@ class ConvexBoundary:
             u_ext = u_ext - step
             if np.max(np.abs(step)) <= ROOT_STEP_TOL:
                 break
-        s_ext = _cross(d, self.position_at(u_ext))       # (s_min, s_max)
+        return _cross(d, self.position_at(u_ext)), u_ext
+
+    def _arc_crossings(self, p, d):
+        # s(u) = d x w(u) has one minimum and one maximum on a strictly
+        # convex curve and is monotone on the two arcs between them; the
+        # line through p crosses where s(u) = d x p, once on each arc.
+        s_ext, u_ext = self.extent(d)
+        s_nodes = _cross(d, self.positions)
         c = _cross(d, p)
         hit = (c > s_ext[0]) & (c < s_ext[1])
 

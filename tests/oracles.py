@@ -24,21 +24,6 @@ def _trapezoid_sum(values, s):
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(s)))
 
 
-def direct_finite_hilbert(f):
-    """finite_hilbert's sum, term by term in O(S^2): (1/pi) [sum_{k>=1}
-    (f_{i-k} - f_{i+k}) / k - (f_{i+1} - f_{i-1}) / 2], samples past the
-    ends zero."""
-    f = np.asarray(f, dtype=float)
-    n = len(f)
-    pad = np.concatenate([np.zeros(n), f, np.zeros(n)])
-    i = np.arange(n) + n
-    out = np.zeros(n)
-    for k in range(1, n):
-        out += (pad[i - k] - pad[i + k]) / k
-    out -= (pad[i + 1] - pad[i - 1]) / 2.0
-    return out / np.pi
-
-
 def dense_S(g_data, boundary):
     """Principal-value Cauchy integral of every mode row at the nodes, from
     one dense n x n kernel: the smooth quotient (g_i - g_m) w'_i / (w_i - w_m)

@@ -262,14 +262,13 @@ def test_08_attenuated_cycle(disk512, ang128, att_sino, att_factors,
 def test_09_finite_hilbert_semicircle_pair():
     """Transform of sqrt(1-s^2) returns s inside, s - sign(s) sqrt(s^2-1) outside."""
     s = np.linspace(-1.5, 1.5, 2048)
-    h = finite_hilbert(np.sqrt(np.maximum(1.0 - s * s, 0.0)))
+    # b = [1] is the series sin(phi) = sqrt(1 - s^2), s = cos(phi)
+    h = finite_hilbert(np.array([1.0]), s).real
     ref = np.where(np.abs(s) <= 1.0, s,
                    s - np.sign(s) * np.sqrt(np.maximum(s * s - 1.0, 0.0)))
-    # a +-0.05 collar excludes the square-root kink at |s| = 1
-    window = (np.abs(s) <= 0.95) | (np.abs(s) >= 1.05)
-    err = float(np.max(np.abs(h[window] - ref[window])))
-    print(f"semicircle pair max abs error {err:.3e} at 2048 samples (gate 1e-4)")
-    assert err <= 1e-4
+    err = float(np.max(np.abs(h - ref)))
+    print(f"semicircle pair max abs error {err:.3e} at 2048 points (gate 1e-15)")
+    assert err <= 1e-15
 
 
 def test_10_sequence_identities_and_chord_jump(disk256):

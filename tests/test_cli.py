@@ -342,6 +342,14 @@ class TestFactorsAndCache:
         with open(tmp_path / "chk" / "residual.json") as fh:
             assert json.load(fh)["attenuated"] is True
 
+    def test_wide_gaussian_factors_exit_zero(self, tmp_path):
+        """A sigma = 0.6 Gaussian `a` on the disk (exit 3 with Ra on a
+        uniform offset grid: leak 4.0e-5 against the 1e-6 gate)."""
+        path = write_config(tmp_path / "wide.json", phantoms={
+            "f": {"name": "poly-bump"},
+            "a": {"name": "gaussian-truncated", "params": {"sigma": 0.6, "amplitude": 0.3}}})
+        assert main(["factors", "--config", path, "--out", str(tmp_path / "fa")]) == 0
+
     def test_reconstruct_reports_zeroed_points(self, tmp_path):
         """On a grid coarser than the margin some points lack factor differences."""
         coarse = write_config(
@@ -539,6 +547,41 @@ class TestConfigErrors:
         assert "config.sweep.values" in capsys.readouterr().err
         assert load_config(write_config(tmp_path / "whole.json",
                                         sweep={"values": [8.0]})).sweep_values == (8,)
+
+    @pytest.mark.parametrize("section, value, path", [
+        ("a", {"name": "gaussian-truncated", "params": {"sigma": "abc"}}, "a.params.sigma"),
+        ("a", {"name": "gaussian-truncated", "params": {"sigma": 0}}, "a.params.sigma"),
+        ("a", {"name": "gaussian-truncated", "params": {"center": 0.1}}, "a.params.center"),
+        ("a", {"name": "gaussian-truncated", "params": {"center": [0.1, 0, 0]}},
+         "a.params.center"),
+        ("a", {"name": "poly-bump", "params": {"amplitude": [1]}}, "a.params.amplitude"),
+        ("a", {"name": "poly-bump", "params": {"amplitud": 0.3}},
+         "a.params: unknown keys ['amplitud']"),
+        ("a", {"name": "shifted-poly-bump", "params": {"radius": 0}}, "a.params.radius"),
+        ("a", {"name": "shifted-poly-bump", "params": {"radius": -0.3}}, "a.params.radius"),
+        ("f", {"name": "poly-bump", "params": {"amplitude": "@NaN"}}, "f.params.amplitude"),
+        ("a", {"name": "poly-bump", "params": {"amplitude": "@Infinity"}},
+         "a.params.amplitude"),
+        ("tolerances", {"tol_neg": "@1e400"}, "config.tolerances.tol_neg"),
+        ("boundary", {"kind": "ellipse", "n_nodes": 64, "a": "@NaN"}, "config.boundary.a"),
+    ])
+    def test_bad_value_exits_two(self, tmp_path, capsys, section, value, path):
+        """Each value names its key path and exits 2; "@x" writes the JSON
+        literal x, which json reads as a non-finite float."""
+        if section in ("f", "a"):
+            phantoms = {"f": {"name": "poly-bump"}}
+            phantoms[section] = value
+            cfg = write_config(tmp_path / "bad.json", phantoms=phantoms)
+        else:
+            cfg = write_config(tmp_path / "bad.json", **{section: value})
+        text = open(cfg).read()
+        for literal in ("NaN", "Infinity", "1e400"):
+            text = text.replace('"@%s"' % literal, literal)
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "fw"),
+                     "--attenuated"]) == 2
+        assert path in capsys.readouterr().err
 
     def test_angles_too_few_for_modes(self, tmp_path):
         path = write_config(tmp_path / "coarse.json",

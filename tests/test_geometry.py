@@ -294,6 +294,33 @@ class TestLineSpans:
                     assert abs(b.node_chord_lengths(d[None, :])[idx, 0] - ref) < tol
 
 
+class TestExtent:
+    """extent bounds the offsets of the lines that meet the domain: a line
+    1e-9 inside it hits the curve, one 1e-9 outside misses.  An extent
+    that fell short of the curve would break the square-root edge that
+    the offset series of Ra relies on."""
+
+    @pytest.mark.parametrize("kind", ["disk", "ellipse", "table"])
+    def test_matches_line_spans(self, kind, disk256, ellipse256):
+        b = {"disk": disk256, "ellipse": ellipse256, "table": _table64()}[kind]
+        dense = b.position_at(np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False))
+        for phi in np.linspace(0.0, np.pi, 13):
+            d = np.array([np.cos(phi), np.sin(phi)])
+            perp = np.array([-d[1], d[0]])
+            (s_lo, s_hi), u = b.extent(d)
+            s_dense = dense @ perp
+            # 2^16 samples fall short of an extremum by up to about 1e-9
+            assert s_lo <= s_dense.min() <= s_lo + 1e-8
+            assert s_hi - 1e-8 <= s_dense.max() <= s_hi
+            assert np.allclose(b.position_at(u) @ perp, [s_lo, s_hi], rtol=0.0, atol=1e-15)
+            if kind != "table":
+                half = np.hypot(b.a * perp[0], b.b * perp[1])
+                assert np.allclose([s_lo, s_hi], [-half, half], rtol=0.0, atol=1e-15)
+            offsets = np.array([s_lo + 1e-9, s_hi - 1e-9, s_lo - 1e-9, s_hi + 1e-9])
+            _, _, hit = b.line_spans(offsets[:, None] * perp, d)
+            assert hit.tolist() == [True, True, False, False]
+
+
 class TestDistanceToBoundary:
     def test_chunked_search_exact_and_bounded(self):
         """4096 points on the 512-node 1.5 x 1 ellipse: small peak, unchanged
