@@ -13,10 +13,10 @@ sine series of phi, s = mid + half cos(phi), on the offset interval
 where Ra can be nonzero.  sin(m phi) -> cos(m phi) is the finite Hilbert
 transform there, so (I - iH)Ra is one power series (finite_hilbert), and
 h is exact in the offset once the series has converged.
-The interior factors are streamed: build_h walks the inside points of the
-grid in chunks and keeps only beta there, and the attenuated reconstruct
-walks the valid points the same way, so neither h nor any per-point
-transform of it is held on the whole grid.
+The attenuated reconstruct takes beta and d beta at each point from h
+and theta_perp . grad h there: as theta . grad h = -a, d beta_k is
+-(a/2) beta_{k+1} - (i/2) mode k+1 of e^h theta_perp . grad h.  No point
+needs its neighbours, and nothing per point outlives its chunk.
 
 Factor builds validate their own algebra: alpha * beta must reproduce
 the convolution identity and the negative modes of e^{+-h} must vanish
@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FactorBuildError, GridMismatch, InconsistentInput
+from .errors import ConfigError, FactorBuildError, GridMismatch, InconsistentInput
 from .harmonics import ModeTrace, convolve, convolve_seq
 from .bukhgeim import (
     hilbert_H0,
@@ -35,14 +35,12 @@ from .bukhgeim import (
     del_v_minus,
     reconstruct_f0,
 )
-from .xray import QuadSettings, chord_integrals, radon_profile, ray_span, _directions
+from .xray import QuadSettings, chord_integrals, phantom, radon_profile, ray_span, _directions
 
-# Entries of h (inside points x directions) per pass of build_h's interior
-# stream, 1024 points at 128 angles; entries of e^{-+h} and their FFTs per
-# block of _factor_modes; valid grid points per pass of the attenuated
-# reconstruct (a whole number of bukhgeim's TARGET_CHUNK at 512 nodes, so
-# the kernels see the targets in the chunks of one whole call).
-H_CHUNK = 1 << 17
+# Entries of e^{-+h} and their FFTs per block of _factor_modes; valid grid
+# points per pass of the attenuated reconstruct (a whole number of
+# bukhgeim's TARGET_CHUNK at 512 nodes, so the kernels see the targets in
+# the chunks of one whole call).
 MODE_CHUNK = 1 << 15
 RECON_CHUNK = 1024
 
@@ -63,30 +61,48 @@ def _sine_series(values):
     return -np.fft.rfft(odd, axis=0)[1:n + 1].imag / (n + 1)
 
 
-def finite_hilbert(b, u):
+def finite_hilbert(b, u, slope=False):
     """sum_m b_m zeta^m at the points u by Horner's rule.  Its real part
     is the finite Hilbert transform (1/pi) p.v. integral f(t)/(u - t) dt
     of f = sum b_m sin(m phi) on [-1, 1], u = cos(phi), and its imaginary
     part is f: zeta = e^{i phi} on |u| <= 1, and the real u - sgn(u)
     sqrt(u^2 - 1), taken free of cancellation, outside.  An empty b sums
-    to 0."""
+    to 0.
+
+    With `slope`, the pair (sum, d/du sum): sum_m m b_m zeta^m, from the
+    same Horner pass, times zeta'/zeta, -i / sqrt(1 - u^2) inside and
+    -sgn(u) / sqrt(u^2 - 1) outside, or at |u| = 1, where both vanish for
+    a series of finite slope, its limit sum_m m^2 b_m u^{m+1}."""
     u = np.asarray(u, dtype=float)
     au = np.abs(u)
     zeta = np.where(au <= 1.0, u + 1.0j * np.sqrt(np.maximum(1.0 - u * u, 0.0)),
                     np.sign(u) / (np.maximum(au, 1.0) + np.sqrt(np.maximum(u * u - 1.0, 0.0))))
     out = np.zeros(u.shape, dtype=complex)
-    for coef in b[::-1]:
-        out += coef
+    d = np.zeros(u.shape, dtype=complex) if slope else None
+    for m in range(len(b), 0, -1):
+        out += b[m - 1]
         out *= zeta
-    return out
+        if slope:
+            d += m * b[m - 1]
+            d *= zeta
+    if not slope:
+        return out
+    root = np.sqrt(np.abs(1.0 - u * u))
+    edge = root == 0.0
+    d *= np.where(au <= 1.0, -1.0j, -np.sign(u)) / np.where(edge, 1.0, root)
+    m = np.arange(1, len(b) + 1)
+    d[edge] = np.power.outer(u[edge], m + 1) @ (m * m * b)
+    return out, d
 
 
 class IntegratingFactor:
-    """The mode sequences of e^{-+h} on the boundary cylinder."""
+    """The mode sequences of e^{-+h} on the boundary cylinder, and the
+    sampler of h inside (_HSampler), which factors read from a cache
+    rebuild from their recipe (a_info, quad, s_samples) on first use."""
 
     def __init__(self, boundary, angular, n_modes, alpha, beta,
                  zero_attenuation, a_info, tol_neg, max_neg_mode,
-                 max_identity_dev, interior=None):
+                 max_identity_dev, quad=None, s_samples=None, sampler=None):
         self.boundary = boundary
         self.angular = angular
         self.n_modes = int(n_modes)
@@ -97,17 +113,22 @@ class IntegratingFactor:
         self.tol_neg = float(tol_neg)
         self.max_neg_mode = float(max_neg_mode)
         self.max_identity_dev = float(max_identity_dev)
-        self.interior = interior
+        self.quad = quad                    # QuadSettings, None in an older cache
+        self.s_samples = s_samples
+        self._sampler = sampler
+        # always None: only perfbench/tracer.py's _hook_recon_att reads it
+        self.interior = None
 
-
-class InteriorFactors:
-    """Factor data on the inside points of a Cartesian grid."""
-
-    def __init__(self, grid, beta, a_values):
-        self.grid = grid
-        self.inside = grid.inside           # bool (ny*nx,)
-        self.beta = beta                    # (N+1, p_in)
-        self.a_values = a_values            # (p_in,)
+    @property
+    def sampler(self):
+        if self._sampler is None:
+            if self.quad is None:
+                raise ConfigError("these factors record no recipe for h inside the "
+                                  "domain (an older cache); rebuild with `factors`")
+            a = phantom(self.a_info["name"], self.boundary, self.a_info.get("params"))
+            self._sampler = _HSampler(a, self.boundary, self.angular, self.quad,
+                                      self.s_samples)
+        return self._sampler
 
 
 def _slices(n, size):
@@ -119,23 +140,30 @@ def _slices(n, size):
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
-def _factor_modes(h_values, n_modes):
+def _factor_modes(h_values, n_modes, slopes=None):
     """Nonnegative mode rows (N+1, p) of e^{-h} and e^{+h} at the p points of
-    h_values (p, M), and the largest negative mode of either.  The points
-    run in blocks of MODE_CHUNK entries, each row transformed alone."""
+    h_values (p, M), with `slopes` (p, M) those of e^{+h} slopes too, and
+    the largest negative mode of e^{-+h}.  The points run in blocks of
+    MODE_CHUNK entries, each row transformed alone.  An e^{-+h} past the
+    largest float raises FactorBuildError."""
     p, m = h_values.shape
-    n_neg = min(n_modes, m // 2 - 1)
-    neg_idx = m - np.arange(1, n_neg + 1)
-    rows = np.empty((2, n_modes + 1, p), dtype=complex)      # alpha, beta
+    neg_idx = m - np.arange(1, min(n_modes, m // 2 - 1) + 1)
+    rows = np.empty((2 if slopes is None else 3, n_modes + 1, p), dtype=complex)
     neg = 0.0
     for sl in _slices(p, max(1, MODE_CHUNK // m)):
-        for out, sign in zip(rows, (-1.0, 1.0)):
-            c = np.fft.fft(np.exp(-h_values[sl] if sign < 0.0 else h_values[sl]), axis=1)
+        for out, h in zip(rows, (-h_values[sl], h_values[sl])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = np.exp(h)
+                c = np.fft.fft(e, axis=1)
+            if not np.all(np.isfinite(c)):
+                raise FactorBuildError("e^{+-h} overflows: the attenuation is too strong")
             c /= m
-            if n_neg >= 1:
-                neg = max(neg, float(np.max(np.abs(c[:, neg_idx]))))
-            out[:, sl] = c[:, : n_modes + 1].T
-    return rows[0], rows[1], neg
+            neg = max(neg, float(np.max(np.abs(c[:, neg_idx]), initial=0.0)))
+            out[:, sl] = c[:, :n_modes + 1].T
+        if slopes is not None:                    # e is e^{+h}
+            e *= slopes[sl]
+            rows[2, :, sl] = np.fft.fft(e, axis=1)[:, :n_modes + 1].T / m
+    return rows, neg
 
 
 def _check_leak(neg, tol_neg, what):
@@ -205,44 +233,61 @@ class _HSampler:
         keep = np.flatnonzero(np.abs(b) > np.finfo(float).eps * scale)
         return mid, half, b[:keep[-1] + 1 if keep.size else 0]
 
-    def at(self, points):
-        """h at the points (p, 2), (p, M).  Da runs along each ray from its
-        point to the ray's end (ray_span); from a node that is the whole
-        chord on incoming rays and, to roundoff, nothing on the others."""
+    def at(self, points, slopes=False):
+        """h at the points (p, 2), (p, M); with `slopes`, the pair of h and
+        theta_perp . grad h (the opposite direction reads the series' slope
+        as minus its conjugate).  Da runs along each ray from its point to
+        the ray's end (ray_span); from a node that is the whole chord on
+        incoming rays and, to roundoff, nothing on the others."""
         dirs = self.dirs
         h = np.empty((len(points), len(dirs)), dtype=complex)
+        dh = np.empty_like(h) if slopes else None
         for j, (mid, half, b) in enumerate(self.series):
             # (direction, sign): the opposite direction reads the series at -s
             pair = ((j, 1.0), (j + self.n_base, -1.0)) if self.paired else ((j, 1.0),)
             offsets = np.concatenate([sign * (points @ np.array([-dirs[k][1], dirs[k][0]]))
                                       for k, sign in pair])
-            lin = -1.0j * finite_hilbert(b, (offsets - mid) / half)
-            for (k, sign), lin_k in zip(pair, lin.reshape(len(pair), -1)):
-                if sign < 0.0:
-                    lin_k = np.conj(lin_k)
-                _, end = ray_span((self.a,), self.boundary, points, dirs[k])
-                da = chord_integrals(self.a, points, dirs[k], 0.0, end, self.quad)
-                h[:, k] = da - 0.5 * lin_k
-        return h
+            series = finite_hilbert(b, (offsets - mid) / half, slope=slopes)
+            if slopes:
+                series, dlin = series
+                dlin = ((-1.0j / half) * dlin).reshape(len(pair), -1)
+            lin = (-1.0j * series).reshape(len(pair), -1)
+            for i, (k, sign) in enumerate(pair):
+                da = self._da(points, k, slopes)
+                if slopes:
+                    da, dda = da
+                    dh[:, k] = dda - 0.5 * (-np.conj(dlin[i]) if sign < 0.0 else dlin[i])
+                h[:, k] = da - 0.5 * (np.conj(lin[i]) if sign < 0.0 else lin[i])
+        return (h, dh) if slopes else h
+
+    def _da(self, points, k, slopes):
+        """Da on direction k at the points; with `slopes`, also theta_perp .
+        grad Da: theta_perp . grad a on Da's samples, less a(e) (n .
+        theta_perp) / (n . theta) where the ray ends on the curve at e."""
+        theta = self.dirs[k]
+        perp = np.array([-theta[1], theta[0]]) if slopes else None
+        _, end, normal = ray_span((self.a,), self.boundary, points, theta, normal=slopes)
+        da = chord_integrals(self.a, points, theta, 0.0, end, self.quad, across=perp)
+        if normal is not None:
+            da[1] -= self.a(points + end[:, None] * theta) * (normal @ perp) / (normal @ theta)
+        return da
 
 
 def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
-            interior_grid=None, tol_neg=1e-6, tol_identity=1e-8):
+            tol_neg=1e-6, tol_identity=1e-8):
     """Integrating factor of the attenuation on the boundary cylinder.
 
     Samples h on the nodes, with Ra expanded in its offset sine series
     of at most `s_samples` terms (_HSampler), and keeps the nonnegative
-    mode sequences alpha, beta of e^{-+h} there.  With `interior_grid`, which
-    reconstruction needs, it walks the grid's inside points in chunks of
-    H_CHUNK entries of h (points x directions) and keeps only beta; no
-    point's h or modes depend on the chunk.  Zero attenuation takes the
-    same path: h = 0 gives the identity rows.
+    mode sequences alpha, beta of e^{-+h} there and the sampler, which
+    the attenuated reconstruct reads at its points.  Zero attenuation
+    takes the same path: h = 0 gives the identity rows.
     """
     quad = quad or QuadSettings()
     angular.check_modes(n_modes)
     sampler = _HSampler(a, boundary, angular, quad, s_samples)
 
-    alpha, beta, neg = _factor_modes(sampler.at(boundary.positions), n_modes)
+    (alpha, beta), neg = _factor_modes(sampler.at(boundary.positions), n_modes)
     _check_leak(neg, tol_neg, "boundary")
     dev = _seq_product_deviation(alpha, beta)
     if dev > tol_identity:
@@ -250,22 +295,10 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
             "alpha * beta deviates from the identity sequence by %.3g > %.3g"
             % (dev, tol_identity)
         )
-
-    interior = None
-    if interior_grid is not None:
-        pts = interior_grid.points_all[interior_grid.inside]
-        beta_i = np.empty((n_modes + 1, len(pts)), dtype=complex)
-        neg_i = 0.0
-        for sl in _slices(len(pts), max(1, H_CHUNK // angular.n_angles)):
-            _, beta_i[:, sl], neg_c = _factor_modes(sampler.at(pts[sl]), n_modes)
-            neg_i = max(neg_i, neg_c)
-        _check_leak(neg_i, tol_neg, "interior grid")
-        neg = max(neg, neg_i)
-        interior = InteriorFactors(interior_grid, beta_i, a(pts))
-
     return IntegratingFactor(
         boundary, angular, n_modes, alpha, beta, a.is_zero,
-        {"name": a.name, "params": a.params}, tol_neg, neg, dev, interior,
+        {"name": a.name, "params": a.params}, tol_neg, neg, dev,
+        quad=quad, s_samples=s_samples, sampler=sampler,
     )
 
 
@@ -297,19 +330,30 @@ def range_residual_a(g, factors):
     return _make_residual(res_data, g.data, g.boundary, g.n_modes)
 
 
-def reconstruct_f_attenuated(g, factors, grid, gate=0.05):
+def _beta_slopes(sampler, points, n_modes):
+    """beta (N+1, p) and d beta_0..N-1 (N, p) at the points, `a` there,
+    and the largest negative mode of e^{-+h} there."""
+    h, dh = sampler.at(points, slopes=True)
+    (_, beta, modes), neg = _factor_modes(h, n_modes, dh)
+    a_values = sampler.a(points)
+    return beta, -0.5 * a_values * beta[1:] - 0.5j * modes[1:], a_values, neg
+
+
+def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
     """Source reconstruction from attenuated boundary data.
 
-    Builds v from the conjugated trace alpha * g, forms u = beta * v on
-    the grid, and evaluates f = 2 Re(d u_{-1}) + a u_0.  The derivative
-    of u splits by the product rule: d v modes come from the explicit
-    boundary kernels, d beta from centered differences of the interior
-    factor grid (beta is smooth; v is the singular part).  The valid points
-    are walked in chunks of RECON_CHUNK, so only the picture is held whole.
+    Builds v from the conjugated trace alpha * g and evaluates
+    f = 2 Re(d u_{-1}) + a u_0, u = beta * v, at the grid's valid points.
+    d v comes from the explicit boundary kernels, beta and d beta from
+    factors.sampler at the point itself (a leak past tol_neg raises).
+    The points run in chunks of RECON_CHUNK; no value depends on them.
+    d beta_0 vanishes exactly: with `return_dbeta0` the call returns the
+    picture and max |d beta_0| over the points (0.0 without attenuation).
     """
     _check_match(g, factors)
     if factors.zero_attenuation:
-        return reconstruct_f0(g, grid, gate=gate)
+        pic = reconstruct_f0(g, grid, gate=gate)
+        return (pic, 0.0) if return_dbeta0 else pic
 
     check = range_residual_a(g, factors)
     if check.relative > gate:
@@ -319,72 +363,21 @@ def reconstruct_f_attenuated(g, factors, grid, gate=0.05):
             InconsistentInput,
         )
 
-    if factors.interior is None or factors.interior.grid is not grid:
-        if factors.interior is None:
-            raise GridMismatch("factors carry no interior data; rebuild with interior_grid")
-        gi = factors.interior.grid
-        same = (
-            gi.nx == grid.nx and gi.ny == grid.ny
-            and np.allclose(gi.xs, grid.xs) and np.allclose(gi.ys, grid.ys)
-            and np.array_equal(gi.inside, grid.inside)
-        )
-        if not same:
-            raise GridMismatch("factors were built on a different interior grid")
-
-    inter = factors.interior
+    sampler = factors.sampler
     n_modes = g.n_modes
     ag_trace = ModeTrace(g.boundary, n_modes, convolve(factors.alpha, g.data))
-
-    # the column of each grid point in the inside-point blocks
-    col = np.full(grid.ny * grid.nx, -1)
-    col[inter.inside] = np.arange(len(inter.a_values))
-    at = np.flatnonzero(grid.valid)
-    fd_ok = ~fd_zeroed_mask(factors, grid)[at]
-    f_vals = np.empty(len(at))
-    for sl in _slices(len(at), RECON_CHUNK):
+    f_vals = np.empty(len(grid.points))
+    dbeta0 = 0.0
+    for sl in _slices(len(grid.points), RECON_CHUNK):
+        beta, dbeta, a_values, neg = _beta_slopes(sampler, grid.points[sl], n_modes)
+        _check_leak(neg, factors.tol_neg, "picture's points")
+        dbeta0 = max(dbeta0, float(np.max(np.abs(dbeta[0]))))
         dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, field=True, part=sl)
-        f_vals[sl] = _source_values(inter, grid, col, at[sl], fd_ok[sl], dv, v.data)
-    return grid.unflatten(f_vals)
-
-
-def _source_values(inter, grid, col, q, ok, dv, v):
-    """f = 2 Re(d u_{-1}) + a u_0 at the grid points q (flat indices), from
-    d v_{-1..-N} (dv) and v (rows 0..N) there; 0 where `ok` is False.
-
-    d beta comes from centred differences of beta's columns at the four
-    neighbours; a point without all four reads its own column instead.
-    """
-    n_modes = len(dv)
-
-    def beta_at(step):
-        return inter.beta[:, col[np.where(ok, q + step, q)]]
-
-    dbx = (beta_at(1) - beta_at(-1)) / (2.0 * grid.hx)
-    dby = (beta_at(grid.nx) - beta_at(-grid.nx)) / (2.0 * grid.hy)
-    del_beta = 0.5 * (dbx - 1.0j * dby)
-    here = col[q]
-    beta_here = inter.beta[:, here]
-    # every operand column-major, like these column picks: each point's
-    # mode sum then adds its terms in one order, whatever the chunk
-    dv = np.asfortranarray(dv)
-    u0 = np.real(np.sum(beta_here * v, axis=0))
-    del_u1 = np.sum(beta_here[:n_modes] * dv + del_beta[:n_modes] * v[1:], axis=0)
-    return np.where(ok, 2.0 * np.real(del_u1) + inter.a_values[here] * u0, 0.0)
-
-
-def fd_zeroed_mask(factors, grid):
-    """Grid points where reconstruct_f_attenuated evaluates but returns 0.
-
-    The derivative of beta comes from centred differences of the interior
-    factor grid; at an evaluated point whose four neighbours do not all
-    carry factor data (including the picture's edge) there is none, and
-    the reconstruction sets f to 0 there.  Returns a flat boolean mask
-    over the grid, all False on the zero-attenuation route, which
-    evaluates no differences.
-    """
-    if factors.zero_attenuation:
-        return np.zeros(grid.ny * grid.nx, dtype=bool)
-    pic = factors.interior.inside.reshape(grid.ny, grid.nx)
-    fd_ok = np.zeros_like(pic)
-    fd_ok[1:-1, 1:-1] = pic[1:-1, 2:] & pic[1:-1, :-2] & pic[2:, 1:-1] & pic[:-2, 1:-1]
-    return grid.valid & ~fd_ok.ravel()
+        # every operand column-major, like v: each point's mode sum then
+        # adds its terms in one order, whatever the chunk
+        beta, dbeta, dv = (np.asfortranarray(x) for x in (beta, dbeta, dv))
+        u0 = np.real(np.sum(beta * v.data, axis=0))
+        del_u1 = np.sum(beta[:n_modes] * dv + dbeta * v.data[1:], axis=0)
+        f_vals[sl] = 2.0 * np.real(del_u1) + a_values * u0
+    pic = grid.unflatten(f_vals)
+    return (pic, dbeta0) if return_dbeta0 else pic

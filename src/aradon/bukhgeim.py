@@ -301,8 +301,6 @@ class CartesianGrid:
         self.ny = int(ny)
         self.xs = np.linspace(extent[0], extent[1], nx)
         self.ys = np.linspace(extent[2], extent[3], ny)
-        self.hx = float(self.xs[1] - self.xs[0]) if nx > 1 else 1.0
-        self.hy = float(self.ys[1] - self.ys[0]) if ny > 1 else 1.0
         gx, gy = np.meshgrid(self.xs, self.ys)
         self.points_all = np.column_stack([gx.ravel(), gy.ravel()])
         self.margin = boundary.interior_margin() if margin is None else float(margin)

@@ -6,7 +6,8 @@ the stage helpers of this module, `_forward`, `_build_factors`, `_load`,
 routines; the subcommands add only arguments, files and printed lines.
 
 Exit codes: 0 consistent / success, 1 inconsistent (range test failed),
-2 usage, config, or file-format error, 3 numeric failure.
+2 usage, config, or file-format error, 3 numeric failure (running out of
+memory among them).
 
 `ARADON_THREADS` caps the worker pools of the underlying numeric
 libraries.  It is consumed here, before numpy is first imported, because
@@ -46,12 +47,7 @@ from .config import load_config, parse_config
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
 from .bukhgeim import range_residual_0, reconstruct_f0
-from .attenuation import (
-    build_h,
-    fd_zeroed_mask,
-    range_residual_a,
-    reconstruct_f_attenuated,
-)
+from .attenuation import build_h, range_residual_a, reconstruct_f_attenuated
 from . import io as aio
 
 
@@ -108,20 +104,17 @@ def _forward(cfg, attenuated):
     return forward_sinogram(f, a, boundary, angular, quad=cfg.make_quad())
 
 
-def _build_factors(cfg, boundary, angular, grid):
-    """Integrating factors of the configured `a`; interior data on `grid` if given."""
+def _build_factors(cfg, boundary, angular):
+    """Integrating factors of the configured `a`."""
     return build_h(
         cfg.make_phantom("a", boundary), boundary, angular, cfg.n_modes,
         quad=cfg.make_quad(), s_samples=cfg.s_samples,
-        interior_grid=grid, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
+        tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
     )
 
 
-def _get_factors(cfg, args, sino, grid):
-    """Integrating factors for `sino`, honoring the cache flag.
-
-    A cache read for reconstruction (`grid` given) must carry interior data.
-    """
+def _get_factors(cfg, args, sino):
+    """Integrating factors for `sino`, honoring the cache flag."""
     cache = args.factors_cache
     if cache and os.path.exists(cache):
         a = cfg.make_phantom("a", sino.boundary)
@@ -137,28 +130,23 @@ def _get_factors(cfg, args, sino, grid):
                 "factors cache has N=%d, config wants N=%d"
                 % (factors.n_modes, cfg.n_modes)
             )
-        if grid is not None and factors.interior is None:
-            raise ConfigError(
-                "factors cache %s has no interior data; rebuild with the "
-                "factors subcommand" % cache
-            )
         return factors
-    factors = _build_factors(cfg, sino.boundary, sino.angular, grid)
+    factors = _build_factors(cfg, sino.boundary, sino.angular)
     if cache:
         aio.write_factors_cache(cache, factors, config_hash=cfg.config_hash)
     return factors
 
 
-def _load(cfg, args, interior):
-    """The sinogram argument's modes, the grid (for `interior` only) and the
+def _load(cfg, args, with_grid):
+    """The sinogram argument's modes, the grid (if `with_grid`) and the
     factors (None unless the file or --attenuated says attenuated).  The
     sinogram must be written on the config's boundary and angles."""
     sino = aio.read_sinogram(args.sinogram, cfg.make_boundary(), cfg.make_angular())
-    grid = cfg.make_grid(sino.boundary) if interior else None
+    grid = cfg.make_grid(sino.boundary) if with_grid else None
     trace = project_minus(sino, cfg.n_modes)
     factors = None
     if args.attenuated or sino.attenuated:
-        factors = _get_factors(cfg, args, sino, grid)
+        factors = _get_factors(cfg, args, sino)
     return trace, grid, factors
 
 
@@ -170,17 +158,17 @@ def _residual(trace, factors):
 
 
 def _reconstruct(cfg, trace, factors, grid):
-    """Picture, InconsistentInput warning count, points zeroed for want of
-    differences of the interior factors (0 without attenuation)."""
+    """Picture, InconsistentInput warning count and max |d beta_0| over the
+    points (0.0 without attenuation), which vanishes exactly."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", InconsistentInput)
         if factors is None:
-            pic = reconstruct_f0(trace, grid, gate=cfg.recon_gate)
+            pic, dbeta0 = reconstruct_f0(trace, grid, gate=cfg.recon_gate), 0.0
         else:
-            pic = reconstruct_f_attenuated(trace, factors, grid, gate=cfg.recon_gate)
+            pic, dbeta0 = reconstruct_f_attenuated(trace, factors, grid, gate=cfg.recon_gate,
+                                                   return_dbeta0=True)
     flagged = sum(1 for w in caught if issubclass(w.category, InconsistentInput))
-    zeroed = 0 if factors is None else int(np.sum(fd_zeroed_mask(factors, grid)))
-    return pic, flagged, zeroed
+    return pic, flagged, dbeta0
 
 
 def _recon_error(cfg, grid, pic, truth_field):
@@ -235,7 +223,7 @@ def cmd_forward(cfg, args):
 
 def cmd_check(cfg, args):
     out = _outdir(cfg, args)
-    trace, _, factors = _load(cfg, args, interior=False)
+    trace, _, factors = _load(cfg, args, with_grid=False)
     rr = _residual(trace, factors)
     consistent = rr.relative <= cfg.residual_gate
     extra = {
@@ -253,15 +241,15 @@ def cmd_check(cfg, args):
 
 def cmd_reconstruct(cfg, args):
     out = _outdir(cfg, args)
-    trace, grid, factors = _load(cfg, args, interior=True)
-    pic, flagged, zeroed = _reconstruct(cfg, trace, factors, grid)
+    trace, grid, factors = _load(cfg, args, with_grid=True)
+    pic, flagged, dbeta0 = _reconstruct(cfg, trace, factors, grid)
     path = os.path.join(out, "reconstruction.csv")
     aio.write_field_csv(path, grid.xs, grid.ys, pic)
     report = {
         "config_hash": cfg.config_hash,
         "attenuated": factors is not None,
         "consistency_flag": flagged,
-        "fd_zeroed_points": zeroed,
+        "dbeta0_max": dbeta0,
         "grid": {"nx": grid.nx, "ny": grid.ny, "margin": grid.margin},
     }
     if cfg.phantom_f["name"] != "zero":
@@ -283,7 +271,7 @@ def cmd_factors(cfg, args):
     out = _outdir(cfg, args)
     boundary = cfg.make_boundary()
     cache = args.factors_cache or os.path.join(out, "factors.bin")
-    factors = _build_factors(cfg, boundary, cfg.make_angular(), cfg.make_grid(boundary))
+    factors = _build_factors(cfg, boundary, cfg.make_angular())
     aio.write_factors_cache(cache, factors, config_hash=cfg.config_hash)
     print(
         "factors for a=%s: max negative mode %.3g (tol %.3g), "
@@ -335,7 +323,7 @@ def cmd_sweep(cfg, args):
                 grid = rung.make_grid(sino.boundary)
                 factors = None
                 if args.attenuated:
-                    factors = _build_factors(rung, sino.boundary, sino.angular, grid)
+                    factors = _build_factors(rung, sino.boundary, sino.angular)
                 rr = _residual(trace, factors)
                 pic, _, _ = _reconstruct(rung, trace, factors, grid)
                 err = _recon_error(rung, grid, pic, rung.make_phantom("f", sino.boundary))
@@ -379,6 +367,9 @@ def main(argv=None):
         return 2
     except AradonError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("numeric failure: out of memory", file=sys.stderr)
         return 3
 
 

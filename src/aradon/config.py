@@ -7,7 +7,6 @@ output file for provenance.
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -40,13 +39,16 @@ def _reject_unknown(d, allowed, where):
 
 def _get_num(d, key, where, default, lo=None, integer=False, above=None):
     val = d.get(key, default)
-    if val is None:
+    if val is None and key not in d:
         return None
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError("%s.%s: expected a number" % (where, key))
-    # json reads NaN, Infinity and overflowing literals such as 1e400
-    if not abs(val) < math.inf:
-        raise ConfigError("%s.%s: expected a finite number" % (where, key))
+    # json reads NaN, Infinity and overflowing literals such as 1e400.  No
+    # size, length, amplitude or tolerance of a run comes near 1e6; a larger
+    # one would overflow a square or an allocation long before it ran.
+    if not abs(val) <= 1e6:
+        raise ConfigError("%s.%s: expected a finite number of size at most 1e6"
+                          % (where, key))
     if integer and int(val) != val:
         raise ConfigError("%s.%s: expected an integer" % (where, key))
     if lo is not None and val < lo:

@@ -212,7 +212,7 @@ class ConvexBoundary:
     # ------------------------------------------------------------------
     # line crossings
 
-    def line_spans(self, points, direction):
+    def line_spans(self, points, direction, normal=False):
         """Crossings of the lines points + t * direction with the curve.
 
         points is an (m, 2) array and direction one vector; disks and
@@ -222,16 +222,24 @@ class ConvexBoundary:
         where the line misses the closed domain or only touches it.
         Points may lie anywhere.  Disks and ellipses solve the quadric
         x^2/a^2 + y^2/b^2 = 1 in closed form; point tables search the two
-        monotone arcs of s(u) = direction x w(u).
+        monotone arcs of s(u) = direction x w(u).  With `normal`, a fourth
+        entry: an outward normal (of no set length) at each hit line's t_hi.
         """
         p = np.asarray(points, dtype=float)
         d = np.asarray(direction, dtype=float)
         if self.kind != "generic":
             scale = np.array([self.a, self.b])
-            return unit_circle_spans(p / scale, d / scale)
-        hit, (r1, r2) = self._arc_crossings(np.atleast_2d(p), d)
-        return (np.where(hit, np.minimum(r1, r2), 0.0),
-                np.where(hit, np.maximum(r1, r2), 0.0), hit)
+            spans = unit_circle_spans(p / scale, d / scale)
+            if normal:
+                spans += ((p + spans[1][..., None] * d) / scale ** 2,)
+            return spans
+        hit, (r1, r2), u_hi = self._arc_crossings(np.atleast_2d(p), d)
+        spans = (np.where(hit, np.minimum(r1, r2), 0.0),
+                 np.where(hit, np.maximum(r1, r2), 0.0), hit)
+        if normal:
+            tangent = self._derivative_at(u_hi)
+            spans += (np.column_stack([tangent[:, 1], -tangent[:, 0]]),)
+        return spans
 
     def extent(self, direction):
         """(s_min, s_max) of the offset s(u) = direction x w(u) over the
@@ -285,7 +293,10 @@ class ConvexBoundary:
         u = self._polish_roots(d, sign, target, lo, hi, u)
         ts = np.zeros((2, len(p)))
         ts[:, hit] = _dot(self.position_at(u) - p[hit], d)
-        return hit, ts
+        # the parameter of each hit line's far crossing
+        u_hi = np.zeros(len(p))
+        u_hi[hit] = np.where(ts[0, hit] >= ts[1, hit], u[0], u[1])
+        return hit, ts, u_hi
 
     def _polish_roots(self, d, sign, target, lo, hi, u):
         # Newton on sign * s(u) = target, kept inside [lo, hi] (bisection

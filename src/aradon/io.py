@@ -18,9 +18,8 @@ import numpy as np
 from .errors import ConfigError, GridMismatch
 from .geometry import make_boundary
 from .harmonics import AngularGrid
-from .xray import Sinogram
-from .bukhgeim import CartesianGrid
-from .attenuation import IntegratingFactor, InteriorFactors
+from .xray import QuadSettings, Sinogram
+from .attenuation import IntegratingFactor
 
 _SINO_FORMAT = "aradon-sinogram"
 _FACTORS_FORMAT = "aradon-factors"
@@ -236,30 +235,17 @@ def _split_blocks(path, blocks, payload, names):
         if name not in spans:
             raise ConfigError("%s: no %r block" % (path, name))
         dt, count, start, shape = spans[name]
-        view = np.frombuffer(payload, dtype=dt, count=count, offset=start).reshape(shape)
-        # a u1 block whose length is no multiple of 8 unaligns the blocks after it
-        out[name] = view if view.flags.aligned else view.copy()
+        out[name] = np.frombuffer(payload, dtype=dt, count=count, offset=start).reshape(shape)
     return out
 
 
 def write_factors_cache(path, factors, config_hash=None):
-    arrays = [
+    """The boundary factors alpha and beta, and in the header the recipe
+    of h inside the domain: `a`, quad and s_samples."""
+    blocks, payload = _block_bytes([
         ("alpha", factors.alpha, "<c16"),
         ("beta", factors.beta, "<c16"),
-    ]
-    interior_meta = None
-    if factors.interior is not None:
-        gi = factors.interior.grid
-        interior_meta = {
-            "nx": gi.nx, "ny": gi.ny, "margin": gi.margin,
-            "extent": [float(gi.xs[0]), float(gi.xs[-1]),
-                       float(gi.ys[0]), float(gi.ys[-1])],
-        }
-        arrays += [
-            ("beta_interior", factors.interior.beta, "<c16"),
-            ("a_values", factors.interior.a_values, "<f8"),
-        ]
-    blocks, payload = _block_bytes(arrays)
+    ])
     header = {
         "format": _FACTORS_FORMAT,
         "version": 1,
@@ -269,15 +255,29 @@ def write_factors_cache(path, factors, config_hash=None):
         "boundary": factors.boundary.descriptor(),
         "zero_attenuation": factors.zero_attenuation,
         "a": factors.a_info,
+        "quad": {"panels": factors.quad.panels, "points": factors.quad.points},
+        "s_samples": factors.s_samples,
         "tol_neg": factors.tol_neg,
         "max_neg_mode": factors.max_neg_mode,
         "max_identity_dev": factors.max_identity_dev,
-        "interior": interior_meta,
         "blocks": blocks,
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
     _write_container(path, header, payload)
+
+
+def _recipe(header, path):
+    """(QuadSettings, s_samples) of a cache's header, (None, None) for an
+    older cache, which records no recipe of h inside the domain."""
+    if "quad" not in header:
+        return None, None
+    quad = header["quad"]
+    _require(quad, ("panels", "points"), path, "quad")
+    if not all(type(v) is int and v >= 1
+               for v in (quad["panels"], quad["points"], header.get("s_samples"))):
+        raise ConfigError("%s: quad and s_samples must be positive integers" % path)
+    return QuadSettings(quad["panels"], quad["points"]), header["s_samples"]
 
 
 def read_factors_cache(path, boundary=None, angular=None):
@@ -286,38 +286,22 @@ def read_factors_cache(path, boundary=None, angular=None):
     When `boundary`/`angular` are given, the cached grids must match
     them (GridMismatch otherwise) and the given objects are used so the
     factors share identity with the caller's grids.  Blocks are read by
-    name, so caches that also carry h, the interior alpha or an inside
-    mask still load if that mask is the inside set of the header's grid.
+    name, so an older cache that also carries h or factors on a grid of
+    inside points still loads for the range test; without a recorded
+    recipe, a reconstruct from it exits 2 (IntegratingFactor.sampler).
     """
     header, payload = _read_container(
         path, _FACTORS_FORMAT,
         ("boundary", "n_nodes", "n_angles", "n_modes", "zero_attenuation",
          "tol_neg", "max_neg_mode", "max_identity_dev", "blocks"))
     boundary, angular = _grids(header, path, boundary, angular)
-
-    im = header.get("interior")
-    if im is not None:
-        _require(im, ("nx", "ny", "margin", "extent"), path, "interior")
-    names = ("alpha", "beta") + (() if im is None else ("beta_interior", "a_values"))
-    if im is not None and any(isinstance(b, dict) and b.get("name") == "inside" for b in header["blocks"]):
-        names += ("inside",)  # an older cache's mask, checked against the grid
-    data = _split_blocks(path, header["blocks"], payload, names)
-    interior = None
-    if im is not None:
-        grid = CartesianGrid(boundary, im["nx"], im["ny"], margin=im["margin"],
-                             extent=tuple(im["extent"]))
-        if "inside" in data and not np.array_equal(data["inside"].ravel() != 0, grid.inside):
-            raise GridMismatch("%s: its inside mask is not its grid's; rebuild it" % path)
-        n_in = int(np.count_nonzero(grid.inside))
-        if data["beta_interior"].shape[-1:] != (n_in,) or data["a_values"].shape != (n_in,):
-            raise ConfigError("%s: interior blocks are not %d points wide, the inside "
-                              "points of the header's grid" % (path, n_in))
-        interior = InteriorFactors(grid, data["beta_interior"], data["a_values"])
+    data = _split_blocks(path, header["blocks"], payload, ("alpha", "beta"))
+    quad, s_samples = _recipe(header, path)
     return IntegratingFactor(
         boundary, angular, int(header["n_modes"]), data["alpha"], data["beta"],
         bool(header["zero_attenuation"]), header.get("a", {}),
         float(header["tol_neg"]), float(header["max_neg_mode"]),
-        float(header["max_identity_dev"]), interior,
+        float(header["max_identity_dev"]), quad=quad, s_samples=s_samples,
     )
 
 

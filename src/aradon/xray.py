@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legvander
 
-from .errors import UnknownPhantom, SupportViolation
+from .errors import AradonError, UnknownPhantom, SupportViolation
 from .geometry import TOL_TANGENT, unit_circle_spans
 
 # Gauss points of the one panel on a polynomial field's clipped chord:
@@ -127,9 +127,11 @@ class ScalarField:
         out = self.planes(pts[..., 0], pts[..., 1])
         return float(out) if pts.ndim == 1 else out
 
-    def planes(self, x, y):
-        """Values at the points (x, y); x and y are arrays of one shape."""
-        return np.asarray(self._func(x, y), dtype=float)
+    def planes(self, x, y, across=None):
+        """Values at the points (x, y); x and y are arrays of one shape.
+        With a unit vector `across`, values and across . grad stacked."""
+        vals = self._func(x, y) if across is None else self._func(x, y, across)
+        return np.asarray(vals, dtype=float)
 
     @property
     def is_zero(self):
@@ -146,15 +148,18 @@ def phantom(name, boundary, params=None):
     zero               identically 0
 
     Both bumps carry their support disk and line degree 4 (a quartic
-    along every line inside the disk), so their chord integrals are exact.
+    along every line inside the disk), so their chord integrals are exact,
+    and those of their derivatives (cubic) too.
     """
     p = dict(params or {})
     if name == "poly-bump":
         amp = float(p.get("amplitude", 1.0))
 
-        def f(x, y):
-            r2 = x ** 2 + y ** 2
-            return amp * np.maximum(1.0 - r2, 0.0) ** 2
+        def f(x, y, across=None):
+            q = np.maximum(1.0 - (x ** 2 + y ** 2), 0.0)
+            if across is None:
+                return amp * q ** 2
+            return amp * q ** 2, (-4.0 * amp) * q * (across[0] * x + across[1] * y)
         c = np.zeros(2)
         _check_disk_support(boundary, c, 1.0, name)
         return ScalarField(f, name=name, params={"amplitude": amp},
@@ -165,9 +170,12 @@ def phantom(name, boundary, params=None):
         amp = float(p.get("amplitude", 1.0))
         _check_disk_support(boundary, c, r, name)
 
-        def f(x, y):
-            r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2
-            return amp * np.maximum(1.0 - r2 / r ** 2, 0.0) ** 2
+        def f(x, y, across=None):
+            dx, dy = x - c[0], y - c[1]
+            q = np.maximum(1.0 - (dx ** 2 + dy ** 2) / r ** 2, 0.0)
+            if across is None:
+                return amp * q ** 2
+            return amp * q ** 2, (-4.0 * amp / r ** 2) * q * (across[0] * dx + across[1] * dy)
         return ScalarField(f, name=name,
                            params={"center": tuple(c), "radius": r, "amplitude": amp},
                            support=(c, r), line_degree=4)
@@ -176,13 +184,17 @@ def phantom(name, boundary, params=None):
         sig = float(p.get("sigma", 0.18))
         amp = float(p.get("amplitude", 1.0))
 
-        def f(x, y):
-            r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2
-            return amp * np.exp(-r2 / sig ** 2)
+        def f(x, y, across=None):
+            dx, dy = x - c[0], y - c[1]
+            val = amp * np.exp(-(dx ** 2 + dy ** 2) / sig ** 2)
+            if across is None:
+                return val
+            return val, (-2.0 / sig ** 2) * val * (across[0] * dx + across[1] * dy)
         return ScalarField(f, name=name,
                            params={"center": tuple(c), "sigma": sig, "amplitude": amp})
     if name == "zero":
-        return ScalarField(lambda x, y: np.zeros(np.shape(x)), name="zero")
+        return ScalarField(lambda x, y, across=None: np.zeros(np.shape(x)) if across is None
+                           else (np.zeros(np.shape(x)),) * 2, name="zero")
     raise UnknownPhantom("unknown phantom %r" % (name,))
 
 
@@ -219,10 +231,11 @@ def _directions(angles):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def ray_span(fields, boundary, starts, direction):
-    """(t_lo, t_hi): how far the lines starts + t * direction run for the
-    integrals of `fields` on them; a ray from a point of the closed domain
-    runs over [0, t_hi].
+def ray_span(fields, boundary, starts, direction, normal=False):
+    """(t_lo, t_hi, n_hi): how far the lines starts + t * direction run for
+    the integrals of `fields` on them; a ray from a point of the closed
+    domain runs over [0, t_hi].  With `normal`, n_hi is line_spans' normal
+    where each line ends, else None, and None on whole lines.
 
     When every field has a support disk, which lies in the closed domain
     and which clip_chords cuts each line to, the lines are whole.  Else
@@ -231,9 +244,9 @@ def ray_span(fields, boundary, starts, direction):
     infinity, where its zero samples would read inf * 0 = NaN.
     """
     if all(f.support is not None for f in fields):
-        return -np.inf, np.inf
-    t_lo, t_hi, _ = boundary.line_spans(starts, direction)
-    return t_lo, t_hi
+        return -np.inf, np.inf, None
+    spans = boundary.line_spans(starts, direction, normal=normal)
+    return spans[0], spans[1], spans[3] if normal else None
 
 
 def clip_chords(field, starts, direction, t_lo, t_hi):
@@ -250,29 +263,32 @@ def clip_chords(field, starts, direction, t_lo, t_hi):
     return lo, np.where(hit & (hi > lo), hi, lo)
 
 
-def _sample_chords(field, starts, direction, t_lo, t_hi, nodes):
+def _sample_chords(field, starts, direction, t_lo, t_hi, nodes, across=None):
     """Clipped chords (lo, span), positions t = lo + span * nodes and the
-    field's values there, one row per start."""
+    field's values there (with `across`, its slopes too: ScalarField.planes),
+    one row per start."""
     lo, hi = clip_chords(field, starts, direction, t_lo, t_hi)
     span = hi - lo
     t = lo[..., None] + span[..., None] * nodes
-    return lo, span, t, field.planes(*ray_points(starts, direction, t))
+    return lo, span, t, field.planes(*ray_points(starts, direction, t), across)
 
 
-def chord_integrals(field, starts, direction, t_lo, t_hi, quad=QuadSettings()):
+def chord_integrals(field, starts, direction, t_lo, t_hi, quad=QuadSettings(), across=None):
     """Integrals of `field` along starts + t * direction over [t_lo, t_hi].
 
     The chords are clipped to the field's support disk; a chord that
     misses it integrates to exactly 0.  A polynomial on its support takes
     one EXACT_POINTS Gauss-Legendre panel, exact; any other field takes
-    quad's composite rule over the whole chord.
+    quad's composite rule over the whole chord.  With a unit vector
+    `across`, those of the field's slope along it too, on the same samples,
+    stacked (2, ...).
     """
     if field.line_degree is not None:
         nodes, weights = _composite_rule(1, EXACT_POINTS)
     else:
         nodes, weights = quad.nodes_weights()
-    _, span, _, vals = _sample_chords(field, starts, direction, t_lo, t_hi, nodes)
-    return span * np.einsum("mk,k->m", vals, weights, optimize=False)
+    _, span, _, vals = _sample_chords(field, starts, direction, t_lo, t_hi, nodes, across)
+    return span * np.einsum("...mk,k->...m", vals, weights, optimize=False)
 
 
 def _tail_integrals(a, starts, direction, tau, t, quad):
@@ -328,7 +344,7 @@ def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
     if a.is_zero:
         return np.zeros(len(s_values))
     p0s = s_values[:, None] * perp[None, :]
-    return chord_integrals(a, p0s, th, *ray_span((a,), boundary, p0s, th), quad)
+    return chord_integrals(a, p0s, th, *ray_span((a,), boundary, p0s, th)[:2], quad)
 
 
 def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
@@ -355,7 +371,7 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
         if not np.any(out_mask):
             continue
         z = boundary.positions[out_mask]
-        _, end = ray_span(fields, boundary, z, back)
+        _, end, _ = ray_span(fields, boundary, z, back)
         if not attenuated:
             data[out_mask, j] = chord_integrals(f, z, back, 0.0, end, quad)
             continue
@@ -363,8 +379,11 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
         # tails from z itself (column 0) and from each of f's nodes
         t_from = np.concatenate((np.zeros((len(z), 1)), t), axis=1)
         tails = _tail_integrals(a, z, back, end, t_from, quad)
-        fv *= np.exp(tails[:, 1:] - tails[:, :1])
-        data[out_mask, j] = span * np.einsum("mk,k->m", fv, gl_w, optimize=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv *= np.exp(tails[:, 1:] - tails[:, :1])
+            data[out_mask, j] = span * np.einsum("mk,k->m", fv, gl_w, optimize=False)
+    if not np.all(np.isfinite(data)):
+        raise AradonError("e^{-Da} overflows on some ray: a negative attenuation is too strong")
 
     meta = {
         "f": {"name": f.name, "params": f.params},

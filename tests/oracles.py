@@ -326,8 +326,8 @@ def aanaliticity_defect(field, grid):
         raise ValueError("a-analyticity defect needs a fully interior patch")
     n_rows = field.data.shape[0]
     pic = field.data.reshape(n_rows, grid.ny, grid.nx)
-    dx = (pic[:, 1:-1, 2:] - pic[:, 1:-1, :-2]) / (2.0 * grid.hx)
-    dy = (pic[:, 2:, 1:-1] - pic[:, :-2, 1:-1]) / (2.0 * grid.hy)
+    dx = (pic[:, 1:-1, 2:] - pic[:, 1:-1, :-2]) / (2.0 * (grid.xs[1] - grid.xs[0]))
+    dy = (pic[:, 2:, 1:-1] - pic[:, :-2, 1:-1]) / (2.0 * (grid.ys[1] - grid.ys[0]))
     dbar = 0.5 * (dx + 1.0j * dy)
     dee = 0.5 * (dx - 1.0j * dy)
     worst = 0.0

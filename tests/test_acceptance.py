@@ -68,7 +68,7 @@ def att_sino(disk512, ang128, att_phantom):
 
 @pytest.fixture(scope="module")
 def att_factors(disk512, ang128, grid64, att_phantom):
-    return build_h(att_phantom, disk512, ang128, 32, interior_grid=grid64)
+    return build_h(att_phantom, disk512, ang128, 32)
 
 
 def rel_l2(pic, truth, region):
@@ -246,7 +246,7 @@ def test_08_attenuated_cycle(disk512, ang128, att_sino, att_factors,
     assert err <= 0.08
 
     zero = phantom("zero", disk512)
-    factors0 = build_h(zero, disk512, ang128, 32, interior_grid=grid64)
+    factors0 = build_h(zero, disk512, ang128, 32)
     res_gap = float(np.max(np.abs(
         range_residual_a(polybump_trace, factors0).residual.data
         - range_residual_0(polybump_trace).residual.data)))
@@ -290,3 +290,29 @@ def test_10_sequence_identities_and_chord_jump(disk256):
           f"radius 2 -> {j_scaled:.4f} (expect 8), 2% gates")
     assert abs(j_unit - 4.0) <= 0.02 * 4.0
     assert abs(j_scaled - 8.0) <= 0.02 * 8.0
+
+
+@pytest.mark.parametrize("a_name, a_params", [
+    ("poly-bump", {"amplitude": 0.3}),
+    ("gaussian-truncated", {"sigma": 0.6, "amplitude": 0.3}),
+], ids=["bump", "gaussian-0.6"])
+def test_11_attenuated_floors(disk512, ang128, grid64, truth64, a_name, a_params):
+    """With d beta exact, the attenuated picture at the default sizes keeps
+    the plain route's accuracy away from the curve, and d beta_0 vanishes
+    to roundoff.  Measured for both `a`: max error 1.48e-7 beyond distance
+    0.07, relative L2 3.45e-8 (bump) and 3.53e-8 (Gaussian) over
+    |x| <= 0.9, max |d beta_0| 7e-17."""
+    truth, region = truth64
+    f = phantom("poly-bump", disk512)
+    a = phantom(a_name, disk512, params=a_params)
+    g = project_minus(forward_sinogram(f, a, disk512, ang128), 32)
+    pic, dbeta0 = reconstruct_f_attenuated(g, build_h(a, disk512, ang128, 32), grid64,
+                                           return_dbeta0=True)
+    far = (1.0 - np.hypot(grid64.points[:, 0], grid64.points[:, 1])) > 0.07
+    far_err = float(np.max(np.abs(pic.ravel()[grid64.valid] - truth.ravel()[grid64.valid])[far]))
+    err = rel_l2(pic, truth, region)
+    print(f"{a_name}: max error beyond 0.07 {far_err:.3e} (gate 3e-7); rel L2 {err:.3e} "
+          f"(gate 7e-8); max |d beta_0| {dbeta0:.2e} (gate 1e-12)")
+    assert far_err <= 3e-7
+    assert err <= 7e-8
+    assert dbeta0 <= 1e-12

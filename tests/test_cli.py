@@ -168,7 +168,7 @@ class TestReconstructCommand:
         with open(out / "recon_report.json") as fh:
             doc = json.load(fh)
         assert doc["consistency_flag"] == 0
-        assert doc["fd_zeroed_points"] == 0
+        assert doc["dbeta0_max"] == 0.0
         assert doc["relative_l2_error"] < 0.05
         assert doc["grid"] == {"nx": 20, "ny": 20,
                                "margin": doc["grid"]["margin"]}
@@ -326,7 +326,7 @@ class TestFactorsAndCache:
                      str(tmp_path / "fa"), "--factors-cache", str(cache)]) == 0
         factors = aio.read_factors_cache(str(cache))
         assert factors.n_modes == 8
-        assert factors.interior is not None
+        assert (factors.quad.panels, factors.quad.points, factors.s_samples) == (4, 4, 512)
 
         out = tmp_path / "fw"
         assert main(["forward", "--config", att_cfg, "--out", str(out),
@@ -350,8 +350,9 @@ class TestFactorsAndCache:
             "a": {"name": "gaussian-truncated", "params": {"sigma": 0.6, "amplitude": 0.3}}})
         assert main(["factors", "--config", path, "--out", str(tmp_path / "fa")]) == 0
 
-    def test_reconstruct_reports_zeroed_points(self, tmp_path):
-        """On a grid coarser than the margin some points lack factor differences."""
+    def test_reconstruct_reports_dbeta0(self, tmp_path):
+        """On a grid coarser than the margin every evaluated point carries a
+        value, and the report's max |d beta_0|, zero exactly, reads roundoff."""
         coarse = write_config(
             tmp_path / "coarse.json", grid={"nx": 12, "ny": 12},
             phantoms={"f": {"name": "poly-bump"},
@@ -364,14 +365,53 @@ class TestFactorsAndCache:
         assert main(["reconstruct", "--config", coarse, "--out", str(rec),
                      str(out / "sinogram.bin")]) == 0
         with open(rec / "recon_report.json") as fh:
-            zeroed = json.load(fh)["fd_zeroed_points"]
+            doc = json.load(fh)
+        assert "fd_zeroed_points" not in doc
+        assert 0.0 <= doc["dbeta0_max"] <= 1e-12
         _, _, pic = aio.read_field_csv(str(rec / "reconstruction.csv"))
-        cfg = load_config(coarse)
-        boundary = cfg.make_boundary()
-        grid = cfg.make_grid(boundary)
-        evaluated = grid.valid & boundary.contains(grid.points_all)
-        assert zeroed > 0
-        assert zeroed == int(np.sum(pic.ravel()[evaluated] == 0.0))
+        grid = load_config(coarse).make_grid(load_config(coarse).make_boundary())
+        assert np.all(pic.ravel()[grid.valid] != 0.0)
+
+    def test_reconstruct_from_cache(self, att_cfg, tmp_path):
+        """A reconstruct through a factor cache rebuilds h inside from the
+        recorded recipe and writes the picture of a run without the cache;
+        a cache that records no recipe exits 2."""
+        out = tmp_path / "fw"
+        assert main(["forward", "--config", att_cfg, "--out", str(out), "--attenuated"]) == 0
+        sino = str(out / "sinogram.bin")
+        assert main(["reconstruct", "--config", att_cfg, "--out", str(tmp_path / "r0"),
+                     sino]) == 0
+        cache = tmp_path / "factors.bin"
+        assert main(["factors", "--config", att_cfg, "--out", str(tmp_path / "fa"),
+                     "--factors-cache", str(cache)]) == 0
+        assert main(["reconstruct", "--config", att_cfg, "--out", str(tmp_path / "r1"),
+                     "--factors-cache", str(cache), sino]) == 0
+        for name in ("reconstruction.csv", "recon_report.json"):
+            assert (tmp_path / "r0" / name).read_bytes() == (tmp_path / "r1" / name).read_bytes()
+
+        with open(cache, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        for key in ("checksum", "quad", "s_samples"):
+            del header[key]
+        aio._write_container(str(cache), header, payload)
+        assert main(["check", "--config", att_cfg, "--out", str(tmp_path / "chk"),
+                     "--factors-cache", str(cache), sino]) == 0
+        assert main(["reconstruct", "--config", att_cfg, "--out", str(tmp_path / "r2"),
+                     "--factors-cache", str(cache), sino]) == 2
+
+    @pytest.mark.parametrize("command, amplitude", [("factors", 1e4), ("forward", -1e4)])
+    def test_overflowing_attenuation_exits_three(self, tmp_path, capsys, command, amplitude):
+        """e^{-+h} past the largest float (a strong `a`) in the factors, and
+        e^{-Da} past it in the forward (a strongly negative `a`), are
+        numeric failures, not tracebacks or non-finite outputs."""
+        cfg = write_config(tmp_path / "strong.json", phantoms={
+            "f": {"name": "poly-bump"},
+            "a": {"name": "poly-bump", "params": {"amplitude": amplitude}}})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv + (["--attenuated"] if command == "forward" else [])) == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_cache_attenuation_mismatch_exits_two(self, att_cfg, tmp_path):
         cache = tmp_path / "factors.bin"
@@ -627,28 +667,14 @@ def _drop_boundary_kind(header, payload):
     return payload
 
 
-def _drop_interior_nx(header, payload):
-    del header["interior"]["nx"]
+def _drop_quad_points(header, payload):
+    del header["quad"]["points"]
     return payload
 
 
-def _narrow_block(name):
-    """Drop the last point of block `name`: one narrower than the header
-    grid's inside set."""
-    def edit(header, payload):
-        offset = 0
-        for blk in header["blocks"]:
-            dt = np.dtype(blk["dtype"])
-            nbytes = int(np.prod(blk["shape"])) * dt.itemsize
-            if blk["name"] == name:
-                arr = np.frombuffer(payload, dtype=dt, count=nbytes // dt.itemsize,
-                                    offset=offset).reshape(blk["shape"])
-                blk["shape"][-1] -= 1
-                return (payload[:offset] + np.ascontiguousarray(arr[..., :-1]).tobytes()
-                        + payload[offset + nbytes:])
-            offset += nbytes
-        raise AssertionError("the cache has no %s block" % name)
-    return edit
+def _fractional_s_samples(header, payload):
+    header["s_samples"] = 512.5
+    return payload
 
 
 def _drop_block_key(key):
@@ -670,16 +696,14 @@ class TestMalformedContainer:
         ("cache", _drop_n_modes),
         ("sinogram", _drop_boundary_kind),
         ("cache", _drop_boundary_kind),
-        ("cache", _drop_interior_nx),
-        ("cache", _narrow_block("beta_interior")),
-        ("cache", _narrow_block("a_values")),
+        ("cache", _drop_quad_points),
+        ("cache", _fractional_s_samples),
         ("cache", _drop_block_key("name")),
         ("cache", _drop_block_key("shape")),
         ("cache", _drop_block_key("dtype")),
     ], ids=["sinogram-angles", "sinogram-nodes", "cache-no-beta", "cache-block-past-payload",
             "cache-no-n-modes", "sinogram-boundary-no-kind", "cache-boundary-no-kind",
-            "cache-interior-no-nx", "cache-narrow-beta-interior",
-            "cache-narrow-a-values", "cache-block-no-name", "cache-block-no-shape",
+            "cache-quad-no-points", "cache-fractional-s-samples", "cache-block-no-name", "cache-block-no-shape",
             "cache-block-no-dtype"])
     def test_header_edit_exits_two(self, tmp_path, capsys, target, edit):
         cfg = write_config(

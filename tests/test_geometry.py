@@ -278,6 +278,21 @@ class TestLineSpans:
             assert np.allclose(p + t_hi[0] * np.array([1.0, 0.0]), [a_x, 0.0], atol=1e-12)
             assert abs(t_lo[0] + 2.0 * a_x - 0.7) < 1e-12
 
+    def test_exit_normal_at_nodes(self, kinds):
+        """Rays from inside towards nodes end at the node, where the normal
+        line_spans gives points along the node's outward normal."""
+        rng = np.random.default_rng(4)
+        for b, a_x, b_y in kinds:
+            start = np.array([0.3 * a_x, -0.2 * b_y])
+            for idx in rng.choice(b.n_nodes, 12, replace=False):
+                d = b.positions[idx] - start
+                d /= np.hypot(d[0], d[1])
+                _, t_hi, hit, normal = b.line_spans(start[None, :], d, normal=True)
+                assert hit[0]
+                assert np.allclose(start + t_hi[0] * d, b.positions[idx], atol=1e-12)
+                unit = normal[0] / np.hypot(normal[0, 0], normal[0, 1])
+                assert np.max(np.abs(unit - b.normals[idx])) <= 1e-12
+
     def test_node_chords_near_tangent(self, kinds):
         for b, a_x, b_y in kinds:
             for idx in (0, 17, 64, 100, 128, 200):

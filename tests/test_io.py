@@ -92,12 +92,11 @@ _U64 = 2.0 * np.pi * np.arange(64) / 64
 
 @pytest.fixture(scope="module")
 def factor_cases(disk256):
-    """Factors with and without interior data on the disk, the 1.5 x 1
-    ellipse and a 64-point table of that ellipse.
+    """Factors on the disk, the 1.5 x 1 ellipse and a 64-point table of
+    that ellipse, and grid points inside each.
 
     Off the disk the attenuation is weak enough for build_h's gates, as
-    in test_attenuation's pairing cases.  In the former layout the 12 x 11
-    grid's 132 inside bytes leave the block after them unaligned.
+    in test_attenuation's pairing cases.
     """
     ellipse = make_boundary("ellipse", 128, a=1.5, b=1.0)
     table = make_boundary("table", 64,
@@ -106,23 +105,16 @@ def factor_cases(disk256):
     for b, amp in ((disk256, 0.3), (ellipse, 0.005), (table, 0.005)):
         ang = AngularGrid(64)
         a = phantom("poly-bump", b, params={"amplitude": amp})
-        grid = CartesianGrid(b, 12, 11, margin=0.1)
-        cases.append({"boundary": b, "ang": ang,
-                      "plain": build_h(a, b, ang, 8),
-                      "interior": build_h(a, b, ang, 8, interior_grid=grid)})
+        cases.append({"boundary": b, "ang": ang, "factors": build_h(a, b, ang, 8),
+                      "points": CartesianGrid(b, 12, 11, margin=0.1).points})
     return cases
 
 
 def _assert_same_factors(back, fac):
     assert np.array_equal(back.alpha, fac.alpha)
     assert np.array_equal(back.beta, fac.beta)
-    assert (back.interior is None) == (fac.interior is None)
-    if fac.interior is not None:
-        assert np.array_equal(back.interior.beta, fac.interior.beta)
-        assert np.array_equal(back.interior.inside, fac.interior.inside)
-        assert np.array_equal(back.interior.a_values, fac.interior.a_values)
-        assert back.interior.grid.nx == fac.interior.grid.nx
-        assert back.interior.grid.ny == fac.interior.grid.ny
+    assert back.a_info == json.loads(json.dumps(fac.a_info))
+    assert (back.quad, back.s_samples) == (fac.quad, fac.s_samples)
 
 
 def _header(path):
@@ -130,12 +122,13 @@ def _header(path):
         return json.loads(fh.readline())
 
 
-def _round_trip(path, case, which):
-    fac = case[which]
+def _round_trip(path, case):
+    fac = case["factors"]
     write_factors_cache(path, fac)
     back = read_factors_cache(path, boundary=case["boundary"], angular=case["ang"])
     _assert_same_factors(back, fac)
     assert back.boundary is case["boundary"]
+    return back
 
 
 def _ellipse_table(a, n_nodes):
@@ -161,48 +154,56 @@ _GRID_MISMATCHES = {
 class TestFactorsCache:
     def test_boundary_only_round_trip(self, tmp_path, factor_cases):
         for case in factor_cases:
-            _round_trip(tmp_path / "factors.bin", case, "plain")
+            _round_trip(tmp_path / "factors.bin", case)
 
     def test_interior_round_trip(self, tmp_path, factor_cases):
+        """The sampler of h inside, rebuilt from the recorded recipe on first
+        use, gives h and its slopes bit for bit."""
         for case in factor_cases:
-            _round_trip(tmp_path / "factors.bin", case, "interior")
+            back = _round_trip(tmp_path / "factors.bin", case)
+            assert back._sampler is None
+            got = back.sampler.at(case["points"], slopes=True)
+            for arr, ref in zip(got, case["factors"].sampler.at(case["points"], slopes=True)):
+                assert np.array_equal(arr, ref)
 
     def test_blocks_read_as_views(self, tmp_path, factor_cases):
         """Blocks are writable views of the one payload buffer."""
         for case in factor_cases:
-            fac = case["interior"]
+            fac = case["factors"]
             p = tmp_path / "factors.bin"
             write_factors_cache(p, fac)
             back = read_factors_cache(p)
-            for arr in (back.alpha, back.beta, back.interior.beta, back.interior.a_values):
+            for arr in (back.alpha, back.beta):
                 assert not arr.flags.owndata and arr.flags.writeable
             _assert_same_factors(back, fac)
 
     def test_no_inside_block(self, tmp_path, factor_cases):
-        """The inside points come from the header's grid: no block holds them."""
+        """The cache holds the boundary factors only, and the recipe of h
+        inside in its header."""
         for case in factor_cases:
             p = tmp_path / "factors.bin"
-            write_factors_cache(p, case["interior"])
+            write_factors_cache(p, case["factors"])
             header = _header(p)
-            assert [b["name"] for b in header["blocks"]] == [
-                "alpha", "beta", "beta_interior", "a_values"]
-            grid = read_factors_cache(p).interior.grid
-            assert header["blocks"][2]["shape"][1] == np.count_nonzero(grid.inside)
+            assert [b["name"] for b in header["blocks"]] == ["alpha", "beta"]
+            assert header["quad"] == {"panels": 8, "points": 8}
+            assert header["s_samples"] == 2048
+            assert "interior" not in header
 
     def test_former_h_and_alpha_blocks_still_read(self, tmp_path, factor_cases):
-        """A cache that also carries h, the interior alpha and the inside
-        mask, in the block order such caches were written in, reads with the
-        same factors.  The block after the 132 inside bytes starts
-        unaligned and is copied.  A stored mask that differs from the
-        header grid's inside set is refused."""
+        """A cache of an older layout, which also carries h, the inside mask
+        and factors on the inside points of a grid (its `interior` header
+        object), in the block order such caches were written in, and no
+        recipe, reads with the same boundary factors; the blocks after the
+        132 inside bytes, unaligned, are skipped.  Asked for h inside, it
+        refuses: a ConfigError, exit 2."""
         for case in factor_cases:
-            fac = case["interior"]
+            fac = case["factors"]
             p = tmp_path / "factors.bin"
             write_factors_cache(p, fac)
             header = _header(p)
             rng = np.random.default_rng(3)
             m = fac.angular.n_angles
-            p_in = fac.interior.beta.shape[1]
+            p_in = 120
 
             def noise(*shape):  # the reader skips these blocks' values
                 return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -211,29 +212,25 @@ class TestFactorsCache:
                 ("h_boundary", noise(fac.boundary.n_nodes, m), "<c16"),
                 ("alpha", fac.alpha, "<c16"),
                 ("beta", fac.beta, "<c16"),
-                ("inside", fac.interior.inside.astype(np.uint8), "<u1"),
+                ("inside", np.ones(132, dtype=np.uint8), "<u1"),
                 ("h_interior", noise(p_in, m), "<c16"),
                 ("alpha_interior", noise(9, p_in), "<c16"),
-                ("beta_interior", fac.interior.beta, "<c16"),
-                ("a_values", fac.interior.a_values, "<f8"),
+                ("beta_interior", noise(9, p_in), "<c16"),
+                ("a_values", noise(p_in).real, "<f8"),
             ])
             header["blocks"] = blocks
-            del header["checksum"]
+            header["interior"] = {"nx": 12, "ny": 11, "margin": 0.1, "extent": [-1, 1, -1, 1]}
+            for key in ("checksum", "quad", "s_samples"):
+                del header[key]
             old = tmp_path / "old_factors.bin"
             aio._write_container(old, header, payload)
             back = read_factors_cache(old, boundary=case["boundary"], angular=case["ang"])
-            _assert_same_factors(back, fac)
-            for arr in (back.interior.beta, back.interior.a_values):
+            for arr, ref in ((back.alpha, fac.alpha), (back.beta, fac.beta)):
+                assert np.array_equal(arr, ref)
                 assert arr.flags.aligned and arr.flags.writeable
-            # an inside mask that is not the header grid's inside set
-            start = sum(int(np.prod(b["shape"])) * np.dtype(b["dtype"]).itemsize
-                        for b in blocks[:3])
-            edge = int(np.flatnonzero(fac.interior.inside)[0])
-            flipped = bytearray(payload)
-            flipped[start + edge] = 0
-            aio._write_container(old, header, bytes(flipped))
-            with pytest.raises(GridMismatch, match="inside mask"):
-                read_factors_cache(old)
+            assert back.quad is None and back.interior is None
+            with pytest.raises(ConfigError, match="rebuild with `factors`"):
+                back.sampler
 
     def test_wrong_format_rejected(self, tmp_path, polybump_sino):
         p = tmp_path / "sino.bin"

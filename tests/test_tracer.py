@@ -2,9 +2,10 @@
 
 perfbench/tracer.py wraps aradon's functions and methods by name and its
 count hooks read attributes of their arguments and results
-(`InteriorFactors.inside`, `IntegratingFactor.zero_attenuation`,
+(`IntegratingFactor.interior` and `zero_attenuation`,
 `ConvexBoundary.contains` and `distance_to_boundary` among them).  A
-rename of any of them fails here.  The tracer is loaded from its file and
+rename of any of them fails here.  The reconstruct holds no factors on a
+grid, so `interior` is None and the interior counters stay unset.  The tracer is loaded from its file and
 only read; the reconstruct writes nothing.
 """
 
@@ -36,7 +37,7 @@ def tracing():
 def _reconstruct(boundary, ang, a, trace):
     grid = bukhgeim.CartesianGrid(boundary, 16, 16)
     factors = attenuation.build_h(a, boundary, ang, trace.n_modes, QuadSettings(4, 4),
-                                  s_samples=512, interior_grid=grid)
+                                  s_samples=512)
     return grid, attenuation.reconstruct_f_attenuated(trace, factors, grid)
 
 
@@ -63,8 +64,11 @@ def test_traced_attenuated_reconstruct(tracing):
                  "attenuation.reconstruct_f_attenuated"):
         assert layer[name + ".calls"][0] == 1
     assert layer["geometry.distance_to_boundary.calls"][0] >= 1
-    assert tr.counts["attenuation.interior_points"] == np.count_nonzero(grid.inside)
-    assert tr.counts["attenuation.interior_used_ratio"] == np.count_nonzero(grid.valid)
+    for name in ("attenuation.interior_points", "attenuation.interior_used_ratio",
+                 "attenuation.fd_zeroed_points"):
+        assert name not in tr.counts
+    assert layer["attenuation.interior_used_ratio"][0] == 0.0
+    assert layer["attenuation.fd_zeroed_points"][0] == 0.0
     assert tr.counts["bukhgeim.margin_excluded_points"] == np.count_nonzero(
         grid.inside & ~grid.valid)
     assert "attenuation.identity_dev" in tr.counts and "attenuation.factor_leak" in tr.counts
