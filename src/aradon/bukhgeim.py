@@ -17,13 +17,17 @@ together: each power of r is formed once per chunk of targets and meets
 every trace row it multiplies in one BLAS matrix product, r^j times G's
 base for G, r^m / (w - xi)^2 for d v_{-d} of every order at once (see
 del_v_minus).  The same w'/(w - xi) gives C's kernel, one more product,
-and G's base, so the boundary S = I + 2 C (C a principal value on the
-nodes) and G, the interior map v = (1/2) G g + C g and every derivative
-order share one pass over the kernels.  The targets run in chunks of
-TARGET_CHUNK through (chunk x nodes) work arrays allocated once per
-call, and are the row dimension of every product, so no value depends
-on the chunk size unless a target falls alone into the last chunk (a
-matrix-vector product).
+and G's base, so the interior map v = (1/2) G g + C g and every
+derivative order share one pass over the kernels, and so do the boundary
+S = I + 2 C (C a principal value on the nodes) and G on a point table.
+The targets run in chunks of TARGET_CHUNK through (chunk x nodes) work
+arrays allocated once per call, and are the row dimension of every
+product, so no value depends on the chunk size unless a target falls
+alone into the last chunk (a matrix-vector product).
+
+On a disk or an ellipse, G at the nodes is a Hankel operator (its
+kernels depend on t_i + t_l alone), and _hankel_G applies it by FFTs in
+O(N^2 n + N n log n) in place of the sweep's N^2/4 dense n x n products.
 """
 
 import warnings
@@ -236,11 +240,45 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     return (None if g_acc is None else g_acc.T), (None if c_acc is None else c_acc.T), d_out
 
 
+def _hankel_G(g_data, boundary):
+    """G g at the nodes of a disk or an ellipse, by FFT convolution.
+
+    With w = A e^{it} + B e^{-it}, A = (a + b)/2, B = (a - b)/2, G's node
+    kernels depend on phi = t_i + t_l alone: the double layer
+    (2/pi) Im(w'_l / (w_l - w_i)) = (2/pi) ab / (a^2 + b^2 - (a^2 - b^2) cos phi)
+    and r = -e^{-i phi} (A - B e^{i phi}) / (A - B e^{-i phi}); at i = l
+    they are the diagonal limits kappa |w'| / 2 and conj(w') / w'.  Row k
+    at node i is sum_p sum_l K_p(phi_{(i+l) mod n}) g_{k+2p}(l), K_p =
+    dt (2/pi) ab / (...) r^p, whose DFT is sum_p DFT(K_p) DFT(g_{k+2p})
+    read at minus the frequency.  Taken at the exact node angles, this is
+    the operator of the exact nodes, not of their rounded positions.
+    """
+    n_rows, n = g_data.shape
+    a, b = boundary.a, boundary.b
+    dt = 2.0 * np.pi / n
+    phi = dt * np.arange(n)
+    e = np.exp(-1j * phi)
+    z = 0.5 * (a + b) - 0.5 * (a - b) * e
+    ratio = -e * np.conj(z) / z
+    k_pow = (2.0 / np.pi) * dt * a * b / (a * a + b * b - (a * a - b * b) * np.cos(phi))
+    g_hat = np.fft.fft(g_data, axis=1)[:, -np.arange(n) % n]
+    acc = np.zeros((n_rows, n), dtype=complex)
+    for p in range(1, (n_rows - 1) // 2 + 1):   # K_p: rows 2p..N into rows 0..N-2p
+        k_pow = k_pow * ratio
+        acc[:n_rows - 2 * p] += np.fft.fft(k_pow) * g_hat[2 * p:]
+    return np.fft.ifft(acc, axis=1)
+
+
 def _boundary_S_G(g, with_g=True):
-    """S g and G g (None without `with_g`) at the nodes, from one sweep: on
-    node targets its C is the principal value, so S g = g + 2 C g."""
+    """S g and G g (None without `with_g`) at the nodes: S g = g + 2 C g
+    with the sweep's principal-value C, G from the same sweep on a point
+    table and from _hankel_G on a disk or an ellipse."""
     b = g.boundary
-    gg, cg, _ = _sweep(g.data, b, b.complex_nodes(), np.arange(b.n_nodes), with_g, True)
+    hankel = with_g and b.kind != "generic"
+    gg, cg, _ = _sweep(g.data, b, b.complex_nodes(), np.arange(b.n_nodes),
+                       with_g and not hankel, True)
+    if hankel:
+        gg = _hankel_G(g.data, b)
     return g.data + 2.0 * cg, gg
 
 

@@ -42,7 +42,8 @@ import warnings
 
 import numpy as np
 
-from .errors import AradonError, ConfigError, GridMismatch, InconsistentInput
+from .errors import (AradonError, ConfigError, GridMismatch, InconsistentInput,
+                     SupportViolation)
 from .config import load_config, parse_config
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
@@ -327,6 +328,8 @@ def cmd_sweep(cfg, args):
                 rr = _residual(trace, factors)
                 pic, _, _ = _reconstruct(rung, trace, factors, grid)
                 err = _recon_error(rung, grid, pic, rung.make_phantom("f", sino.boundary))
+            except SupportViolation:
+                raise                            # the same on every rung: exit 2
             except (AradonError, ValueError) as exc:
                 failed = "rung %s=%d failed: %s" % (args.axis, value, exc)
                 break
@@ -359,7 +362,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, GridMismatch) as exc:
+    except (ConfigError, GridMismatch, SupportViolation) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

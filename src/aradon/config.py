@@ -152,8 +152,8 @@ def parse_config(doc):
         raise ConfigError("config.boundary.kind: unknown kind %r" % (kind,))
     kind = {v: k for k, v in KIND_ALIASES.items()}.get(kind, kind)
     n_nodes = _get_num(b, "n_nodes", "config.boundary", 512, lo=16, integer=True)
-    ba = _get_num(b, "a", "config.boundary", 1.0, lo=0.0)
-    bb = _get_num(b, "b", "config.boundary", 1.0, lo=0.0)
+    ba = _get_num(b, "a", "config.boundary", 1.0, above=0.0)
+    bb = _get_num(b, "b", "config.boundary", 1.0, above=0.0)
     table_path = b.get("table_path", "")
     if kind == "table" and not table_path:
         raise ConfigError("config.boundary.table_path: required for kind 'table'")

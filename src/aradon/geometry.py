@@ -181,14 +181,15 @@ class ConvexBoundary:
             return d if np.asarray(points).ndim == 2 else float(d[0])
         t = np.linspace(0.0, 2.0 * np.pi, 8 * self.n_nodes, endpoint=False)
         cand = self.position_at(t)
+        # |p - c|^2 / 2 less its |p|^2 / 2, which is the same for every
+        # candidate and would swamp (or overflow) the differences far out
+        half = 0.5 * _dot(cand, cand)
         nearest = np.empty(len(pts), dtype=int)
-        d2, dy = np.empty((2, min(len(pts), POINT_CHUNK), len(cand)))  # reused: no page faults per chunk
+        work = np.empty((min(len(pts), POINT_CHUNK), len(cand)))  # reused: no page faults per chunk
         for lo in range(0, len(pts), POINT_CHUNK):
             p = pts[lo:lo + POINT_CHUNK]
-            k = len(p)
-            np.square(np.subtract.outer(p[:, 0], cand[:, 0], out=d2[:k]), out=d2[:k])
-            np.square(np.subtract.outer(p[:, 1], cand[:, 1], out=dy[:k]), out=dy[:k])
-            nearest[lo:lo + POINT_CHUNK] = np.argmin(np.add(d2[:k], dy[:k], out=d2[:k]), axis=1)
+            dot = np.matmul(p, cand.T, out=work[:len(p)])
+            nearest[lo:lo + POINT_CHUNK] = np.argmin(np.subtract(half, dot, out=dot), axis=1)
         u = t[nearest]
         # Newton on d/du |w(u) - p|^2 = 0.
         for _ in range(6):

@@ -204,7 +204,7 @@ def _check_disk_support(boundary, center, radius, name):
     if boundary.distance_to_boundary(np.asarray(center, dtype=float)) < radius - 1e-12:
         raise SupportViolation(
             "%s support disk (center %s, radius %g) leaks outside the domain"
-            % (name, tuple(center), radius)
+            % (name, tuple(float(x) for x in center), radius)
         )
 
 

@@ -5,6 +5,7 @@ Each checker recomputes a property of the chain by a route of its own
 a second operator ordering), so it can judge the library's outputs
 without sharing their quadratures.  It also holds the dense n x n
 principal-value kernel, the reference for the boundary sweep's S, the
+long-double node G of a disk or an ellipse, the reference for its FFT, the
 closed-form integrating factor of a bump attenuation on the disk, and the
 identities of the paper's Lemma 2.1 and the chord-length jump at
 tangency, which no command needs.  Tests import it like conftest.
@@ -43,6 +44,44 @@ def dense_S(g_data, boundary):
     gdot = np.fft.ifft(1j * k[None, :] * np.fft.fft(g_data, axis=1), axis=1)
     smooth = g_data @ kernel.T - g_data * row_sum[None, :] + gdot
     return smooth * (dt / (1.0j * np.pi)) + g_data
+
+
+def exact_node_G(g_data, boundary):
+    """G g at the nodes of a disk or an ellipse, in np.longdouble.
+
+    The same discrete sum as the library's (the double-layer base
+    (2/pi) Im(w'_l / (w_l - w_i)) dt times r^p, r = conj(u)/u, with the
+    diagonal limits kappa |w'| / 2 and conj(w')/w', by Horner over the
+    powers), but on nodes computed in long double from long-double
+    parameters, so it stands for the operator of the exact nodes rather
+    than of their rounded double positions.  Where np.longdouble is no
+    wider than double, it is only another double evaluation.
+    """
+    ld = np.longdouble
+    n = boundary.n_nodes
+    a, b = ld(boundary.a), ld(boundary.b)
+    pi = ld(4) * np.arctan(ld(1))
+    dt = ld(2) * pi / ld(n)
+    t = dt * np.arange(n, dtype=ld)
+    w = (a * np.cos(t) + 1j * b * np.sin(t)).astype(np.clongdouble)
+    wd = (-a * np.sin(t) + 1j * b * np.cos(t)).astype(np.clongdouble)
+    speed = np.abs(wd)
+    diag = np.arange(n)
+    u = w[None, :] - w[:, None]              # [i, l] = w_l - w_i
+    u[diag, diag] = 1
+    base = (ld(2) / pi) * dt * np.imag(wd[None, :] / u)
+    ratio = np.conj(u) / u
+    base[diag, diag] = (ld(2) / pi) * dt * (a * b / speed ** 3) * speed / ld(2)
+    ratio[diag, diag] = np.conj(wd) / wd
+    rows = np.asarray(g_data).astype(np.clongdouble)
+    out = np.zeros(rows.shape, dtype=np.clongdouble)
+    acc = np.zeros((2, n, n), dtype=np.clongdouble)
+    for k in range(len(rows) - 3, -1, -1):
+        s = acc[k % 2]
+        s += rows[k + 2][None, :]
+        s *= ratio
+        out[k] = np.sum(s * base, axis=1)
+    return out
 
 
 def identity_seq(n_modes):

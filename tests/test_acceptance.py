@@ -316,3 +316,30 @@ def test_11_attenuated_floors(disk512, ang128, grid64, truth64, a_name, a_params
     assert far_err <= 3e-7
     assert err <= 7e-8
     assert dbeta0 <= 1e-12
+
+
+@pytest.mark.parametrize("kind, attenuated", [("ellipse", False), ("disk", True)],
+                         ids=["ellipse", "disk-attenuated"])
+def test_12_residual_floors_through_cli(tmp_path, kind, attenuated):
+    """`forward` then `check` at the defaults (512 nodes, 128 angles, N=32,
+    poly-bump f): the 1.5 x 1 ellipse's consistent residual is its
+    documented floor, 1.969e-4, to the digits printed (the cut of G's
+    coupling sum, ROADMAP item 2), and the disk's attenuated residual (a
+    poly-bump `a` 0.3) stays at roundoff, measured 1.544e-9."""
+    doc = {"boundary": {"kind": kind, "a": 1.5 if kind == "ellipse" else 1.0},
+           "phantoms": {"f": {"name": "poly-bump"},
+                        "a": {"name": "poly-bump", "params": {"amplitude": 0.3}}}}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    flag = ["--attenuated"] if attenuated else []
+    assert main(["forward", "--config", str(cfg), "--out", str(tmp_path)] + flag) == 0
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path),
+                 str(tmp_path / "sinogram.bin")]) == 0
+    report = json.loads((tmp_path / "residual.json").read_text())
+    assert report["attenuated"] is attenuated
+    rel = report["relative"]
+    print(f"{kind} {'attenuated ' if attenuated else ''}residual {rel:.4e}")
+    if attenuated:
+        assert rel <= 2e-9
+    else:
+        assert f"{rel:.3e}" == "1.969e-04"

@@ -604,6 +604,10 @@ class TestConfigErrors:
          "a.params.amplitude"),
         ("tolerances", {"tol_neg": "@1e400"}, "config.tolerances.tol_neg"),
         ("boundary", {"kind": "ellipse", "n_nodes": 64, "a": "@NaN"}, "config.boundary.a"),
+        ("boundary", {"kind": "ellipse", "n_nodes": 64, "a": 0}, "config.boundary.a: must be > 0"),
+        ("boundary", {"kind": "ellipse", "n_nodes": 64, "b": 0.0},
+         "config.boundary.b: must be > 0"),
+        ("boundary", {"kind": "ellipse", "n_nodes": 64, "a": -1.5}, "config.boundary.a: must be > 0"),
     ])
     def test_bad_value_exits_two(self, tmp_path, capsys, section, value, path):
         """Each value names its key path and exits 2; "@x" writes the JSON
@@ -622,6 +626,22 @@ class TestConfigErrors:
         assert main(["forward", "--config", cfg, "--out", str(tmp_path / "fw"),
                      "--attenuated"]) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["f", "a"])
+    def test_leaking_support_exits_two(self, tmp_path, capsys, section):
+        """A support disk that leaks out of the domain is a config error, also
+        in a sweep, whose rungs all share it; the message gives its centre
+        as plain numbers."""
+        phantoms = {"f": {"name": "poly-bump"}}
+        phantoms[section] = {"name": "shifted-poly-bump",
+                             "params": {"center": [0.9, 0.0], "radius": 0.55}}
+        cfg = write_config(tmp_path / "leak.json", phantoms=phantoms)
+        for argv in (["forward"], ["sweep", "modes"]):
+            assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out"),
+                                "--attenuated"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "support disk (center (0.9, 0.0), radius 0.55) leaks" in err
 
     def test_angles_too_few_for_modes(self, tmp_path):
         path = write_config(tmp_path / "coarse.json",

@@ -434,6 +434,21 @@ class TestSignedDistance:
             assert b.distance_to_boundary(np.zeros(2)) == pytest.approx(min(a_x, b_y), abs=1e-9)
             assert b.distance_to_boundary(np.array([a_x + 0.5, 0.0])) == pytest.approx(-0.5, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_points_outside(self):
+        """Points up to 1e300 away read outside, at their distance, with no
+        overflow: the search drops |p|^2, which would swamp every
+        candidate's difference (and overflow past about 1e154)."""
+        u = 2.0 * np.pi * np.arange(48) / 48
+        table = np.column_stack([1.2 * np.cos(u), np.sin(u)])
+        for b in (make_boundary("ellipse", 64, a=1.2, b=1.0),
+                  make_boundary("table", 64, table=table)):
+            for far in (1e100, 1e300):
+                pts = np.array([[0.0, -far], [far, 0.0], [-far, far]])
+                d = b.distance_to_boundary(pts)
+                assert np.all(d < 0.0)
+                assert np.allclose(d, -np.hypot(pts[:, 0], pts[:, 1]), rtol=1e-12)
+
     def test_grid_inside_is_contains(self, kinds):
         for b, _, _ in list(kinds) + [(_table64(), 1.5, 1.0)]:
             for margin in (None, 0.0, 0.05):
