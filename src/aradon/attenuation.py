@@ -31,16 +31,16 @@ from .errors import ConfigError, FactorBuildError, GridMismatch, InconsistentInp
 from .harmonics import ModeTrace, convolve, convolve_seq
 from .bukhgeim import (
     hilbert_H0,
+    _kernel_bands,
     _make_residual,
+    _slices,
     del_v_minus,
     reconstruct_f0,
 )
 from .xray import QuadSettings, chord_integrals, phantom, radon_profile, ray_span, _directions
 
 # Entries of e^{-+h} and their FFTs per block of _factor_modes; valid grid
-# points per pass of the attenuated reconstruct (a whole number of
-# bukhgeim's TARGET_CHUNK at 512 nodes, so the kernels see the targets in
-# the chunks of one whole call).
+# points per pass of the attenuated reconstruct, within one kernel band.
 MODE_CHUNK = 1 << 15
 RECON_CHUNK = 1024
 
@@ -129,15 +129,6 @@ class IntegratingFactor:
             self._sampler = _HSampler(a, self.boundary, self.angular, self.quad,
                                       self.s_samples)
         return self._sampler
-
-
-def _slices(n, size):
-    """Slices of range(n), `size` long; a lone last index joins the slice
-    before it (one row would make a BLAS product a matrix-vector one)."""
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def _factor_modes(h_values, n_modes, slopes=None):
@@ -346,7 +337,9 @@ def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
     f = 2 Re(d u_{-1}) + a u_0, u = beta * v, at the grid's valid points.
     d v comes from the explicit boundary kernels, beta and d beta from
     factors.sampler at the point itself (a leak past tol_neg raises).
-    The points run in chunks of RECON_CHUNK; no value depends on them.
+    The points run band by band (bukhgeim._kernel_bands: far points read
+    the trace on fewer nodes), in chunks of RECON_CHUNK within each band;
+    no value depends on the chunks.
     d beta_0 vanishes exactly: with `return_dbeta0` the call returns the
     picture and max |d beta_0| over the points (0.0 without attenuation).
     """
@@ -365,19 +358,22 @@ def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
 
     sampler = factors.sampler
     n_modes = g.n_modes
+    orders = range(1, n_modes + 1)
     ag_trace = ModeTrace(g.boundary, n_modes, convolve(factors.alpha, g.data))
     f_vals = np.empty(len(grid.points))
     dbeta0 = 0.0
-    for sl in _slices(len(grid.points), RECON_CHUNK):
-        beta, dbeta, a_values, neg = _beta_slopes(sampler, grid.points[sl], n_modes)
-        _check_leak(neg, factors.tol_neg, "picture's points")
-        dbeta0 = max(dbeta0, float(np.max(np.abs(dbeta[0]))))
-        dv, v = del_v_minus(ag_trace, range(1, n_modes + 1), grid, field=True, part=sl)
-        # every operand column-major, like v: each point's mode sum then
-        # adds its terms in one order, whatever the chunk
-        beta, dbeta, dv = (np.asfortranarray(x) for x in (beta, dbeta, dv))
-        u0 = np.real(np.sum(beta * v.data, axis=0))
-        del_u1 = np.sum(beta[:n_modes] * dv + dbeta * v.data[1:], axis=0)
-        f_vals[sl] = 2.0 * np.real(del_u1) + a_values * u0
+    for band in _kernel_bands(ag_trace, grid):
+        for sl in _slices(len(band.index), RECON_CHUNK):
+            idx = band.index[sl]
+            beta, dbeta, a_values, neg = _beta_slopes(sampler, grid.points[idx], n_modes)
+            _check_leak(neg, factors.tol_neg, "picture's points")
+            dbeta0 = max(dbeta0, float(np.max(np.abs(dbeta[0]))))
+            dv, v = del_v_minus(band, orders, grid, field=True, part=idx)
+            # every operand column-major, like v: each point's mode sum then
+            # adds its terms in one order, whatever the chunk
+            beta, dbeta, dv = (np.asfortranarray(x) for x in (beta, dbeta, dv))
+            u0 = np.real(np.sum(beta * v.data, axis=0))
+            del_u1 = np.sum(beta[:n_modes] * dv + dbeta * v.data[1:], axis=0)
+            f_vals[idx] = 2.0 * np.real(del_u1) + a_values * u0
     pic = grid.unflatten(f_vals)
     return (pic, dbeta0) if return_dbeta0 else pic

@@ -22,8 +22,14 @@ derivative order share one pass over the kernels, and so do the boundary
 S = I + 2 C (C a principal value on the nodes) and G on a point table.
 The targets run in chunks of TARGET_CHUNK through (chunk x nodes) work
 arrays allocated once per call, and are the row dimension of every
-product, so no value depends on the chunk size unless a target falls
-alone into the last chunk (a matrix-vector product).
+product, so no value depends on the chunk size (a lone last target joins
+the chunk before it, where it would make a matrix-vector product).
+
+Far from the curve the kernels need fewer nodes: both reconstructs
+evaluate each grid point against the trace truncated by FFT onto the
+coarsest of n/2, n/4, ... nodes that its distance, the mode count and
+the trace's spectrum allow (_kernel_bands), with each band's columns
+built once per reconstruct.
 
 On a disk or an ellipse, G at the nodes is a Hankel operator (its
 kernels depend on t_i + t_l alone), and _hankel_G applies it by FFTs in
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooCloseToBoundary, InconsistentInput, OutsideDomain
-from .geometry import ON_BOUNDARY_TOL
+from .geometry import ON_BOUNDARY_TOL, make_boundary
 from .harmonics import ModeTrace, weighted_norms
 
 
@@ -84,6 +90,15 @@ EPS_FLOOR = 1e-12
 # and 32 orders at 2876 points of the 512-node ellipse: 16 -> 0.20 s,
 # 32 and 64 -> 0.16 s, 128 -> 0.17-0.18 s.
 TARGET_CHUNK = 64
+# Far-point bands (_kernel_bands): spacing factor, mode floor and spectral
+# tail tolerance.  On the disk at 512 nodes and N = 32, factor 9 moves the
+# attenuated picture by at most 1.2e-12 of max|f|, and factor 6 moves it by
+# 2.8e-7 with a sigma = 0.18 Gaussian `a`, whose high mode rows decay
+# slowly.  The tail test keeps the 1.5 x 1 ellipse (g tail 2.4e-7 at
+# |k| >= 128) on all nodes.
+BAND_SPACINGS = 9.0
+BAND_MODE_FLOOR = 4
+BAND_TAIL_TOL = 1e-9
 
 
 def _require_interior(boundary, points, margin, part=slice(None)):
@@ -153,8 +168,42 @@ def op_S(g):
     return ModeTrace(g.boundary, g.n_modes, _boundary_S_G(g, with_g=False)[0])
 
 
+def _slices(n, size):
+    """Slices of range(n), `size` long; a lone last index joins the slice
+    before it (one row would make a BLAS product a matrix-vector one)."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _order_columns(g_data, boundary, orders):
+    """The node columns of the derivative sum (see _sweep) for `orders`:
+    (number of distinct orders, the map back to the orders asked for, the
+    prefix of distinct orders each power reaches, the columns M_m)."""
+    orders = np.asarray(orders, dtype=int).reshape(-1)
+    if np.any(orders < 0):
+        raise ValueError("derivative orders must be nonnegative")
+    if orders.size == 0:
+        return 0, orders, [], []
+    n_rows, n = g_data.shape
+    top = n_rows - 1
+    wd = boundary.complex_velocity()
+    scale = (2.0 * np.pi / n) / (2.0j * np.pi)
+    # M_m for the sorted orders with d + 2m <= N, a prefix of them: the
+    # others would read only rows past N, which are zero
+    uniq, inverse = np.unique(orders, return_inverse=True)
+    m = np.arange(max(0, (top - np.min(orders, initial=top + 1)) // 2 + 1))
+    active = np.searchsorted(uniq, top - 2 * m, side="right")
+    pad = np.vstack([g_data, np.zeros((2, n))])
+    mats = [(p + 1) * scale
+            * (wd * pad[uniq[:k] + 2 * p] - np.conj(wd) * pad[uniq[:k] + 2 * p + 2])
+            for p, k in zip(m, active)]
+    return len(uniq), inverse, active, mats
+
+
 def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=False,
-           orders=()):
+           orders=(), columns=None):
     """G g, C g and d v_{-d} of every order in `orders` at the targets, in one sweep.
 
     G and the derivatives are power series in r = conj(u)/u, u = w - xi,
@@ -169,42 +218,39 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     tangential limit conj(w')/w' in the ratio, and C's principal value:
     w'/u with its diagonal zeroed, minus g at the target times the row
     sum, plus the smooth quotient's diagonal limit g'.  Targets run in
-    chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes) through work
-    arrays allocated once per call; each target is a row of every product,
-    so no value depends on how targets fall into chunks of two or more.
+    chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes, a lone last
+    target joining the chunk before it) through work arrays allocated
+    once per call, only those the outputs asked for need; each target is
+    a row of every product, so no value depends on the chunks.
+    `columns`, _order_columns of these rows, stands for `orders`.
 
     Returns (G, C, D), None for each of G and C not asked for; C carries
     its factor dt / (2 pi i) and D has one row per order asked for.
     """
-    orders = np.asarray(orders, dtype=int).reshape(-1)
-    if np.any(orders < 0):
-        raise ValueError("derivative orders must be nonnegative")
+    n_uniq, inverse, active, mats = (_order_columns(g_data, boundary, orders)
+                                     if columns is None else columns)
     n_rows, n = g_data.shape
     top = n_rows - 1
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
     dt = 2.0 * np.pi / n
     scale = dt / (2.0j * np.pi)
-    # M_m for the sorted orders with d + 2m <= N, a prefix of them: the
-    # others would read only rows past N, which are zero
-    uniq, inverse = np.unique(orders, return_inverse=True)
-    m = np.arange(max(0, (top - np.min(orders, initial=top + 1)) // 2 + 1))
-    active = np.searchsorted(uniq, top - 2 * m, side="right")
-    pad = np.vstack([g_data, np.zeros((2, n))])
-    mats = [(p + 1) * scale
-            * (wd * pad[uniq[:k] + 2 * p] - np.conj(wd) * pad[uniq[:k] + 2 * p + 2])
-            for p, k in zip(m, active)]
-    n_pow = max(top // 2 + 1 if with_g else 0, len(m))
+    n_pow = max(top // 2 + 1 if with_g else 0, len(mats))
     g_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_g else None
     c_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_c else None
-    d_acc = np.zeros((len(targets), len(uniq)), dtype=complex)
+    d_acc = np.zeros((len(targets), n_uniq), dtype=complex)
     c_rows = (g_data * scale).T
     gdot = _spectral_derivative(g_data) if with_c and node_targets is not None else None
-    chunk = TARGET_CHUNK * max(1, 512 // n)
-    work = np.empty((5, min(chunk, len(targets)), n), dtype=complex)
-    for lo in range(0, len(targets), chunk):
-        sl = slice(lo, lo + chunk)
-        u, q, ratio, base, r_pow = work[:, :len(targets[sl])]
+    chunks = _slices(len(targets), TARGET_CHUNK * max(1, 512 // n))
+    # u, q = w'/u, ratio, base and r_pow, each only if an output reads it,
+    # in one block: separate ones each fault in every page on every call
+    needed = [bool(x) for x in (True, with_g or with_c, with_g or len(mats), with_g, len(mats))]
+    largest = max((sl.stop - sl.start for sl in chunks), default=0)
+    planes = iter(np.empty((sum(needed), largest, n), dtype=complex))
+    work = [next(planes) if x else None for x in needed]
+    for sl in chunks:
+        lo = sl.start
+        u, q, ratio, base, r_pow = (None if x is None else x[:sl.stop - lo] for x in work)
         np.subtract(w[None, :], targets[sl, None], out=u)
         if node_targets is not None:
             rows = np.nonzero(node_targets[sl] >= 0)[0]
@@ -212,7 +258,7 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
             u[rows, cols] = 1.0                  # placeholder, replaced below
         if with_g or with_c:                     # w'/u: G's base and C's kernel
             np.divide(wd[None, :], u, out=q)
-        if with_g or len(m):                     # r: G's and the orders' ratio
+        if with_g or len(mats):                  # r: G's and the orders' ratio
             np.divide(np.conjugate(u, out=ratio), u, out=ratio)
         if with_g:
             base[...] = (2.0 / np.pi) * np.imag(q) * dt
@@ -227,13 +273,13 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
                 c_acc[lo + rows] = scale * (
                     gdot[:, cols] - g_data[:, cols] * np.sum(q[rows], axis=1)).T
             c_acc[sl] += q @ c_rows
-        if len(m):
+        if len(mats):
             np.divide(1.0, np.multiply(u, u, out=r_pow), out=r_pow)
         for p in range(n_pow):
             if with_g and 0 < 2 * p <= top:      # base r^p: rows 2p..N into rows 0..N-2p
                 base *= ratio
                 g_acc[sl, :n_rows - 2 * p] += base @ g_data[2 * p:].T
-            if p < len(m):                       # r^p / u^2
+            if p < len(mats):                    # r^p / u^2
                 d_acc[sl, :active[p]] += r_pow @ mats[p].T
                 r_pow *= ratio
     d_out = d_acc[:, inverse].T
@@ -346,11 +392,76 @@ class CartesianGrid:
         self.inside = dist >= -ON_BOUNDARY_TOL
         self.valid = dist >= self.margin
         self.points = self.points_all[self.valid]
+        self.distance = dist[self.valid]         # the valid points' signed distance
 
     def unflatten(self, values, fill=0.0):
         out = np.full(self.ny * self.nx, fill, dtype=np.asarray(values).dtype)
         out[self.valid] = values
         return out.reshape(self.ny, self.nx)
+
+
+class _KernelTrace:
+    """A trace as the derivative kernels read it: its rows on the nodes of
+    `nodes` (the trace's own boundary, or fewer nodes of the same curve),
+    and the node columns of each set of orders asked for (_order_columns),
+    built on first use and kept for every later del_v_minus call.
+    `boundary` and `n_modes` are the trace's, so targets are checked
+    against its curve; `index` picks the grid's valid points it serves."""
+
+    def __init__(self, g, nodes=None, data=None, index=None):
+        self.boundary, self.n_modes = g.boundary, g.n_modes
+        self.nodes = g.boundary if nodes is None else nodes
+        self.data = g.data if data is None else data
+        self.index = index
+        self._columns = {}
+
+    def columns(self, orders):
+        key = tuple(np.asarray(orders, dtype=int).reshape(-1))
+        if key not in self._columns:
+            self._columns[key] = _order_columns(self.data, self.nodes, key)
+        return self._columns[key]
+
+
+def _kernel_bands(g, grid):
+    """The grid's valid points split by the nodes their kernels read: one
+    _KernelTrace, with its `index`, per node count that has points, made
+    one at a time, so a band's columns go once the caller moves on.
+
+    Far from the curve the trapezoid rule converges geometrically in the
+    distance over the node spacing (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385), so a target at distance d reads the trace truncated by
+    FFT onto the coarsest m of n/2, n/4, ... with m >= BAND_MODE_FLOOR * N
+    nodes, d >= BAND_SPACINGS * perimeter / m, and the trace's spectrum at
+    |k| >= m/2 within BAND_TAIL_TOL of its largest coefficient; the rest
+    read all n nodes.  The distances are the grid's own; a grid on another
+    boundary object reads all n nodes everywhere.
+    """
+    b = g.boundary
+    n = b.n_nodes
+    if grid.boundary is not b:
+        yield _KernelTrace(g, index=np.arange(len(grid.points)))
+        return
+    spec = np.fft.fft(g.data, axis=1)
+    amp = np.max(np.abs(spec), axis=0)
+    freq = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    sizes = [n]
+    # even halvings of n, no fewer than make_boundary's 16 nodes
+    while (sizes[-1] % 4 == 0 and sizes[-1] // 2 >= max(BAND_MODE_FLOOR * g.n_modes, 16)
+           and np.max(amp[freq >= sizes[-1] // 4]) <= BAND_TAIL_TOL * np.max(amp)):
+        sizes.append(sizes[-1] // 2)
+    level = np.zeros(len(grid.points), dtype=int)
+    for i, m in enumerate(sizes[1:], 1):
+        level[grid.distance >= BAND_SPACINGS * b.perimeter / m] = i
+    for i, m in enumerate(sizes):
+        index = np.flatnonzero(level == i)
+        if len(index) and m == n:
+            yield _KernelTrace(g, index=index)
+        elif len(index):
+            # modes |k| < m/2; the one at m/2 is part of the dropped tail
+            kept = np.hstack([spec[:, :m // 2], np.zeros((len(spec), 1)),
+                              spec[:, n - m // 2 + 1:]])
+            nodes = make_boundary(b.kind, m, b.a, b.b, getattr(b, "table", None))
+            yield _KernelTrace(g, nodes, np.fft.ifft(kept, axis=1) * (m / n), index)
 
 
 def del_v_minus(g, d, points, field=False, part=slice(None)):
@@ -374,11 +485,14 @@ def del_v_minus(g, d, points, field=False, part=slice(None)):
     shape (len(d), P) in the order asked.  points may be a CartesianGrid,
     for its valid points (see _require_interior).  With `field` the same sweep
     also builds the map itself, and the call returns the pair
-    (derivatives, cauchy_build(g, points)).  `part`, a slice of the points,
-    evaluates at those alone.
+    (derivatives, cauchy_build(g, points)).  `part`, a slice or an index
+    array of the points, evaluates at those alone.  g may be a band of
+    _kernel_bands, which keeps its columns from one call to the next.
     """
+    trace = g if isinstance(g, _KernelTrace) else _KernelTrace(g)
     targets = _require_interior(g.boundary, points, None, part)
-    gg, cg, out = _sweep(g.data, g.boundary, targets, with_g=field, with_c=field, orders=d)
+    gg, cg, out = _sweep(trace.data, trace.nodes, targets, with_g=field, with_c=field,
+                         columns=trace.columns(d))
     out = out[0] if np.ndim(d) == 0 else out
     return (out, _cauchy_field(g, targets, gg, cg)) if field else out
 
@@ -398,5 +512,7 @@ def reconstruct_f0(g, grid, gate=0.05):
             "in range" % (check.relative, gate),
             InconsistentInput,
         )
-    vals = 2.0 * np.real(del_v_minus(g, 1, grid))
+    vals = np.empty(len(grid.points))
+    for band in _kernel_bands(g, grid):
+        vals[band.index] = 2.0 * np.real(del_v_minus(band, 1, grid, part=band.index))
     return grid.unflatten(vals)

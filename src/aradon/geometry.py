@@ -163,8 +163,12 @@ class ConvexBoundary:
         if self.kind == "unit-disk":
             inside = np.hypot(pts[:, 0], pts[:, 1]) <= 1.0 + tol
         elif self.kind == "ellipse":
-            form = (pts[:, 0] / self.a) ** 2 + (pts[:, 1] / self.b) ** 2
-            inside = form <= 1.0 + 2.0 * tol / min(self.a, self.b)
+            bound = 1.0 + 2.0 * tol / min(self.a, self.b)
+            # |x|/a and |y|/b capped just past the bound's root: a capped
+            # point is outside all the same, and far ones square finitely
+            axes = np.array([self.a, self.b])
+            q = np.minimum(np.abs(pts), (np.sqrt(max(bound, 0.0)) + 1.0) * axes) / axes
+            inside = q[:, 0] ** 2 + q[:, 1] ** 2 <= bound
         else:
             inside = self.distance_to_boundary(pts) >= -tol
         return inside if np.asarray(points).ndim == 2 else bool(inside[0])

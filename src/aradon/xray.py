@@ -263,11 +263,12 @@ def clip_chords(field, starts, direction, t_lo, t_hi):
     return lo, np.where(hit & (hi > lo), hi, lo)
 
 
-def _sample_chords(field, starts, direction, t_lo, t_hi, nodes, across=None):
+def _sample_chords(field, starts, direction, t_lo, t_hi, nodes, across=None, chords=None):
     """Clipped chords (lo, span), positions t = lo + span * nodes and the
     field's values there (with `across`, its slopes too: ScalarField.planes),
-    one row per start."""
-    lo, hi = clip_chords(field, starts, direction, t_lo, t_hi)
+    one row per start.  `chords`, clip_chords' (lo, hi) for these chords
+    already made, stands for the clipping."""
+    lo, hi = clip_chords(field, starts, direction, t_lo, t_hi) if chords is None else chords
     span = hi - lo
     t = lo[..., None] + span[..., None] * nodes
     return lo, span, t, field.planes(*ray_points(starts, direction, t), across)
@@ -291,9 +292,10 @@ def chord_integrals(field, starts, direction, t_lo, t_hi, quad=QuadSettings(), a
     return span * np.einsum("...mk,k->...m", vals, weights, optimize=False)
 
 
-def _tail_integrals(a, starts, direction, tau, t, quad):
+def _tail_integrals(a, starts, direction, tau, t, quad, chords=None):
     """Integrals of `a` from each position t (m, K) on the rays
-    starts + s * direction to their ends s = tau, ray_span's t_hi.
+    starts + s * direction to their ends s = tau, ray_span's t_hi;
+    `chords`, if given, are the rays clipped to `a`'s support disk.
 
     `a` is sampled on its own rule: one EXACT_POINTS panel on its clipped
     span for a polynomial `a` (exact), else max(4P, 32) panels x max(Q, 8)
@@ -308,7 +310,7 @@ def _tail_integrals(a, starts, direction, tau, t, quad):
     else:
         n_pan, n_pts = max(4 * quad.panels, 32), max(quad.points, 8)
     nodes, weights = _composite_rule(n_pan, n_pts)
-    lo, span, _, av = _sample_chords(a, starts, direction, 0.0, tau, nodes)
+    lo, span, _, av = _sample_chords(a, starts, direction, 0.0, tau, nodes, chords=chords)
     m = len(span)
     # Legendre coefficients of each panel's antiderivative of its
     # interpolant, (n_coef, m, n_pan); for a polynomial `a` those past
@@ -364,6 +366,9 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
 
     attenuated = not a.is_zero
     fields = (f, a) if attenuated else (f,)
+    # f and `a` on one support disk clip each ray alike: once for both
+    shared = (f.support is not None and a.support is not None
+              and np.array_equal(f.support[0], a.support[0]) and f.support[1] == a.support[1])
     data = np.zeros((boundary.n_nodes, angular.n_angles))
     for j in range(angular.n_angles):
         back = -dirs[j]
@@ -375,10 +380,11 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
         if not attenuated:
             data[out_mask, j] = chord_integrals(f, z, back, 0.0, end, quad)
             continue
-        _, span, t, fv = _sample_chords(f, z, back, 0.0, end, gl_frac)   # (m, K)
+        chords = clip_chords(f, z, back, 0.0, end)
+        _, span, t, fv = _sample_chords(f, z, back, 0.0, end, gl_frac, chords=chords)  # (m, K)
         # tails from z itself (column 0) and from each of f's nodes
         t_from = np.concatenate((np.zeros((len(z), 1)), t), axis=1)
-        tails = _tail_integrals(a, z, back, end, t_from, quad)
+        tails = _tail_integrals(a, z, back, end, t_from, quad, chords if shared else None)
         with np.errstate(over="ignore", invalid="ignore"):
             fv *= np.exp(tails[:, 1:] - tails[:, :1])
             data[out_mask, j] = span * np.einsum("mk,k->m", fv, gl_w, optimize=False)

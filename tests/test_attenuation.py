@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aradon import attenuation
+from aradon import attenuation, bukhgeim
 from aradon.attenuation import (
     _HSampler,
     _beta_slopes,
@@ -16,10 +16,10 @@ from aradon.attenuation import (
     range_residual_a,
     reconstruct_f_attenuated,
 )
-from aradon.bukhgeim import CartesianGrid, hilbert_H0, reconstruct_f0
+from aradon.bukhgeim import CartesianGrid, _kernel_bands, hilbert_H0, reconstruct_f0
 from aradon.errors import FactorBuildError, GridMismatch, InconsistentInput
 from aradon.geometry import TOL_TANGENT, ConvexBoundary, make_boundary
-from aradon.harmonics import AngularGrid, ModeTrace, project_minus
+from aradon.harmonics import AngularGrid, ModeTrace, convolve, project_minus
 from aradon.xray import QuadSettings, chord_integrals, forward_sinogram, phantom, radon_profile
 from oracles import bump_chord_integral, poly_bump_h, residual_route_gap
 
@@ -283,6 +283,70 @@ class TestStreamChunks:
             other, other_dbeta0 = self._run(stream_case, points)
             assert np.array_equal(other, pic)
             assert other_dbeta0 == dbeta0
+
+
+class TestKernelBands:
+    """Far points read the trace truncated onto fewer nodes
+    (bukhgeim._kernel_bands).  Against the full-resolution picture, every
+    point on all n nodes (the bands lifted here by an infinite spacing
+    factor), the disk's pictures move by at most 1e-10 of max|f|
+    (measured at most 1.2e-12); the ellipse and the tables keep all n."""
+
+    @staticmethod
+    def _full(run):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bukhgeim, "BAND_SPACINGS", np.inf)
+            return run()
+
+    @pytest.mark.parametrize("a_name, a_params", [
+        ("zero", None),
+        ("poly-bump", {"amplitude": 0.3}),
+        ("gaussian-truncated", {"amplitude": 0.3, "sigma": 0.18}),
+    ])
+    def test_disk_near_full_resolution(self, disk512, ang128, a_name, a_params):
+        a = phantom(a_name, disk512, params=a_params)
+        g = project_minus(forward_sinogram(phantom("poly-bump", disk512), a, disk512, ang128), 32)
+        fac = build_h(a, disk512, ang128, 32)
+        grid = CartesianGrid(disk512, 64, 64)
+        trace = g if a.is_zero else ModeTrace(disk512, 32, convolve(fac.alpha, g.data))
+        counts = {band.nodes.n_nodes: len(band.index) for band in _kernel_bands(trace, grid)}
+        assert sorted(counts) == [128, 256, 512]
+        assert sum(counts.values()) == len(grid.points)
+        pic = reconstruct_f_attenuated(g, fac, grid)
+        full = self._full(lambda: reconstruct_f_attenuated(g, fac, grid))
+        assert np.max(np.abs(pic - full)) <= 1e-10 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("kind", ["ellipse", "table64", "table256"])
+    def test_spectral_tail_keeps_all_nodes(self, kind):
+        """The trace's spectral tail, not the mode floor, keeps these on n
+        nodes where n/2 >= 4N: lifting the tail test would coarsen them."""
+        if kind == "ellipse":
+            b, n_modes, ang = make_boundary("ellipse", 512, a=1.5, b=1.0), 32, AngularGrid(128)
+        elif kind == "table64":
+            b, n_modes, ang = _table64(), 15, AngularGrid(32)
+        else:
+            table = np.column_stack([1.5 * np.cos(_U64), np.sin(_U64)])
+            b, n_modes, ang = make_boundary("table", 256, table=table), 16, AngularGrid(64)
+        g = project_minus(forward_sinogram(phantom("poly-bump", b), phantom("zero", b), b, ang),
+                          n_modes)
+        grid = CartesianGrid(b, 64, 64)
+        bands = list(_kernel_bands(g, grid))
+        assert len(bands) == 1 and bands[0].nodes is b and len(bands[0].index) == len(grid.points)
+        if b.n_nodes // 2 >= bukhgeim.BAND_MODE_FLOOR * n_modes:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bukhgeim, "BAND_TAIL_TOL", 1.0)
+                assert len(list(_kernel_bands(g, grid))) > 1
+        pic = reconstruct_f0(g, grid)
+        assert np.array_equal(pic, self._full(lambda: reconstruct_f0(g, grid)))
+
+    @pytest.mark.parametrize("n_modes, coarsest", [(8, 64), (32, 128), (48, 256)])
+    def test_mode_floor(self, disk512, polybump_sino, n_modes, coarsest):
+        """No band has fewer than 4N nodes (48 modes: 192, so no 128-node
+        band), and distance alone ends the halving at 64 nodes."""
+        g = project_minus(polybump_sino, n_modes)
+        sizes = [band.nodes.n_nodes for band in _kernel_bands(g, CartesianGrid(disk512, 64, 64))]
+        assert min(sizes) >= bukhgeim.BAND_MODE_FLOOR * n_modes
+        assert min(sizes) == coarsest
 
 
 class TestStreamMemory:

@@ -391,6 +391,20 @@ class TestContains:
         assert np.array_equal(inside, ell.contains(pts))
         assert 0 < np.sum(inside) < len(pts)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ellipse_far_points_outside(self):
+        """Far points answer outside with no overflow in squaring x/a and
+        y/b; nearer ones keep the unscaled quadratic form's answer."""
+        b = make_boundary("ellipse", 64, a=1.2, b=1.0)
+        assert not b.contains(np.array([0.0, -1e300]))
+        assert not b.contains(np.array([1e300, 1e300]))
+        assert not np.any(b.contains(np.array([[0.0, -1e300], [1e300, 1e300], [-1e300, 0.0]])))
+        pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2000, 2))
+        pts = np.vstack([pts, [[1.2, 0.0], [0.0, -1.0], [1.2 + 1e-6, 0.0]]])
+        form = (pts[:, 0] / 1.2) ** 2 + pts[:, 1] ** 2
+        assert np.array_equal(b.contains(pts), form <= 1.0 + 2.0 * ON_BOUNDARY_TOL)
+        assert b.contains(pts[-3]) and b.contains(pts[-2]) and not b.contains(pts[-1])
+
 
 def _table64():
     """The 64-node table of the 1.5 x 1 ellipse."""

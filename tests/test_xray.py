@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from aradon.errors import SupportViolation, UnknownPhantom
 from aradon.geometry import TOL_TANGENT, make_boundary
+from aradon import xray
 from aradon.harmonics import AngularGrid
 from aradon.xray import (
     EXACT_POINTS,
@@ -177,6 +178,26 @@ class TestForwardSinogram:
                 disk256,
                 params={"center": (0.7, 0.0), "radius": 0.5},
             )
+
+    @pytest.mark.parametrize("f_name", ["poly-bump", "shifted-poly-bump"])
+    def test_shared_support_clips_once(self, monkeypatch, disk256, f_name):
+        """f and `a` on one support disk clip each direction's rays once,
+        and the sinogram keeps its bytes; on two disks, once per field."""
+        ang = AngularGrid(32)
+        f = phantom(f_name, disk256, params={"amplitude": 1.7})
+        a = phantom("poly-bump", disk256, params={"amplitude": 0.3})
+        calls = []
+        clip = xray.clip_chords
+        monkeypatch.setattr(xray, "clip_chords", lambda *args: calls.append(1) or clip(*args))
+        shared = forward_sinogram(f, a, disk256, ang).data
+        per_dir = 1 if f_name == "poly-bump" else 2
+        assert len(calls) == per_dir * ang.n_angles
+        tail = xray._tail_integrals
+        monkeypatch.setattr(xray, "_tail_integrals", lambda *args: tail(*args[:6]))
+        calls.clear()
+        alone = forward_sinogram(f, a, disk256, ang).data
+        assert len(calls) == 2 * ang.n_angles
+        assert shared.tobytes() == alone.tobytes()
 
 
 class TestChordIdentity:
