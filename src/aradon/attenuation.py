@@ -372,8 +372,8 @@ def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
             # every operand column-major, like v: each point's mode sum then
             # adds its terms in one order, whatever the chunk
             beta, dbeta, dv = (np.asfortranarray(x) for x in (beta, dbeta, dv))
-            u0 = np.real(np.sum(beta * v.data, axis=0))
-            del_u1 = np.sum(beta[:n_modes] * dv + dbeta * v.data[1:], axis=0)
+            u0 = np.real(np.sum(beta * v, axis=0))
+            del_u1 = np.sum(beta[:n_modes] * dv + dbeta * v[1:], axis=0)
             f_vals[idx] = 2.0 * np.real(del_u1) + a_values * u0
     pic = grid.unflatten(f_vals)
     return (pic, dbeta0) if return_dbeta0 else pic

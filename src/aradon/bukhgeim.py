@@ -15,11 +15,12 @@ Both coupling kernels are power series in r = conj(w - xi)/(w - xi) over
 the trace rows two apart, and one sweep (_sweep) evaluates them
 together: each power of r is formed once per chunk of targets and meets
 every trace row it multiplies in one BLAS matrix product, r^j times G's
-base for G, r^m / (w - xi)^2 for d v_{-d} of every order at once (see
-del_v_minus).  The same w'/(w - xi) gives C's kernel, one more product,
-and G's base, so the interior map v = (1/2) G g + C g and every
-derivative order share one pass over the kernels, and so do the boundary
-S = I + 2 C (C a principal value on the nodes) and G on a point table.
+base for G, r^m / (w - xi)^2 for d v_{-d} of every order at once, against
+a contiguous slice of one table of node rows (see _sweep).  The same
+w'/(w - xi) gives C's kernel, one more product, and G's base, so the
+interior map v = (1/2) G g + C g and every derivative order share one
+pass over the kernels, and so do the boundary S = I + 2 C (C a principal
+value on the nodes) and G on a point table.
 The targets run in chunks of TARGET_CHUNK through (chunk x nodes) work
 arrays allocated once per call, and are the row dimension of every
 product, so no value depends on the chunk size (a lone last target joins
@@ -28,8 +29,7 @@ the chunk before it, where it would make a matrix-vector product).
 Far from the curve the kernels need fewer nodes: both reconstructs
 evaluate each grid point against the trace truncated by FFT onto the
 coarsest of n/2, n/4, ... nodes that its distance, the mode count and
-the trace's spectrum allow (_kernel_bands), with each band's columns
-built once per reconstruct.
+the trace's spectrum allow (_kernel_bands).
 
 On a disk or an ellipse, G at the nodes is a Hankel operator (its
 kernels depend on t_i + t_l alone), and _hankel_G applies it by FFTs in
@@ -44,25 +44,6 @@ import numpy as np
 from .errors import TooCloseToBoundary, InconsistentInput, OutsideDomain
 from .geometry import ON_BOUNDARY_TOL, make_boundary
 from .harmonics import ModeTrace, weighted_norms
-
-
-class ModeField:
-    """Mode data of an A-analytic map sampled at interior points.
-
-    data[k, p] = v_{-k}(xi_p).
-    """
-
-    def __init__(self, points, n_modes, data, boundary=None):
-        points = np.asarray(points, dtype=float)
-        data = np.asarray(data, dtype=complex)
-        if data.shape != (n_modes + 1, len(points)):
-            raise ValueError("mode field shape mismatch")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("mode field contains non-finite entries")
-        self.points = points
-        self.n_modes = int(n_modes)
-        self.data = data
-        self.boundary = boundary
 
 
 @dataclass
@@ -147,18 +128,16 @@ def _as_complex_points(points):
     """Points as a 1-D complex array.
 
     Complex input (scalar or array) passes through; real input is read
-    as (x, y) coordinate pairs, with a single bare scalar taken as a
-    point on the real axis.
+    as (x, y) coordinate pairs along its last axis, which must have length
+    2, with a single bare scalar taken as a point on the real axis.
     """
     arr = np.asarray(points)
     if np.iscomplexobj(arr) or arr.ndim == 0:
         return np.atleast_1d(arr.astype(complex))
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1 and arr.shape[0] == 2:
-        return np.array([arr[0] + 1j * arr[1]])
-    if arr.ndim == 1:
-        return arr.astype(complex)
-    return arr[:, 0] + 1j * arr[:, 1]
+    if arr.shape[-1] != 2:
+        raise ValueError("real points must be (x, y) pairs, got shape %s" % (arr.shape,))
+    pairs = np.asarray(arr, dtype=float).reshape(-1, 2)
+    return pairs[:, 0] + 1j * pairs[:, 1]
 
 
 def op_S(g):
@@ -177,33 +156,8 @@ def _slices(n, size):
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
-def _order_columns(g_data, boundary, orders):
-    """The node columns of the derivative sum (see _sweep) for `orders`:
-    (number of distinct orders, the map back to the orders asked for, the
-    prefix of distinct orders each power reaches, the columns M_m)."""
-    orders = np.asarray(orders, dtype=int).reshape(-1)
-    if np.any(orders < 0):
-        raise ValueError("derivative orders must be nonnegative")
-    if orders.size == 0:
-        return 0, orders, [], []
-    n_rows, n = g_data.shape
-    top = n_rows - 1
-    wd = boundary.complex_velocity()
-    scale = (2.0 * np.pi / n) / (2.0j * np.pi)
-    # M_m for the sorted orders with d + 2m <= N, a prefix of them: the
-    # others would read only rows past N, which are zero
-    uniq, inverse = np.unique(orders, return_inverse=True)
-    m = np.arange(max(0, (top - np.min(orders, initial=top + 1)) // 2 + 1))
-    active = np.searchsorted(uniq, top - 2 * m, side="right")
-    pad = np.vstack([g_data, np.zeros((2, n))])
-    mats = [(p + 1) * scale
-            * (wd * pad[uniq[:k] + 2 * p] - np.conj(wd) * pad[uniq[:k] + 2 * p + 2])
-            for p, k in zip(m, active)]
-    return len(uniq), inverse, active, mats
-
-
 def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=False,
-           orders=(), columns=None):
+           orders=()):
     """G g, C g and d v_{-d} of every order in `orders` at the targets, in one sweep.
 
     G and the derivatives are power series in r = conj(u)/u, u = w - xi,
@@ -211,40 +165,51 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
     chunk of targets, by one elementwise product, and meets every trace
     row it multiplies in one matrix product with the targets as rows:
     B_j = base r^j adds row k + 2j into G's row k, and R_m = r^m / u^2
-    applied to the columns M_m[:, d] = (m + 1) (w' g_{d+2m} - conj(w')
-    g_{d+2m+2}) (rows past N zero) sums d v_{-d} (see del_v_minus).  C is
-    (w'/u) g^T, and w'/u gives G's base.  Node targets (node_targets >= 0)
-    get the double-layer diagonal limit kappa |w'| / 2 in the base, the
-    tangential limit conj(w')/w' in the ratio, and C's principal value:
-    w'/u with its diagonal zeroed, minus g at the target times the row
-    sum, plus the smooth quotient's diagonal limit g'.  Targets run in
-    chunks of TARGET_CHUNK (times 512 // n on n < 512 nodes, a lone last
-    target joining the chunk before it) through work arrays allocated
-    once per call, only those the outputs asked for need; each target is
-    a row of every product, so no value depends on the chunks.
-    `columns`, _order_columns of these rows, stands for `orders`.
+    applied to the rows P_{d+2m} of one table, P_k = dt/(2 pi i) (w' g_k
+    - conj(w') g_{k+2}) (rows past N zero), and scaled by m + 1, sums
+    d v_{-d} (see del_v_minus): for the orders' range d_lo..d_hi each
+    power reads the contiguous rows d_lo+2m..d_hi+2m, and the orders asked
+    for are picked from the range at the end.  C is (w'/u) g^T, and w'/u
+    gives G's base.  Node targets (node_targets >= 0) get the double-layer
+    diagonal limit kappa |w'| / 2 in the base, the tangential limit
+    conj(w')/w' in the ratio, and C's principal value: w'/u with its
+    diagonal zeroed, minus g at the target times the row sum, plus the
+    smooth quotient's diagonal limit g'.  Targets run in chunks of
+    TARGET_CHUNK (times 512 // n on n < 512 nodes, a lone last target
+    joining the chunk before it) through work arrays allocated once per
+    call, only those the outputs asked for need; each target is a row of
+    every product, so no value depends on the chunks.
 
     Returns (G, C, D), None for each of G and C not asked for; C carries
     its factor dt / (2 pi i) and D has one row per order asked for.
     """
-    n_uniq, inverse, active, mats = (_order_columns(g_data, boundary, orders)
-                                     if columns is None else columns)
+    orders = np.asarray(orders, dtype=int).reshape(-1)
+    if np.any(orders < 0):
+        raise ValueError("derivative orders must be nonnegative")
     n_rows, n = g_data.shape
     top = n_rows - 1
     w = boundary.complex_nodes()
     wd = boundary.complex_velocity()
     dt = 2.0 * np.pi / n
     scale = dt / (2.0j * np.pi)
-    n_pow = max(top // 2 + 1 if with_g else 0, len(mats))
+    # orders past N read only zero rows and share one zero column, at N + 1;
+    # no orders: an empty range, so no powers and no columns
+    orders = np.minimum(orders, top + 1)
+    d_lo, d_hi = (np.min(orders), np.max(orders)) if orders.size else (top + 1, top)
+    n_dpow = max(0, (top - d_lo) // 2 + 1)         # powers that reach a row <= N
+    if n_dpow:
+        pad = np.vstack([g_data, np.zeros((2, n))])
+        table = scale * (wd * pad[:-2] - np.conj(wd) * pad[2:])
+    n_pow = max(top // 2 + 1 if with_g else 0, n_dpow)
     g_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_g else None
     c_acc = np.zeros((len(targets), n_rows), dtype=complex) if with_c else None
-    d_acc = np.zeros((len(targets), n_uniq), dtype=complex)
+    d_acc = np.zeros((len(targets), d_hi - d_lo + 1), dtype=complex)
     c_rows = (g_data * scale).T
     gdot = _spectral_derivative(g_data) if with_c and node_targets is not None else None
     chunks = _slices(len(targets), TARGET_CHUNK * max(1, 512 // n))
     # u, q = w'/u, ratio, base and r_pow, each only if an output reads it,
     # in one block: separate ones each fault in every page on every call
-    needed = [bool(x) for x in (True, with_g or with_c, with_g or len(mats), with_g, len(mats))]
+    needed = [bool(x) for x in (True, with_g or with_c, with_g or n_dpow, with_g, n_dpow)]
     largest = max((sl.stop - sl.start for sl in chunks), default=0)
     planes = iter(np.empty((sum(needed), largest, n), dtype=complex))
     work = [next(planes) if x else None for x in needed]
@@ -258,7 +223,7 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
             u[rows, cols] = 1.0                  # placeholder, replaced below
         if with_g or with_c:                     # w'/u: G's base and C's kernel
             np.divide(wd[None, :], u, out=q)
-        if with_g or len(mats):                  # r: G's and the orders' ratio
+        if with_g or n_dpow:                     # r: G's and the orders' ratio
             np.divide(np.conjugate(u, out=ratio), u, out=ratio)
         if with_g:
             base[...] = (2.0 / np.pi) * np.imag(q) * dt
@@ -273,16 +238,17 @@ def _sweep(g_data, boundary, targets, node_targets=None, with_g=True, with_c=Fal
                 c_acc[lo + rows] = scale * (
                     gdot[:, cols] - g_data[:, cols] * np.sum(q[rows], axis=1)).T
             c_acc[sl] += q @ c_rows
-        if len(mats):
+        if n_dpow:
             np.divide(1.0, np.multiply(u, u, out=r_pow), out=r_pow)
         for p in range(n_pow):
             if with_g and 0 < 2 * p <= top:      # base r^p: rows 2p..N into rows 0..N-2p
                 base *= ratio
                 g_acc[sl, :n_rows - 2 * p] += base @ g_data[2 * p:].T
-            if p < len(mats):                    # r^p / u^2
-                d_acc[sl, :active[p]] += r_pow @ mats[p].T
+            if p < n_dpow:                       # r^p / u^2: rows d_lo+2p..min(d_hi+2p, N)
+                k = min(d_hi, top - 2 * p) - d_lo + 1
+                d_acc[sl, :k] += (p + 1) * (r_pow @ table[d_lo + 2 * p:d_lo + 2 * p + k].T)
                 r_pow *= ratio
-    d_out = d_acc[:, inverse].T
+    d_out = d_acc[:, orders - d_lo].T
     return (None if g_acc is None else g_acc.T), (None if c_acc is None else c_acc.T), d_out
 
 
@@ -354,15 +320,11 @@ def range_residual_0(g):
 
 
 def cauchy_build(g, points, margin=None):
-    """Interior A-analytic map from its trace: v_n = (1/2) G g + C g."""
+    """Interior A-analytic map from its trace: v_n = (1/2) G g + C g, as an
+    (N+1, P) array whose row k is v_{-k} at the P points."""
     targets = _require_interior(g.boundary, points, margin)
     gg, cg, _ = _sweep(g.data, g.boundary, targets, with_c=True)
-    return _cauchy_field(g, targets, gg, cg)
-
-
-def _cauchy_field(g, targets, gg, cg):
-    pts = np.column_stack([targets.real, targets.imag])
-    return ModeField(pts, g.n_modes, 0.5 * gg + cg, g.boundary)
+    return 0.5 * gg + cg
 
 
 class CartesianGrid:
@@ -402,30 +364,21 @@ class CartesianGrid:
 
 class _KernelTrace:
     """A trace as the derivative kernels read it: its rows on the nodes of
-    `nodes` (the trace's own boundary, or fewer nodes of the same curve),
-    and the node columns of each set of orders asked for (_order_columns),
-    built on first use and kept for every later del_v_minus call.
-    `boundary` and `n_modes` are the trace's, so targets are checked
-    against its curve; `index` picks the grid's valid points it serves."""
+    `nodes` (the trace's own boundary, or fewer nodes of the same curve).
+    `boundary` is the trace's, so targets are checked against its curve;
+    `index` picks the grid's valid points it serves."""
 
     def __init__(self, g, nodes=None, data=None, index=None):
-        self.boundary, self.n_modes = g.boundary, g.n_modes
+        self.boundary = g.boundary
         self.nodes = g.boundary if nodes is None else nodes
         self.data = g.data if data is None else data
         self.index = index
-        self._columns = {}
-
-    def columns(self, orders):
-        key = tuple(np.asarray(orders, dtype=int).reshape(-1))
-        if key not in self._columns:
-            self._columns[key] = _order_columns(self.data, self.nodes, key)
-        return self._columns[key]
 
 
 def _kernel_bands(g, grid):
     """The grid's valid points split by the nodes their kernels read: one
     _KernelTrace, with its `index`, per node count that has points, made
-    one at a time, so a band's columns go once the caller moves on.
+    one at a time, so a band's trace goes once the caller moves on.
 
     Far from the curve the trapezoid rule converges geometrically in the
     distance over the node spacing (Trefethen & Weideman, SIAM Rev. 56
@@ -434,19 +387,21 @@ def _kernel_bands(g, grid):
     nodes, d >= BAND_SPACINGS * perimeter / m, and the trace's spectrum at
     |k| >= m/2 within BAND_TAIL_TOL of its largest coefficient; the rest
     read all n nodes.  The distances are the grid's own; a grid on another
-    boundary object reads all n nodes everywhere.
+    boundary object, or n nodes that allow no halving, read all n nodes
+    everywhere, with no FFT taken.
     """
     b = g.boundary
     n = b.n_nodes
-    if grid.boundary is not b:
+    floor = max(BAND_MODE_FLOOR * g.n_modes, 16)   # and make_boundary's 16 nodes
+    if grid.boundary is not b or n % 4 or n // 2 < floor:
         yield _KernelTrace(g, index=np.arange(len(grid.points)))
         return
     spec = np.fft.fft(g.data, axis=1)
     amp = np.max(np.abs(spec), axis=0)
     freq = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     sizes = [n]
-    # even halvings of n, no fewer than make_boundary's 16 nodes
-    while (sizes[-1] % 4 == 0 and sizes[-1] // 2 >= max(BAND_MODE_FLOOR * g.n_modes, 16)
+    # even halvings of n, no fewer than the floor
+    while (sizes[-1] % 4 == 0 and sizes[-1] // 2 >= floor
            and np.max(amp[freq >= sizes[-1] // 4]) <= BAND_TAIL_TOL * np.max(amp)):
         sizes.append(sizes[-1] // 2)
     level = np.zeros(len(grid.points), dtype=int)
@@ -478,8 +433,8 @@ def del_v_minus(g, d, points, field=False, part=slice(None)):
                           (m + 1) (w' row_{d+2m} - conj(w') row_{d+2m+2}),
 
     so each power r^m / (w-xi)^2 gives every order asked for by one
-    matrix product with these columns, O(N^2 P n) flops of BLAS for P
-    points and n nodes.
+    matrix product with a slice of one table of these node rows (see
+    _sweep), O(N^2 P n) flops of BLAS for P points and n nodes.
 
     d is one order, giving shape (P,), or a sequence of orders, giving
     shape (len(d), P) in the order asked.  points may be a CartesianGrid,
@@ -487,14 +442,14 @@ def del_v_minus(g, d, points, field=False, part=slice(None)):
     also builds the map itself, and the call returns the pair
     (derivatives, cauchy_build(g, points)).  `part`, a slice or an index
     array of the points, evaluates at those alone.  g may be a band of
-    _kernel_bands, which keeps its columns from one call to the next.
+    _kernel_bands, whose kernels read its trace on the band's nodes.
     """
     trace = g if isinstance(g, _KernelTrace) else _KernelTrace(g)
     targets = _require_interior(g.boundary, points, None, part)
     gg, cg, out = _sweep(trace.data, trace.nodes, targets, with_g=field, with_c=field,
-                         columns=trace.columns(d))
+                         orders=d)
     out = out[0] if np.ndim(d) == 0 else out
-    return (out, _cauchy_field(g, targets, gg, cg)) if field else out
+    return (out, 0.5 * gg + cg) if field else out
 
 
 def reconstruct_f0(g, grid, gate=0.05):

@@ -131,6 +131,13 @@ def _get_factors(cfg, args, sino):
                 "factors cache has N=%d, config wants N=%d"
                 % (factors.n_modes, cfg.n_modes)
             )
+        # an older cache records no recipe of h inside and still serves `check`
+        recipe = (cfg.make_quad(), cfg.s_samples)
+        if factors.quad is not None and (factors.quad, factors.s_samples) != recipe:
+            raise ConfigError(
+                "factors cache %s was built with quad %s and s_samples %d, config says "
+                "quad %s and s_samples %d" % ((cache, factors.quad, factors.s_samples) + recipe)
+            )
         return factors
     factors = _build_factors(cfg, sino.boundary, sino.angular)
     if cache:

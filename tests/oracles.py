@@ -357,14 +357,14 @@ def verify_radon_identity(g, f, a, n_probes=100, seed=1234):
 def aanaliticity_defect(field, grid):
     """Max finite-difference defect of dbar v_n + d v_{n-2} on a patch.
 
-    The field must be sampled on a fully valid Cartesian patch; centered
-    differences give dbar = (d_x + i d_y)/2 and d = (d_x - i d_y)/2 and
-    the defect pairs stored rows k and k+2.
+    The field, cauchy_build's (N+1, P) array, must be sampled on a fully
+    valid Cartesian patch; centered differences give dbar = (d_x + i d_y)/2
+    and d = (d_x - i d_y)/2 and the defect pairs stored rows k and k+2.
     """
     if not np.all(grid.valid):
         raise ValueError("a-analyticity defect needs a fully interior patch")
-    n_rows = field.data.shape[0]
-    pic = field.data.reshape(n_rows, grid.ny, grid.nx)
+    n_rows = field.shape[0]
+    pic = field.reshape(n_rows, grid.ny, grid.nx)
     dx = (pic[:, 1:-1, 2:] - pic[:, 1:-1, :-2]) / (2.0 * (grid.xs[1] - grid.xs[0]))
     dy = (pic[:, 2:, 1:-1] - pic[:, :-2, 1:-1]) / (2.0 * (grid.ys[1] - grid.ys[0]))
     dbar = 0.5 * (dx + 1.0j * dy)

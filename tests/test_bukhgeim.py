@@ -167,15 +167,15 @@ class TestCauchyBuild:
         g = algebraic_trace(disk256, 4, {0: lambda w: w ** 2})
         pts = np.array([0.0 + 0.0j, 0.3 + 0.2j, -0.5 - 0.1j])
         v = cauchy_build(g, pts)
-        assert np.max(np.abs(v.data[0] - pts ** 2)) < 1e-10
-        assert np.max(np.abs(v.data[1:])) < 1e-10
+        assert np.max(np.abs(v[0] - pts ** 2)) < 1e-10
+        assert np.max(np.abs(v[1:])) < 1e-10
 
     def test_analytic_row1(self, disk256):
         g = algebraic_trace(disk256, 4, {1: lambda w: w})
         pts = np.array([0.25 + 0.4j, -0.3 + 0.3j])
         v = cauchy_build(g, pts)
-        assert np.max(np.abs(v.data[1] - pts)) < 1e-10
-        assert np.max(np.abs(v.data[0])) < 1e-10
+        assert np.max(np.abs(v[1] - pts)) < 1e-10
+        assert np.max(np.abs(v[0])) < 1e-10
 
     def test_outside_point_raises(self, disk256, polybump_trace):
         with pytest.raises(OutsideDomain):
@@ -190,7 +190,18 @@ class TestCauchyBuild:
         g = algebraic_trace(disk256, 4, {0: lambda w: w ** 2})
         v1 = cauchy_build(g, np.array([[0.3, 0.2]]))
         v2 = cauchy_build(g, np.array([0.3 + 0.2j]))
-        assert np.max(np.abs(v1.data - v2.data)) == 0.0
+        assert np.max(np.abs(v1 - v2)) == 0.0
+
+    def test_real_points_must_be_pairs(self, disk256):
+        """Real input is (x, y) pairs along its last axis; only a bare real
+        scalar is a point on the real axis."""
+        g = algebraic_trace(disk256, 4, {0: lambda w: w ** 2})
+        for bad in (np.array([0.1, 0.2, 0.3]), np.zeros((4, 3))):
+            with pytest.raises(ValueError):
+                del_v_minus(g, 1, bad)
+            with pytest.raises(ValueError):
+                cauchy_build(g, bad)
+        assert np.array_equal(cauchy_build(g, 0.3), cauchy_build(g, np.array([0.3 + 0.0j])))
 
 
 class TestDelVMinus:
@@ -209,8 +220,8 @@ class TestDelVMinus:
         wx = np.array([1, -8, 8, -1]) / (12 * h)
         for trace in (polybump_trace, ellipse_polybump_trace):
             exact = del_v_minus(trace, depths, pts)
-            vx = np.stack([cauchy_build(trace, pts + s * h).data for s in stencil])
-            vy = np.stack([cauchy_build(trace, pts + 1j * s * h).data for s in stencil])
+            vx = np.stack([cauchy_build(trace, pts + s * h) for s in stencil])
+            vy = np.stack([cauchy_build(trace, pts + 1j * s * h) for s in stencil])
             for i, depth in enumerate(depths):
                 dx = np.einsum("s,sp->p", wx, vx[:, depth])
                 dy = np.einsum("s,sp->p", wx, vy[:, depth])
@@ -238,6 +249,7 @@ class TestDelVMinus:
         assert_roundoff(del_v_minus(g, 4, pts), full[3])
         assert_roundoff(del_v_minus(g, [7, 3, 7], pts), full[[6, 2, 6]])
         assert np.all(del_v_minus(g, [12], pts) == 0.0)
+        assert np.all(del_v_minus(g, [4, 10 ** 9], pts)[1] == 0.0)
         with pytest.raises(ValueError):
             del_v_minus(g, [-1, 2], pts)
 
@@ -412,7 +424,7 @@ class TestSharedSweep:
 
     def test_cauchy_build(self, sweep_case):
         g, pts = sweep_case
-        assert_roundoff(cauchy_build(g, pts).data, ref_cauchy(g, pts))
+        assert_roundoff(cauchy_build(g, pts), ref_cauchy(g, pts))
 
     def test_del_v_minus(self, sweep_case):
         g, pts = sweep_case
@@ -426,8 +438,34 @@ class TestSharedSweep:
         orders = range(1, g.n_modes + 1)
         dv, v = del_v_minus(g, orders, pts, field=True)
         assert_roundoff(dv, ref_del_v(g, list(orders), pts))
-        assert_roundoff(v.data, ref_cauchy(g, pts))
-        assert np.array_equal(v.points, np.column_stack([pts.real, pts.imag]))
+        assert_roundoff(v, ref_cauchy(g, pts))
+
+
+class TestBandsAndParts:
+    """del_v_minus on a part of a grid and on a band of _kernel_bands."""
+
+    def test_part_index_is_explicit_points(self, disk256):
+        """An index array `part` of a grid gives the bits of the call at the
+        points it picks."""
+        g = random_trace(disk256, 11, seed=14)
+        grid = CartesianGrid(disk256, 16, 16)
+        idx = np.random.default_rng(15).permutation(len(grid.points))[:TARGET_CHUNK + 9]
+        orders = range(1, g.n_modes + 1)
+        dv, v = del_v_minus(g, orders, grid, field=True, part=idx)
+        dv_ref, v_ref = del_v_minus(g, orders, grid.points[idx], field=True)
+        assert np.array_equal(dv, dv_ref) and np.array_equal(v, v_ref)
+
+    def test_coarse_band_against_dense(self, disk512, polybump_trace):
+        """The coarsest band's derivative rows are those of its truncated
+        trace on its own nodes, by the reference loops."""
+        grid = CartesianGrid(disk512, 64, 64)
+        band = min(bukhgeim._kernel_bands(polybump_trace, grid), key=lambda b: b.nodes.n_nodes)
+        assert band.nodes.n_nodes < disk512.n_nodes
+        orders = list(range(1, polybump_trace.n_modes + 1))
+        pts = grid.points[band.index]
+        coarse = ModeTrace(band.nodes, polybump_trace.n_modes, band.data)
+        assert_roundoff(del_v_minus(band, orders, grid, part=band.index),
+                        ref_del_v(coarse, orders, pts[:, 0] + 1j * pts[:, 1]))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,

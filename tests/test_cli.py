@@ -429,6 +429,30 @@ class TestFactorsAndCache:
                      str(tmp_path / "chk"), "--factors-cache", str(cache),
                      str(out / "sinogram.bin")]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    @pytest.mark.parametrize("override", [{"quad": {"panels": 8, "points": 8}},
+                                          {"tolerances": {"s_samples": 1024}}])
+    def test_cache_recipe_mismatch_exits_two(self, att_cfg, tmp_path, capsys, command,
+                                             override):
+        """A cache built with another quad or s_samples, the recipe of h
+        inside, is refused rather than used in place of the config's."""
+        cache = tmp_path / "factors.bin"
+        assert main(["factors", "--config", att_cfg, "--out",
+                     str(tmp_path / "fa"), "--factors-cache", str(cache)]) == 0
+        out = tmp_path / "fw"
+        assert main(["forward", "--config", att_cfg, "--out", str(out),
+                     "--attenuated"]) == 0
+        other = write_config(
+            tmp_path / "other.json",
+            phantoms={"f": {"name": "poly-bump"},
+                      "a": {"name": "poly-bump", "params": {"amplitude": 0.2}}},
+            **override,
+        )
+        capsys.readouterr()
+        assert main([command, "--config", other, "--out", str(tmp_path / "run"),
+                     "--factors-cache", str(cache), str(out / "sinogram.bin")]) == 2
+        assert "s_samples" in capsys.readouterr().err
+
     # Off the disk the factors' negative modes and identity defect fall
     # below the default tolerances only with more angles, finer chord
     # quadrature and a weaker map.
