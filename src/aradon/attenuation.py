@@ -37,7 +37,7 @@ from .bukhgeim import (
     del_v_minus,
     reconstruct_f0,
 )
-from .xray import QuadSettings, chord_integrals, phantom, radon_profile, ray_span, _directions
+from .xray import phantom, radon_profile, ray_span, _directions
 
 # Entries of e^{-+h} and their FFTs per block of _factor_modes; valid grid
 # points per pass of the attenuated reconstruct, within one kernel band.
@@ -98,11 +98,11 @@ def finite_hilbert(b, u, slope=False):
 class IntegratingFactor:
     """The mode sequences of e^{-+h} on the boundary cylinder, and the
     sampler of h inside (_HSampler), which factors read from a cache
-    rebuild from their recipe (a_info, quad, s_samples) on first use."""
+    rebuild from their recipe (a_info, s_samples) on first use."""
 
     def __init__(self, boundary, angular, n_modes, alpha, beta,
                  zero_attenuation, a_info, tol_neg, max_neg_mode,
-                 max_identity_dev, quad=None, s_samples=None, sampler=None):
+                 max_identity_dev, s_samples=None, sampler=None):
         self.boundary = boundary
         self.angular = angular
         self.n_modes = int(n_modes)
@@ -113,8 +113,7 @@ class IntegratingFactor:
         self.tol_neg = float(tol_neg)
         self.max_neg_mode = float(max_neg_mode)
         self.max_identity_dev = float(max_identity_dev)
-        self.quad = quad                    # QuadSettings, None in an older cache
-        self.s_samples = s_samples
+        self.s_samples = s_samples          # None in an older cache
         self._sampler = sampler
         # always None: only perfbench/tracer.py's _hook_recon_att reads it
         self.interior = None
@@ -122,12 +121,11 @@ class IntegratingFactor:
     @property
     def sampler(self):
         if self._sampler is None:
-            if self.quad is None:
+            if self.s_samples is None:
                 raise ConfigError("these factors record no recipe for h inside the "
                                   "domain (an older cache); rebuild with `factors`")
             a = phantom(self.a_info["name"], self.boundary, self.a_info.get("params"))
-            self._sampler = _HSampler(a, self.boundary, self.angular, self.quad,
-                                      self.s_samples)
+            self._sampler = _HSampler(a, self.boundary, self.angular, self.s_samples)
         return self._sampler
 
 
@@ -182,14 +180,17 @@ class _HSampler:
     series b, and (I - iH)Ra = -i finite_hilbert(b, (s - mid) / half).
     n starts at 15 and doubles to 2n + 1, sampling only the new points,
     until the last quarter of b is below SERIES_TOL of its largest entry
-    or 2n + 1 would pass `s_samples`; trailing b under roundoff go.
+    or 2n + 1 would pass `s_samples`; trailing b under SERIES_TOL of the
+    largest, roundoff of the samples and the transform, go.
     With an even number of angles, direction j + M/2 reads the series of
     direction j at -s, conjugated (Ra(s, theta + pi) = Ra(-s, theta), and
-    H is odd under the flip).  Da is integrated for every direction.
+    H is odd under the flip).  Da is taken for every direction.  Ra, Da and
+    theta_perp . grad Da are `a`'s closed-form line integrals
+    (ScalarField.line_integral), so h reads no quadrature.
     """
 
-    def __init__(self, a, boundary, angular, quad, s_samples):
-        self.a, self.boundary, self.quad = a, boundary, quad
+    def __init__(self, a, boundary, angular, s_samples):
+        self.a, self.boundary = a, boundary
         self.dirs = _directions(angular.angles)
         m_ang = angular.n_angles
         self.paired = m_ang % 2 == 0
@@ -206,8 +207,7 @@ class _HSampler:
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
         def ra(phi):
-            return radon_profile(self.a, self.boundary, theta, mid + half * np.cos(phi),
-                                 self.quad)
+            return radon_profile(self.a, self.boundary, theta, mid + half * np.cos(phi))
 
         n = 15
         values = ra(np.pi * np.arange(1, n + 1) / (n + 1))
@@ -221,7 +221,7 @@ class _HSampler:
             merged[1::2] = values
             merged[0::2] = ra(np.pi * np.arange(1, 2 * n + 2, 2) / (2 * n + 2))
             values, n = merged, 2 * n + 1
-        keep = np.flatnonzero(np.abs(b) > np.finfo(float).eps * scale)
+        keep = np.flatnonzero(np.abs(b) > SERIES_TOL * scale)
         return mid, half, b[:keep[-1] + 1 if keep.size else 0]
 
     def at(self, points, slopes=False):
@@ -252,20 +252,21 @@ class _HSampler:
         return (h, dh) if slopes else h
 
     def _da(self, points, k, slopes):
-        """Da on direction k at the points; with `slopes`, also theta_perp .
-        grad Da: theta_perp . grad a on Da's samples, less a(e) (n .
-        theta_perp) / (n . theta) where the ray ends on the curve at e."""
+        """Da on direction k at the points; with `slopes`, the pair of Da and
+        theta_perp . grad Da: the integral of theta_perp . grad a along the
+        ray, less a(e) (n . theta_perp) / (n . theta) where the ray ends on
+        the curve at e."""
         theta = self.dirs[k]
         perp = np.array([-theta[1], theta[0]]) if slopes else None
         _, end, normal = ray_span((self.a,), self.boundary, points, theta, normal=slopes)
-        da = chord_integrals(self.a, points, theta, 0.0, end, self.quad, across=perp)
-        if normal is not None:
-            da[1] -= self.a(points + end[:, None] * theta) * (normal @ perp) / (normal @ theta)
-        return da
+        da = self.a.line_integral(points, theta, 0.0, end, across=perp)
+        if normal is None:
+            return da
+        da, dda = da
+        return da, dda - self.a(points + end[:, None] * theta) * (normal @ perp) / (normal @ theta)
 
 
-def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
-            tol_neg=1e-6, tol_identity=1e-8):
+def build_h(a, boundary, angular, n_modes, s_samples=2048, tol_neg=1e-6, tol_identity=1e-8):
     """Integrating factor of the attenuation on the boundary cylinder.
 
     Samples h on the nodes, with Ra expanded in its offset sine series
@@ -274,9 +275,8 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
     the attenuated reconstruct reads at its points.  Zero attenuation
     takes the same path: h = 0 gives the identity rows.
     """
-    quad = quad or QuadSettings()
     angular.check_modes(n_modes)
-    sampler = _HSampler(a, boundary, angular, quad, s_samples)
+    sampler = _HSampler(a, boundary, angular, s_samples)
 
     (alpha, beta), neg = _factor_modes(sampler.at(boundary.positions), n_modes)
     _check_leak(neg, tol_neg, "boundary")
@@ -289,7 +289,7 @@ def build_h(a, boundary, angular, n_modes, quad=None, s_samples=2048,
     return IntegratingFactor(
         boundary, angular, n_modes, alpha, beta, a.is_zero,
         {"name": a.name, "params": a.params}, tol_neg, neg, dev,
-        quad=quad, s_samples=s_samples, sampler=sampler,
+        s_samples=s_samples, sampler=sampler,
     )
 
 

@@ -102,8 +102,7 @@ def _require_interior(boundary, points, margin, part=slice(None)):
         raise OutsideDomain("evaluation point outside the closed domain")
     if margin > 0.0 and np.any(d < margin):
         raise TooCloseToBoundary(
-            "evaluation point %g from the boundary; margin is %g "
-            "(pass margin=0 to override, or use the trace operators)"
+            "evaluation point %g from the boundary; margin is %g"
             % (float(np.min(d)), margin)
         )
     return z

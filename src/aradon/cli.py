@@ -109,8 +109,7 @@ def _build_factors(cfg, boundary, angular):
     """Integrating factors of the configured `a`."""
     return build_h(
         cfg.make_phantom("a", boundary), boundary, angular, cfg.n_modes,
-        quad=cfg.make_quad(), s_samples=cfg.s_samples,
-        tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
+        s_samples=cfg.s_samples, tol_neg=cfg.tol_neg, tol_identity=cfg.tol_identity,
     )
 
 
@@ -132,11 +131,10 @@ def _get_factors(cfg, args, sino):
                 % (factors.n_modes, cfg.n_modes)
             )
         # an older cache records no recipe of h inside and still serves `check`
-        recipe = (cfg.make_quad(), cfg.s_samples)
-        if factors.quad is not None and (factors.quad, factors.s_samples) != recipe:
+        if factors.s_samples is not None and factors.s_samples != cfg.s_samples:
             raise ConfigError(
-                "factors cache %s was built with quad %s and s_samples %d, config says "
-                "quad %s and s_samples %d" % ((cache, factors.quad, factors.s_samples) + recipe)
+                "factors cache %s was built with s_samples %d, config says s_samples %d"
+                % (cache, factors.s_samples, cfg.s_samples)
             )
         return factors
     factors = _build_factors(cfg, sino.boundary, sino.angular)
@@ -150,12 +148,23 @@ def _load(cfg, args, with_grid):
     factors (None unless the file or --attenuated says attenuated).  The
     sinogram must be written on the config's boundary and angles."""
     sino = aio.read_sinogram(args.sinogram, cfg.make_boundary(), cfg.make_angular())
-    grid = cfg.make_grid(sino.boundary) if with_grid else None
+    grid = _kernel_grid(cfg, sino.boundary) if with_grid else None
     trace = project_minus(sino, cfg.n_modes)
     factors = None
     if args.attenuated or sino.attenuated:
         factors = _get_factors(cfg, args, sino)
     return trace, grid, factors
+
+
+def _kernel_grid(cfg, boundary):
+    """The config's grid for the interior kernels, which need every point
+    at least boundary.interior_margin() (3h) from the curve: a configured
+    margin under that is a config error."""
+    least = boundary.interior_margin()
+    if cfg.grid_margin is not None and cfg.grid_margin < least:
+        raise ConfigError("config.grid.margin: %g is under this boundary's minimum, "
+                          "3h = %g" % (cfg.grid_margin, least))
+    return cfg.make_grid(boundary)
 
 
 def _residual(trace, factors):
@@ -328,7 +337,7 @@ def cmd_sweep(cfg, args):
                 rung = _rung_config(cfg, args.axis, value)
                 sino = _forward(rung, args.attenuated)
                 trace = project_minus(sino, rung.n_modes)
-                grid = rung.make_grid(sino.boundary)
+                grid = _kernel_grid(rung, sino.boundary)
                 factors = None
                 if args.attenuated:
                     factors = _build_factors(rung, sino.boundary, sino.angular)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, GridMismatch
 from .geometry import make_boundary
 from .harmonics import AngularGrid
-from .xray import QuadSettings, Sinogram
+from .xray import Sinogram
 from .attenuation import IntegratingFactor
 
 _SINO_FORMAT = "aradon-sinogram"
@@ -241,7 +241,7 @@ def _split_blocks(path, blocks, payload, names):
 
 def write_factors_cache(path, factors, config_hash=None):
     """The boundary factors alpha and beta, and in the header the recipe
-    of h inside the domain: `a`, quad and s_samples."""
+    of h inside the domain: `a` and s_samples."""
     blocks, payload = _block_bytes([
         ("alpha", factors.alpha, "<c16"),
         ("beta", factors.beta, "<c16"),
@@ -255,7 +255,6 @@ def write_factors_cache(path, factors, config_hash=None):
         "boundary": factors.boundary.descriptor(),
         "zero_attenuation": factors.zero_attenuation,
         "a": factors.a_info,
-        "quad": {"panels": factors.quad.panels, "points": factors.quad.points},
         "s_samples": factors.s_samples,
         "tol_neg": factors.tol_neg,
         "max_neg_mode": factors.max_neg_mode,
@@ -268,16 +267,13 @@ def write_factors_cache(path, factors, config_hash=None):
 
 
 def _recipe(header, path):
-    """(QuadSettings, s_samples) of a cache's header, (None, None) for an
-    older cache, which records no recipe of h inside the domain."""
-    if "quad" not in header:
-        return None, None
-    quad = header["quad"]
-    _require(quad, ("panels", "points"), path, "quad")
-    if not all(type(v) is int and v >= 1
-               for v in (quad["panels"], quad["points"], header.get("s_samples"))):
-        raise ConfigError("%s: quad and s_samples must be positive integers" % path)
-    return QuadSettings(quad["panels"], quad["points"]), header["s_samples"]
+    """s_samples of a cache's header, None for an older cache, which
+    records no recipe of h inside the domain.  A `quad` entry, which
+    caches once recorded, is not read."""
+    s_samples = header.get("s_samples")
+    if s_samples is not None and not (type(s_samples) is int and s_samples >= 1):
+        raise ConfigError("%s: s_samples must be a positive integer" % path)
+    return s_samples
 
 
 def read_factors_cache(path, boundary=None, angular=None):
@@ -296,12 +292,11 @@ def read_factors_cache(path, boundary=None, angular=None):
          "tol_neg", "max_neg_mode", "max_identity_dev", "blocks"))
     boundary, angular = _grids(header, path, boundary, angular)
     data = _split_blocks(path, header["blocks"], payload, ("alpha", "beta"))
-    quad, s_samples = _recipe(header, path)
     return IntegratingFactor(
         boundary, angular, int(header["n_modes"]), data["alpha"], data["beta"],
         bool(header["zero_attenuation"]), header.get("a", {}),
         float(header["tol_neg"]), float(header["max_neg_mode"]),
-        float(header["max_identity_dev"]), quad=quad, s_samples=s_samples,
+        float(header["max_identity_dev"]), s_samples=_recipe(header, path),
     )
 
 

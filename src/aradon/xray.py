@@ -1,18 +1,17 @@
 """Forward modeling: ray transforms, sinogram assembly, analytic phantoms.
 
-The full-line transform integrates across the whole domain, on many
-parallel lines at once.  One helper, ray_span, decides how far every
-line and ray runs: unbounded when each field on it has a support disk,
-else to the curve crossings of the geometry's one primitive,
-ConvexBoundary.line_spans.  Every chord integral goes through one
-helper, chord_integrals: it clips the chord to the field's support disk
-(clip_chords), integrates a field that is a polynomial along lines
-inside that disk with one EXACT_POINTS Gauss-Legendre panel (exact) and
-any other field with QuadSettings' composite rule.  Rays are sampled
-with ray_points, which returns one contiguous plane per coordinate, and
-fields are evaluated on those planes directly: an interleaved (..., 2)
-layout would make every sample a stride-2 write and every field read a
-stride-2 read.
+Every shipped field integrates itself along a line in closed form
+(ScalarField.line_integral): a bump is a quartic along every line inside
+its support disk, which it clips the line to, and the Gaussian an erf.
+One helper, ray_span, decides how far every line and ray runs: unbounded
+when each field on it has a support disk, else to the curve crossings of
+the geometry's one primitive, ConvexBoundary.line_spans.  So Ra, Da and
+every plain chord are closed forms; only the attenuated forward samples
+a field, f e^{-Da} on QuadSettings' composite rule over f's ray clipped
+to its support disk (clip_chords).  Rays are sampled with ray_points,
+which returns one contiguous plane per coordinate, and fields are
+evaluated on those planes directly: an interleaved (..., 2) layout would
+make every sample a stride-2 write and every field read a stride-2 read.
 forward_sinogram produces the canonical boundary data of an attenuated
 ray transform: on outgoing node/direction pairs it carries the
 attenuated ray integral of the source along the ray back from the node,
@@ -23,20 +22,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legvander
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AradonError, UnknownPhantom, SupportViolation
 from .geometry import TOL_TANGENT, unit_circle_spans
 
-# Gauss points of the one panel on a polynomial field's clipped chord:
-# exact for degree up to 2 * 8 - 1, and its interpolant reproduces
-# degree up to 7, so tail integrals of such a field are exact too.
-EXACT_POINTS = 8
-
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Composite Gauss-Legendre settings for chord integrals."""
+    """Composite Gauss-Legendre settings for the attenuated forward's
+    integrals of f e^{-Da}, the one integrand that is not a closed form."""
 
     panels: int = 8
     points: int = 8
@@ -53,39 +48,6 @@ def _composite_rule(panels, points):
     weights = np.tile(w / (2.0 * panels), panels)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-@lru_cache(maxsize=None)  # keyed by point count: one or two per process
-def _lagrange_antiderivatives(points):
-    """Legendre coefficients (points + 1, points) of the antiderivatives of
-    the Lagrange polynomials on the Gauss nodes, one column each (read-only)."""
-    x, w = leggauss(points)
-    anti = legint((np.arange(points) + 0.5)[:, None] * legvander(x, points - 1).T * w, axis=0)
-    anti.flags.writeable = False
-    return anti
-
-
-def _legendre_series(coef, y):
-    """sum_d coef[d] P_d(y) by Clenshaw's recurrence; each coef[d]
-    broadcasts against y.  Three buffers of y's shape do all the work:
-    numpy's legval, which allocates at every step, made the attenuated
-    forward about 30% slower."""
-    b1 = np.zeros(y.shape) + coef[-1]
-    b2 = np.zeros(y.shape)
-    tmp = np.empty(y.shape)
-    for k in range(len(coef) - 2, 0, -1):
-        # b_k = c_k + (2k+1)/(k+1) y b_{k+1} - (k+1)/(k+2) b_{k+2}
-        np.multiply(y, b1, out=tmp)
-        tmp *= (2 * k + 1) / (k + 1)
-        tmp += coef[k]
-        b2 *= (k + 1) / (k + 2)
-        tmp -= b2
-        b1, b2, tmp = tmp, b1, b2
-    np.multiply(y, b1, out=tmp)
-    tmp += coef[0]
-    b2 *= 0.5
-    tmp -= b2
-    return tmp
 
 
 def ray_points(starts, direction, t):
@@ -110,91 +72,132 @@ class ScalarField:
     shape, as ray_points lays them out.
 
     A field may carry a `support` disk, (center, radius), outside which
-    it is zero and which lies in the closed domain, and a `line_degree`:
-    the degree of the polynomial it is along every line inside that disk.
-    Chord integrals read both (chord_integrals).
+    it is zero and which lies in the closed domain.  Its `line` is the
+    closed form of its integral along a line (line_integral).
     """
 
-    def __init__(self, func, name="", params=None, support=None, line_degree=None):
+    def __init__(self, func, line, name="", params=None, support=None, center=(0.0, 0.0)):
         self._func = func
+        self._line = line
         self.name = name
         self.params = dict(params or {})
         self.support = support            # (center (2,), radius): zero outside
-        self.line_degree = line_degree    # polynomial degree along lines inside support
+        self._center = np.asarray(center, dtype=float)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         out = self.planes(pts[..., 0], pts[..., 1])
         return float(out) if pts.ndim == 1 else out
 
-    def planes(self, x, y, across=None):
-        """Values at the points (x, y); x and y are arrays of one shape.
-        With a unit vector `across`, values and across . grad stacked."""
-        vals = self._func(x, y) if across is None else self._func(x, y, across)
-        return np.asarray(vals, dtype=float)
+    def planes(self, x, y):
+        """Values at the points (x, y); x and y are arrays of one shape."""
+        return np.asarray(self._func(x, y), dtype=float)
+
+    def line_integral(self, starts, direction, t_lo, t_hi, across=None):
+        """Integrals of the field along starts + t * direction, t in [t_lo, t_hi].
+
+        starts is (m, 2), direction a unit vector, t_lo a number or (m,)
+        and t_hi (m,) or (m, K), K ends on each line; infinite ends are
+        allowed where the field has a support disk.  With `across`, the
+        unit normal of direction, the pair (integrals, integrals of
+        across . grad) of one shape.  Each field's `line` takes the ends
+        s measured from each line's foot point nearest the field's centre
+        and the line's offset `off` (across, or the normal (-d_y, d_x),
+        dotted with start - centre): |x - centre|^2 = s^2 + off^2.
+        """
+        rel = starts - self._center
+        normal = (-direction[1], direction[0]) if across is None else across
+        col = (slice(None),) + (None,) * (np.ndim(t_hi) - 1)
+        along = (rel @ direction)[col]
+        off = (rel @ np.asarray(normal, dtype=float))[col]
+        if np.ndim(t_lo):
+            t_lo = np.asarray(t_lo)[col]
+        return self._line(t_lo + along, t_hi + along, off, across is not None)
 
     @property
     def is_zero(self):
         return self.name == "zero"
 
 
+def _bump(name, boundary, center, radius, amp, params):
+    """amp (1 - |x - center|^2 / radius^2)^2 on its support disk, 0 outside
+    (C^{1,1}).  Along a line at offset `off`, with rho^2 = radius^2 - off^2,
+    it is amp / radius^4 (rho^2 - s^2)^2 on |s| <= rho; across . grad is
+    -4 amp / radius^4 off (rho^2 - s^2) there."""
+    c, r = center, radius
+    _check_disk_support(boundary, c, r, name)
+
+    def f(x, y):
+        dx, dy = x - c[0], y - c[1]
+        q = np.maximum(1.0 - (dx ** 2 + dy ** 2) / r ** 2, 0.0)
+        return amp * q ** 2
+
+    def line(s_lo, s_hi, off, slope):
+        rho2 = np.maximum(r * r - off * off, 0.0)
+        rho = np.sqrt(rho2)
+        # the ends in units of rho, clipped to the disk; a line that misses
+        # it has rho = 0 and both ends at 0
+        unit = np.where(rho > 0.0, rho, 1.0)
+        lo = np.clip(s_lo, -rho, rho) / unit
+        hi = np.maximum(np.clip(s_hi, -rho, rho) / unit, lo)
+        lo2, hi2 = lo * lo, hi * hi
+        cube = (amp / r ** 4) * rho2 * rho
+        val = (cube * rho2) * (hi * (1.0 - hi2 * (2.0 / 3.0 - 0.2 * hi2))
+                               - lo * (1.0 - lo2 * (2.0 / 3.0 - 0.2 * lo2)))
+        if not slope:
+            return val
+        return val, (-4.0 * cube) * off * (hi * (1.0 - hi2 / 3.0) - lo * (1.0 - lo2 / 3.0))
+
+    return ScalarField(f, line, name=name, params=params, support=(c, r), center=c)
+
+
 def phantom(name, boundary, params=None):
     """Named analytic test field on the given domain.
 
-    poly-bump          (1 - |x|^2)^2 on the unit disk, 0 outside it (C^{1,1})
+    poly-bump          (1 - |x|^2)^2 on the unit disk, 0 outside it (C^{1,1}):
+                       the shifted bump at centre (0, 0) of radius 1
     shifted-poly-bump  same profile moved to `center`, support radius `radius`
     gaussian-truncated amplitude * exp(-|x-center|^2 / sigma^2), cut off
                        at the boundary by the domain its callers sample
     zero               identically 0
 
-    Both bumps carry their support disk and line degree 4 (a quartic
-    along every line inside the disk), so their chord integrals are exact,
-    and those of their derivatives (cubic) too.
+    Along a line the Gaussian integrates to amplitude e^{-off^2/sigma^2}
+    (sigma sqrt(pi) / 2) erf(s / sigma) between its ends, and across . grad
+    to -2 off / sigma^2 times that; scipy.special.erf is imported at the
+    first such integral.
     """
     p = dict(params or {})
     if name == "poly-bump":
         amp = float(p.get("amplitude", 1.0))
-
-        def f(x, y, across=None):
-            q = np.maximum(1.0 - (x ** 2 + y ** 2), 0.0)
-            if across is None:
-                return amp * q ** 2
-            return amp * q ** 2, (-4.0 * amp) * q * (across[0] * x + across[1] * y)
-        c = np.zeros(2)
-        _check_disk_support(boundary, c, 1.0, name)
-        return ScalarField(f, name=name, params={"amplitude": amp},
-                           support=(c, 1.0), line_degree=4)
+        return _bump(name, boundary, np.zeros(2), 1.0, amp, {"amplitude": amp})
     if name == "shifted-poly-bump":
         c = np.asarray(p.get("center", (0.3, 0.15)), dtype=float)
         r = float(p.get("radius", 0.55))
         amp = float(p.get("amplitude", 1.0))
-        _check_disk_support(boundary, c, r, name)
-
-        def f(x, y, across=None):
-            dx, dy = x - c[0], y - c[1]
-            q = np.maximum(1.0 - (dx ** 2 + dy ** 2) / r ** 2, 0.0)
-            if across is None:
-                return amp * q ** 2
-            return amp * q ** 2, (-4.0 * amp / r ** 2) * q * (across[0] * dx + across[1] * dy)
-        return ScalarField(f, name=name,
-                           params={"center": tuple(c), "radius": r, "amplitude": amp},
-                           support=(c, r), line_degree=4)
+        return _bump(name, boundary, c, r, amp,
+                     {"center": tuple(c), "radius": r, "amplitude": amp})
     if name == "gaussian-truncated":
         c = np.asarray(p.get("center", (0.0, 0.0)), dtype=float)
         sig = float(p.get("sigma", 0.18))
         amp = float(p.get("amplitude", 1.0))
 
-        def f(x, y, across=None):
+        def f(x, y):
             dx, dy = x - c[0], y - c[1]
-            val = amp * np.exp(-(dx ** 2 + dy ** 2) / sig ** 2)
-            if across is None:
-                return val
-            return val, (-2.0 / sig ** 2) * val * (across[0] * dx + across[1] * dy)
-        return ScalarField(f, name=name,
+            return amp * np.exp(-(dx ** 2 + dy ** 2) / sig ** 2)
+
+        def line(s_lo, s_hi, off, slope):
+            from scipy.special import erf  # only Gaussian runs load scipy
+
+            val = ((0.5 * np.sqrt(np.pi) * sig * amp) * np.exp(-(off / sig) ** 2)
+                   * (erf(s_hi / sig) - erf(s_lo / sig)))
+            return (val, (-2.0 / sig ** 2) * off * val) if slope else val
+        return ScalarField(f, line, name=name, center=c,
                            params={"center": tuple(c), "sigma": sig, "amplitude": amp})
     if name == "zero":
-        return ScalarField(lambda x, y, across=None: np.zeros(np.shape(x)) if across is None
-                           else (np.zeros(np.shape(x)),) * 2, name="zero")
+        def line(s_lo, s_hi, off, slope):
+            val = np.zeros(np.broadcast(s_lo, s_hi, off).shape)
+            return (val, val) if slope else val
+        return ScalarField(lambda x, y: np.zeros(np.shape(x)), line, name="zero")
     raise UnknownPhantom("unknown phantom %r" % (name,))
 
 
@@ -263,81 +266,7 @@ def clip_chords(field, starts, direction, t_lo, t_hi):
     return lo, np.where(hit & (hi > lo), hi, lo)
 
 
-def _sample_chords(field, starts, direction, t_lo, t_hi, nodes, across=None, chords=None):
-    """Clipped chords (lo, span), positions t = lo + span * nodes and the
-    field's values there (with `across`, its slopes too: ScalarField.planes),
-    one row per start.  `chords`, clip_chords' (lo, hi) for these chords
-    already made, stands for the clipping."""
-    lo, hi = clip_chords(field, starts, direction, t_lo, t_hi) if chords is None else chords
-    span = hi - lo
-    t = lo[..., None] + span[..., None] * nodes
-    return lo, span, t, field.planes(*ray_points(starts, direction, t), across)
-
-
-def chord_integrals(field, starts, direction, t_lo, t_hi, quad=QuadSettings(), across=None):
-    """Integrals of `field` along starts + t * direction over [t_lo, t_hi].
-
-    The chords are clipped to the field's support disk; a chord that
-    misses it integrates to exactly 0.  A polynomial on its support takes
-    one EXACT_POINTS Gauss-Legendre panel, exact; any other field takes
-    quad's composite rule over the whole chord.  With a unit vector
-    `across`, those of the field's slope along it too, on the same samples,
-    stacked (2, ...).
-    """
-    if field.line_degree is not None:
-        nodes, weights = _composite_rule(1, EXACT_POINTS)
-    else:
-        nodes, weights = quad.nodes_weights()
-    _, span, _, vals = _sample_chords(field, starts, direction, t_lo, t_hi, nodes, across)
-    return span * np.einsum("...mk,k->...m", vals, weights, optimize=False)
-
-
-def _tail_integrals(a, starts, direction, tau, t, quad, chords=None):
-    """Integrals of `a` from each position t (m, K) on the rays
-    starts + s * direction to their ends s = tau, ray_span's t_hi;
-    `chords`, if given, are the rays clipped to `a`'s support disk.
-
-    `a` is sampled on its own rule: one EXACT_POINTS panel on its clipped
-    span for a polynomial `a` (exact), else max(4P, 32) panels x max(Q, 8)
-    points over the whole chord.  A position integrates the Legendre
-    interpolant of its panel from there to the panel's end and adds the
-    Gauss sums of every later panel (spectral integration, Greengard,
-    SIAM J. Numer. Anal. 28 (1991) 1071); before the span it takes the
-    whole span, after it nothing.
-    """
-    if a.line_degree is not None:
-        n_pan, n_pts = 1, EXACT_POINTS
-    else:
-        n_pan, n_pts = max(4 * quad.panels, 32), max(quad.points, 8)
-    nodes, weights = _composite_rule(n_pan, n_pts)
-    lo, span, _, av = _sample_chords(a, starts, direction, 0.0, tau, nodes, chords=chords)
-    m = len(span)
-    # Legendre coefficients of each panel's antiderivative of its
-    # interpolant, (n_coef, m, n_pan); for a polynomial `a` those past
-    # the antiderivative's degree vanish and are left out
-    n_coef = n_pts + 1 if a.line_degree is None else min(n_pts, a.line_degree + 1) + 1
-    anti = _lagrange_antiderivatives(n_pts)[:n_coef]
-    coef = (anti @ av.reshape(m * n_pan, n_pts).T).reshape(n_coef, m, n_pan)
-    end = coef.sum(axis=0)                      # (m, n_pan): values at y = 1
-
-    # each position in panel units; a chord that misses a's support has
-    # span 0, so every position sits at 0 and integrates to 0
-    per_len = np.divide(n_pan, span, out=np.zeros_like(span), where=span > 0.0)
-    u = np.clip((t - lo[:, None]) * per_len[:, None], 0.0, n_pan)
-    if n_pan == 1:
-        pan, later = 0, 0.0
-    else:
-        panel_sums = av.reshape(m, n_pan, n_pts) @ weights[:n_pts]
-        later = np.zeros_like(panel_sums)
-        later[:, :-1] = np.cumsum(panel_sums[:, :0:-1], axis=1)[:, ::-1]
-        pan = np.minimum(u.astype(int), n_pan - 1)
-        rows = np.arange(m)[:, None]
-        coef, end, later = coef[:, rows, pan], end[rows, pan], later[rows, pan]
-    own = end - _legendre_series(coef, 2.0 * (u - pan) - 1.0)
-    return span[:, None] * (later + own / (2.0 * n_pan))
-
-
-def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
+def radon_profile(a, boundary, theta, s_values):
     """Full-line integrals of `a` on a whole vector of offsets at once,
     over the lines' ray_span."""
     th = np.asarray(theta, float)
@@ -346,7 +275,7 @@ def radon_profile(a, boundary, theta, s_values, quad=QuadSettings()):
     if a.is_zero:
         return np.zeros(len(s_values))
     p0s = s_values[:, None] * perp[None, :]
-    return chord_integrals(a, p0s, th, *ray_span((a,), boundary, p0s, th)[:2], quad)
+    return a.line_integral(p0s, th, *ray_span((a,), boundary, p0s, th)[:2])
 
 
 def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
@@ -355,10 +284,10 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
     On outgoing pairs (n(z) . theta > 0) the value is the integral of
     f e^{-Da} along the ray z - t theta, t >= 0, back from z to its
     ray_span's end; incoming and tangential pairs are zero.  Without
-    attenuation that is chord_integrals of f.  With it, quad's composite
-    rule runs over f's clipped ray, and Da at its nodes, the integral of
-    `a` from the node on to z, is `a`'s whole back ray less its tail from
-    the node (_tail_integrals; README, "Forward quadrature").
+    attenuation that is f's line integral, a closed form.  With it,
+    quad's composite rule runs over f's clipped ray, and Da at its nodes,
+    the integral of `a` from the node on to z, is `a`'s line integral
+    over [0, t] of the ray (README, "Forward quadrature").
     """
     dirs = _directions(angular.angles)
     normal_dot = boundary.normals @ dirs.T            # (n_nodes, M)
@@ -366,9 +295,6 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
 
     attenuated = not a.is_zero
     fields = (f, a) if attenuated else (f,)
-    # f and `a` on one support disk clip each ray alike: once for both
-    shared = (f.support is not None and a.support is not None
-              and np.array_equal(f.support[0], a.support[0]) and f.support[1] == a.support[1])
     data = np.zeros((boundary.n_nodes, angular.n_angles))
     for j in range(angular.n_angles):
         back = -dirs[j]
@@ -378,15 +304,14 @@ def forward_sinogram(f, a, boundary, angular, quad=QuadSettings()):
         z = boundary.positions[out_mask]
         _, end, _ = ray_span(fields, boundary, z, back)
         if not attenuated:
-            data[out_mask, j] = chord_integrals(f, z, back, 0.0, end, quad)
+            data[out_mask, j] = f.line_integral(z, back, 0.0, end)
             continue
-        chords = clip_chords(f, z, back, 0.0, end)
-        _, span, t, fv = _sample_chords(f, z, back, 0.0, end, gl_frac, chords=chords)  # (m, K)
-        # tails from z itself (column 0) and from each of f's nodes
-        t_from = np.concatenate((np.zeros((len(z), 1)), t), axis=1)
-        tails = _tail_integrals(a, z, back, end, t_from, quad, chords if shared else None)
+        lo, hi = clip_chords(f, z, back, 0.0, end)
+        span = hi - lo
+        t = lo[:, None] + span[:, None] * gl_frac                 # (m, K)
+        fv = f.planes(*ray_points(z, back, t))
         with np.errstate(over="ignore", invalid="ignore"):
-            fv *= np.exp(tails[:, 1:] - tails[:, :1])
+            fv *= np.exp(-a.line_integral(z, back, 0.0, t))
             data[out_mask, j] = span * np.einsum("mk,k->m", fv, gl_w, optimize=False)
     if not np.all(np.isfinite(data)):
         raise AradonError("e^{-Da} overflows on some ray: a negative attenuation is too strong")

@@ -33,7 +33,7 @@ from aradon.harmonics import (
     project_minus,
     weighted_norms,
 )
-from aradon.xray import QuadSettings, forward_sinogram, phantom, radon_profile
+from aradon.xray import forward_sinogram, phantom, radon_profile
 from oracles import identity_seq, lemma21_identity, tau_angular_jump
 
 
@@ -79,9 +79,8 @@ def rel_l2(pic, truth, region):
 def test_01_forward_profile_matches_closed_form(disk512):
     """Line integrals of (1-|x|^2)^2 equal (16/15)(1-s^2)^(5/2)."""
     f = phantom("poly-bump", disk512)
-    quad = QuadSettings(points=8, panels=8)
     s_vals = np.linspace(-0.999, 0.999, 201)
-    prof = radon_profile(f, disk512, np.array([1.0, 0.0]), s_vals, quad=quad)
+    prof = radon_profile(f, disk512, np.array([1.0, 0.0]), s_vals)
     ref = (16.0 / 15.0) * (1.0 - s_vals ** 2) ** 2.5
     err = float(np.max(np.abs(prof - ref)))
     print(f"forward closed-form max abs error {err:.3e} (gate 1e-6)")

@@ -20,7 +20,7 @@ from aradon.bukhgeim import CartesianGrid, _kernel_bands, hilbert_H0, reconstruc
 from aradon.errors import FactorBuildError, GridMismatch, InconsistentInput
 from aradon.geometry import TOL_TANGENT, ConvexBoundary, make_boundary
 from aradon.harmonics import AngularGrid, ModeTrace, convolve, project_minus
-from aradon.xray import QuadSettings, chord_integrals, forward_sinogram, phantom, radon_profile
+from aradon.xray import QuadSettings, forward_sinogram, phantom, radon_profile
 from oracles import bump_chord_integral, poly_bump_h, residual_route_gap
 
 
@@ -77,7 +77,6 @@ def _pairing_case(kind):
     return b, phantom("poly-bump", b, params={"amplitude": 0.005}), 16, 64
 
 
-_PAIR_QUAD = QuadSettings(4, 4)
 _PAIR_S = 512
 _REF_TERMS = 64
 
@@ -113,16 +112,15 @@ def _per_direction_h(a, boundary, angular, int_pts):
         perp = np.array([-th[1], th[0]])
         mid = center @ perp
         p0s = (mid + radius * np.cos(phi))[:, None] * perp[None, :]
-        ra = chord_integrals(a, p0s, th, *boundary.line_spans(p0s, th)[:2], _PAIR_QUAD)
+        ra = a.line_integral(p0s, th, *boundary.line_spans(p0s, th)[:2])
         b = np.linalg.solve(basis, ra)
         da_b = np.zeros(boundary.n_nodes)
         incoming = normal_dot[:, j] < 0.0
-        da_b[incoming] = chord_integrals(
-            a, boundary.positions[incoming], th, 0.0, taus[incoming, j], _PAIR_QUAD
-        )
+        da_b[incoming] = a.line_integral(boundary.positions[incoming], th, 0.0,
+                                         taus[incoming, j])
         h_b[:, j] = da_b - 0.5 * _lin_reference(b, (boundary.positions @ perp - mid) / radius)
         _, tau_fwd, _ = boundary.line_spans(int_pts, th)
-        da_i = chord_integrals(a, int_pts, th, 0.0, tau_fwd, _PAIR_QUAD)
+        da_i = a.line_integral(int_pts, th, 0.0, tau_fwd)
         h_i[:, j] = da_i - 0.5 * _lin_reference(b, (int_pts @ perp - mid) / radius)
     return h_b, h_i
 
@@ -130,7 +128,7 @@ def _per_direction_h(a, boundary, angular, int_pts):
 def _sampled_h(a, boundary, angular, int_pts):
     """build_h's h on the nodes and at `int_pts`, as the reference gives it:
     the nodes are points like any other."""
-    sampler = _HSampler(a, boundary, angular, _PAIR_QUAD, _PAIR_S)
+    sampler = _HSampler(a, boundary, angular, _PAIR_S)
     return sampler.at(boundary.positions), sampler.at(int_pts)
 
 
@@ -210,7 +208,7 @@ class TestTableFactors:
         pts = CartesianGrid(boundary, 16, 16).points
         # gates lifted: 32 angles leave this `a`'s leak at 4.8e-4, and the
         # crossings are what is counted; the slopes inside too
-        runs = (lambda: build_h(a, boundary, ang, 8, quad, s_samples=512,
+        runs = (lambda: build_h(a, boundary, ang, 8, s_samples=512,
                                 tol_neg=1.0, tol_identity=1.0).sampler.at(pts, slopes=True),
                 lambda: forward_sinogram(f, phantom("zero", boundary), boundary, ang, quad),
                 lambda: forward_sinogram(f, a, boundary, ang, quad))
@@ -270,7 +268,7 @@ class TestStreamChunks:
             if points is not None:
                 mp.setattr(attenuation, "RECON_CHUNK", points)
             # gates lifted: on the table this `a` leaks 1.6e-6 at 128 angles
-            fac = build_h(a, boundary, ang, g.n_modes, QuadSettings(4, 4), s_samples=512,
+            fac = build_h(a, boundary, ang, g.n_modes, s_samples=512,
                           tol_neg=1.0, tol_identity=1.0)
             return reconstruct_f_attenuated(g, fac, grid, return_dbeta0=True)
 
@@ -373,9 +371,9 @@ class TestStreamMemory:
 
 
 class TestInteriorDa:
-    """Da of a polynomial `a` on interior points is exact whatever the
-    quadrature settings, with the chord ending on the curve and, as
-    build_h takes it, open past the support disk."""
+    """Da of a polynomial `a` on interior points is exact, with the chord
+    ending on the curve and, as build_h takes it, open past the support
+    disk."""
 
     @pytest.mark.parametrize("kind", ["disk", "ellipse", "table"])
     def test_polynomial_da_exact(self, kind):
@@ -390,10 +388,9 @@ class TestInteriorDa:
                 th = np.array([np.cos(phi), np.sin(phi)])
                 _, tau_fwd, _ = boundary.line_spans(pts, th)
                 exact = bump_chord_integral(field, pts, th, 0.0, tau_fwd)
-                for quad in (QuadSettings(), QuadSettings(1, 2)):
-                    for end in (tau_fwd, np.inf):
-                        got = chord_integrals(field, pts, th, 0.0, end, quad)
-                        assert np.max(np.abs(got - exact)) <= 1e-14 * scale
+                for end in (tau_fwd, np.inf):
+                    got = field.line_integral(pts, th, 0.0, end)
+                    assert np.max(np.abs(got - exact)) <= 1e-14 * scale
 
 
 class TestFlipIdentities:
@@ -409,7 +406,7 @@ class TestFlipIdentities:
 
         def ra(th):
             offsets = center @ np.array([-th[1], th[0]]) + radius * cos_phi
-            return radon_profile(a, boundary, th, offsets, _PAIR_QUAD)
+            return radon_profile(a, boundary, th, offsets)
         return [(ra(dirs[j]), ra(dirs[j + m // 2])) for j in range(m // 2)]
 
     def test_hilbert_odd_under_flip(self, profiles):
@@ -437,14 +434,14 @@ class TestSeriesSampling:
         """The sampler and the number of offsets it sampled per direction."""
         counts = {}
 
-        def counted(a, boundary, theta, s_values, quad):
+        def counted(a, boundary, theta, s_values):
             key = tuple(theta)
             counts[key] = counts.get(key, 0) + len(s_values)
-            return radon_profile(a, boundary, theta, s_values, quad)
+            return radon_profile(a, boundary, theta, s_values)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attenuation, "radon_profile", counted)
-            sampler = _HSampler(a, boundary, angular, _PAIR_QUAD, s_samples)
+            sampler = _HSampler(a, boundary, angular, s_samples)
         return sampler, list(counts.values())
 
     @pytest.mark.parametrize("kind", ["disk", "ellipse", "table"])
@@ -505,7 +502,7 @@ class TestClosedFormH:
         grid = CartesianGrid(disk512, 64, 64)
         pts = grid.points_all[grid.inside]
         sampler = _HSampler(phantom("poly-bump", disk512, params={"amplitude": c}), disk512,
-                            ang128, QuadSettings(), 2048)
+                            ang128, 2048)
         for at in (disk512.positions, pts):
             assert np.max(np.abs(sampler.at(at) - poly_bump_h(c, at, ang128.angles))) <= 1e-13
 
@@ -581,7 +578,7 @@ class TestBetaSlopes:
             params["sigma"] = 0.6
         a = phantom({"bump": "poly-bump", "shifted-bump": "shifted-poly-bump",
                      "gaussian": "gaussian-truncated"}[name], boundary, params=params)
-        sampler = _HSampler(a, boundary, ang, QuadSettings(), s_samples)
+        sampler = _HSampler(a, boundary, ang, s_samples)
         pts = _inside_points(boundary)
         _, dbeta, _, _ = _beta_slopes(sampler, pts, n_modes)
         if case == "disk-bump":
@@ -601,7 +598,7 @@ class TestBetaSlopes:
         grid, where the leak is 1.0e-6.  (The bump and the sigma = 0.6
         Gaussian read 1e-16: tests/test_acceptance.py.)"""
         a = phantom("shifted-poly-bump", disk512, params={"amplitude": 0.3})
-        sampler = _HSampler(a, disk512, ang128, QuadSettings(), 2048)
+        sampler = _HSampler(a, disk512, ang128, 2048)
         _, dbeta, _, _ = _beta_slopes(sampler, CartesianGrid(disk512, 64, 64).points, 32)
         assert np.max(np.abs(dbeta[0])) <= 1.7e-6
 

@@ -210,12 +210,19 @@ class TestReconstructCommand:
         assert [s for s in calls if s != (2,)] == [(20 * 20, 2)]
         assert len(calls) == 1 + (2 if attenuated else 1)
 
-    def test_grid_margin_below_kernel_margin_exits_three(self, tmp_path, capsys):
-        cfg, sino = self._sinogram(tmp_path, ELLIPSE, grid={"margin": 0.01})
+    def test_grid_margin_below_kernel_margin_exits_two(self, tmp_path, capsys):
+        """The interior kernels need every grid point 3h from the curve: a
+        configured margin under that is a config error naming the key and
+        the boundary's minimum, not a numeric failure.  `phantom` reads no
+        kernel and keeps working."""
+        cfg, sino = self._sinogram(tmp_path, DISK, grid={"margin": 0.01})
         capsys.readouterr()
         assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"),
-                     sino]) == 3
-        assert "from the boundary; margin is" in capsys.readouterr().err
+                     sino]) == 2
+        err = capsys.readouterr().err
+        assert "config.grid.margin" in err
+        assert "3h = %g" % (3.0 * 2.0 * np.pi / 128) in err
+        assert main(["phantom", "--config", cfg, "--out", str(tmp_path / "ph")]) == 0
 
 
 class TestTableBoundary:
@@ -326,7 +333,7 @@ class TestFactorsAndCache:
                      str(tmp_path / "fa"), "--factors-cache", str(cache)]) == 0
         factors = aio.read_factors_cache(str(cache))
         assert factors.n_modes == 8
-        assert (factors.quad.panels, factors.quad.points, factors.s_samples) == (4, 4, 512)
+        assert factors.s_samples == 512
 
         out = tmp_path / "fw"
         assert main(["forward", "--config", att_cfg, "--out", str(out),
@@ -392,7 +399,7 @@ class TestFactorsAndCache:
         with open(cache, "rb") as fh:
             header = json.loads(fh.readline())
             payload = fh.read()
-        for key in ("checksum", "quad", "s_samples"):
+        for key in ("checksum", "s_samples"):
             del header[key]
         aio._write_container(str(cache), header, payload)
         assert main(["check", "--config", att_cfg, "--out", str(tmp_path / "chk"),
@@ -429,33 +436,56 @@ class TestFactorsAndCache:
                      str(tmp_path / "chk"), "--factors-cache", str(cache),
                      str(out / "sinogram.bin")]) == 2
 
-    @pytest.mark.parametrize("command", ["check", "reconstruct"])
-    @pytest.mark.parametrize("override", [{"quad": {"panels": 8, "points": 8}},
-                                          {"tolerances": {"s_samples": 1024}}])
-    def test_cache_recipe_mismatch_exits_two(self, att_cfg, tmp_path, capsys, command,
-                                             override):
-        """A cache built with another quad or s_samples, the recipe of h
-        inside, is refused rather than used in place of the config's."""
+    def _cache_and_sinogram(self, att_cfg, tmp_path):
         cache = tmp_path / "factors.bin"
         assert main(["factors", "--config", att_cfg, "--out",
                      str(tmp_path / "fa"), "--factors-cache", str(cache)]) == 0
         out = tmp_path / "fw"
         assert main(["forward", "--config", att_cfg, "--out", str(out),
                      "--attenuated"]) == 0
-        other = write_config(
+        return str(cache), str(out / "sinogram.bin")
+
+    @staticmethod
+    def _other_config(tmp_path, **override):
+        return write_config(
             tmp_path / "other.json",
             phantoms={"f": {"name": "poly-bump"},
                       "a": {"name": "poly-bump", "params": {"amplitude": 0.2}}},
             **override,
         )
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    @pytest.mark.parametrize("override", [{"tolerances": {"s_samples": 256}},
+                                          {"tolerances": {"s_samples": 1024}}])
+    def test_cache_recipe_mismatch_exits_two(self, att_cfg, tmp_path, capsys, command,
+                                             override):
+        """A cache built with fewer or more s_samples, the recipe of h
+        inside, is refused rather than used in place of the config's."""
+        cache, sino = self._cache_and_sinogram(att_cfg, tmp_path)
+        other = self._other_config(tmp_path, **override)
         capsys.readouterr()
         assert main([command, "--config", other, "--out", str(tmp_path / "run"),
-                     "--factors-cache", str(cache), str(out / "sinogram.bin")]) == 2
+                     "--factors-cache", cache, sino]) == 2
         assert "s_samples" in capsys.readouterr().err
 
+    def test_cache_serves_other_quad(self, att_cfg, tmp_path):
+        """h reads no quadrature, so a cache built with quad 4 x 4 serves a
+        quad 8 x 8 config: check and reconstruct write the bytes of a run
+        that builds its own factors."""
+        cache, sino = self._cache_and_sinogram(att_cfg, tmp_path)
+        other = self._other_config(tmp_path, quad={"panels": 8, "points": 8})
+        for command, name in (("check", "residual.json"),
+                              ("reconstruct", "reconstruction.csv")):
+            outputs = []
+            for tag, extra in (("cached", ["--factors-cache", cache]), ("built", [])):
+                out = tmp_path / (command + tag)
+                assert main([command, "--config", other, "--out", str(out)] + extra
+                            + [sino]) == 0
+                outputs.append((out / name).read_bytes())
+            assert outputs[0] == outputs[1]
+
     # Off the disk the factors' negative modes and identity defect fall
-    # below the default tolerances only with more angles, finer chord
-    # quadrature and a weaker map.
+    # below the default tolerances only with more angles and a weaker map.
     OFF_DISK_ATT = {
         "modes": {"n": 8, "angles": 128},
         "quad": {"panels": 8, "points": 8},
@@ -585,6 +615,19 @@ class TestSweepCommand:
         assert "rung modes=400 failed" in capsys.readouterr().err
 
 
+    def test_margin_rung_keeps_partial_csv(self, tmp_path, capsys):
+        """A nodes rung whose 3h passes the configured grid margin fails as
+        a rung, as a too-coarse angle rung does: exit 3, the rungs before
+        it kept."""
+        cfg = write_config(tmp_path / "run.json", grid={"nx": 16, "ny": 16, "margin": 0.2},
+                           sweep={"values": [128, 64]})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "nodes"]) == 3
+        lines = (out / "sweep_nodes.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("128,")
+        assert "rung nodes=64 failed: config.grid.margin" in capsys.readouterr().err
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["forward", "--config", str(tmp_path / "absent.json"),
@@ -711,11 +754,6 @@ def _drop_boundary_kind(header, payload):
     return payload
 
 
-def _drop_quad_points(header, payload):
-    del header["quad"]["points"]
-    return payload
-
-
 def _fractional_s_samples(header, payload):
     header["s_samples"] = 512.5
     return payload
@@ -740,14 +778,13 @@ class TestMalformedContainer:
         ("cache", _drop_n_modes),
         ("sinogram", _drop_boundary_kind),
         ("cache", _drop_boundary_kind),
-        ("cache", _drop_quad_points),
         ("cache", _fractional_s_samples),
         ("cache", _drop_block_key("name")),
         ("cache", _drop_block_key("shape")),
         ("cache", _drop_block_key("dtype")),
     ], ids=["sinogram-angles", "sinogram-nodes", "cache-no-beta", "cache-block-past-payload",
             "cache-no-n-modes", "sinogram-boundary-no-kind", "cache-boundary-no-kind",
-            "cache-quad-no-points", "cache-fractional-s-samples", "cache-block-no-name", "cache-block-no-shape",
+            "cache-fractional-s-samples", "cache-block-no-name", "cache-block-no-shape",
             "cache-block-no-dtype"])
     def test_header_edit_exits_two(self, tmp_path, capsys, target, edit):
         cfg = write_config(

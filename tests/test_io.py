@@ -114,7 +114,7 @@ def _assert_same_factors(back, fac):
     assert np.array_equal(back.alpha, fac.alpha)
     assert np.array_equal(back.beta, fac.beta)
     assert back.a_info == json.loads(json.dumps(fac.a_info))
-    assert (back.quad, back.s_samples) == (fac.quad, fac.s_samples)
+    assert back.s_samples == fac.s_samples
 
 
 def _header(path):
@@ -185,9 +185,26 @@ class TestFactorsCache:
             write_factors_cache(p, case["factors"])
             header = _header(p)
             assert [b["name"] for b in header["blocks"]] == ["alpha", "beta"]
-            assert header["quad"] == {"panels": 8, "points": 8}
+            assert "quad" not in header
             assert header["s_samples"] == 2048
             assert "interior" not in header
+
+    def test_former_quad_entry_not_read(self, tmp_path, factor_cases):
+        """Caches once recorded quad next to s_samples; such a cache reads
+        with its s_samples, whatever its quad entry holds."""
+        for case in factor_cases:
+            fac = case["factors"]
+            p = tmp_path / "factors.bin"
+            write_factors_cache(p, fac)
+            with open(p, "rb") as fh:
+                header = json.loads(fh.readline())
+                payload = fh.read()
+            header["quad"] = {"panels": 8}
+            del header["checksum"]
+            aio._write_container(p, header, payload)
+            back = read_factors_cache(p)
+            _assert_same_factors(back, fac)
+            assert back.s_samples == 2048
 
     def test_former_h_and_alpha_blocks_still_read(self, tmp_path, factor_cases):
         """A cache of an older layout, which also carries h, the inside mask
@@ -220,7 +237,7 @@ class TestFactorsCache:
             ])
             header["blocks"] = blocks
             header["interior"] = {"nx": 12, "ny": 11, "margin": 0.1, "extent": [-1, 1, -1, 1]}
-            for key in ("checksum", "quad", "s_samples"):
+            for key in ("checksum", "s_samples"):
                 del header[key]
             old = tmp_path / "old_factors.bin"
             aio._write_container(old, header, payload)
@@ -228,7 +245,7 @@ class TestFactorsCache:
             for arr, ref in ((back.alpha, fac.alpha), (back.beta, fac.beta)):
                 assert np.array_equal(arr, ref)
                 assert arr.flags.aligned and arr.flags.writeable
-            assert back.quad is None and back.interior is None
+            assert back.s_samples is None and back.interior is None
             with pytest.raises(ConfigError, match="rebuild with `factors`"):
                 back.sampler
 

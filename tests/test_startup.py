@@ -1,7 +1,8 @@
 """Start-up: disk and ellipse commands run on numpy alone.
 
 Importing scipy.interpolate is most of a fresh interpreter's start-up,
-and only point-table boundaries need it, for their periodic spline.
+and only point-table boundaries need it, for their periodic spline.  A
+Gaussian field needs scipy.special's erf for its line integrals.
 Each test runs commands through aradon.cli.main in a fresh interpreter
 and reads which scipy modules that interpreter has loaded.
 """
@@ -35,14 +36,14 @@ def scipy_modules(*commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def write_config(path, boundary):
+def write_config(path, boundary, a=None):
     doc = {
         "boundary": boundary,
         "modes": {"n": 8, "angles": 32},
         "quad": {"panels": 4, "points": 4},
         "grid": {"nx": 20, "ny": 20},
         "phantoms": {"f": {"name": "poly-bump"},
-                     "a": {"name": "poly-bump", "params": {"amplitude": 0.2}}},
+                     "a": a or {"name": "poly-bump", "params": {"amplitude": 0.2}}},
         "tolerances": {"s_samples": 512},
     }
     with open(path, "w") as fh:
@@ -76,6 +77,23 @@ def test_attenuated_disk_commands_load_no_scipy(tmp_path):
         ["check", "--config", cfg, "--out", str(tmp_path / "c2"), "--attenuated", sino],
         ["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"), "--attenuated", sino],
     ) == []
+
+
+def test_gaussian_attenuation_loads_special_only(tmp_path):
+    """A Gaussian `a` integrates along lines by scipy.special's erf,
+    imported at its first integral; the disk still needs no spline."""
+    cfg = write_config(tmp_path / "run.json", {"kind": "disk", "n_nodes": 128},
+                       a={"name": "gaussian-truncated",
+                          "params": {"sigma": 0.6, "amplitude": 0.3}})
+    cache = str(tmp_path / "factors.bin")
+    modules = scipy_modules(
+        ["forward", "--config", cfg, "--out", str(tmp_path / "fw")],
+        ["factors", "--config", cfg, "--out", str(tmp_path / "fa"), "--factors-cache", cache],
+        ["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"), "--attenuated",
+         "--factors-cache", cache, str(tmp_path / "fw" / "sinogram.bin")],
+    )
+    assert "scipy.special" in modules
+    assert not any(m.startswith("scipy.interpolate") for m in modules)
 
 
 def test_table_boundary_loads_interpolate(tmp_path):

@@ -36,8 +36,7 @@ def tracing():
 
 def _reconstruct(boundary, ang, a, trace):
     grid = bukhgeim.CartesianGrid(boundary, 16, 16)
-    factors = attenuation.build_h(a, boundary, ang, trace.n_modes, QuadSettings(4, 4),
-                                  s_samples=512)
+    factors = attenuation.build_h(a, boundary, ang, trace.n_modes, s_samples=512)
     return grid, attenuation.reconstruct_f_attenuated(trace, factors, grid)
 
 
