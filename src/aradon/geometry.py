@@ -29,6 +29,7 @@ ROOT_ITERS = 60            # cap on safeguarded Newton steps per arc crossing
 ROOT_STEP_TOL = 1e-13      # parameter step below which a Newton iterate counts as converged
 CURVATURE_FLOOR = 1e-6     # strictly positive curvature bound delta
 POINT_CHUNK = 128          # points per pass of the (points x curve samples) distance search
+FOOT_BISECTIONS = 60       # bisection steps on an ellipse's foot-point equation
 
 # Config-file spellings of the boundary kinds.
 KIND_ALIASES = {"disk": "unit-disk", "table": "generic"}
@@ -176,13 +177,37 @@ class ConvexBoundary:
     def distance_to_boundary(self, points):
         """Signed distance from each point to the curve, positive inside.
 
-        The sign is the side of the tangent at the Newton foot, exact on a
-        convex curve: the interior lies left of it.  The disk takes 1 - |p|.
+        The disk takes 1 - |p|.  An ellipse starts from the foot its
+        foot-point equation gives, a point table from the nearest of 8n
+        curve samples; six Newton steps on d/du |w(u) - p|^2 = 0 polish
+        the foot.  The sign is the side of the tangent at the foot, exact
+        on a convex curve: the interior lies left of it.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "unit-disk":
             d = 1.0 - np.hypot(pts[:, 0], pts[:, 1])
             return d if np.asarray(points).ndim == 2 else float(d[0])
+        u = self._ellipse_foot(pts) if self.kind == "ellipse" else self._nearest_sample(pts)
+        for _ in range(6):
+            w = self.position_at(u)
+            dw = self._derivative_at(u)
+            ddw = self._second_derivative_at(u)
+            r = w - pts
+            g = _dot(r, dw)
+            speed2 = _dot(dw, dw)
+            gp = speed2 + _dot(r, ddw)
+            # no step where gp is roundoff, as at an evolute's cusp: g is
+            # roundoff there too, and g / gp a jump to another critical point
+            flat = np.abs(gp) <= 8.0 * np.finfo(float).eps * (speed2 + _dot(np.abs(r), np.abs(ddw)))
+            step = np.where(flat, 0.0, g / np.where(flat, 1.0, gp))
+            u = u - np.clip(step, -0.5, 0.5)
+        r = pts - self.position_at(u)
+        d = np.hypot(r[:, 0], r[:, 1])
+        d = np.where(_cross(self._derivative_at(u), r) < 0.0, -d, d)
+        return d if np.asarray(points).ndim == 2 else float(d[0])
+
+    def _nearest_sample(self, pts):
+        """Parameter of the nearest of 8n curve samples to each point."""
         t = np.linspace(0.0, 2.0 * np.pi, 8 * self.n_nodes, endpoint=False)
         cand = self.position_at(t)
         # |p - c|^2 / 2 less its |p|^2 / 2, which is the same for every
@@ -194,21 +219,40 @@ class ConvexBoundary:
             p = pts[lo:lo + POINT_CHUNK]
             dot = np.matmul(p, cand.T, out=work[:len(p)])
             nearest[lo:lo + POINT_CHUNK] = np.argmin(np.subtract(half, dot, out=dot), axis=1)
-        u = t[nearest]
-        # Newton on d/du |w(u) - p|^2 = 0.
-        for _ in range(6):
-            w = self.position_at(u)
-            dw = self._derivative_at(u)
-            ddw = self._second_derivative_at(u)
-            r = w - pts
-            g = np.sum(r * dw, axis=1)
-            gp = np.sum(dw * dw, axis=1) + np.sum(r * ddw, axis=1)
-            step = g / np.where(np.abs(gp) > 1e-300, gp, 1e-300)
-            u = u - np.clip(step, -0.5, 0.5)
-        r = pts - self.position_at(u)
-        d = np.hypot(r[:, 0], r[:, 1])
-        d = np.where(_cross(self._derivative_at(u), r) < 0.0, -d, d)
-        return d if np.asarray(points).ndim == 2 else float(d[0])
+        return t[nearest]
+
+    def _ellipse_foot(self, pts):
+        """Parameter of each point's nearest point on the ellipse, from its
+        foot-point equation (D. Eberly, "Distance from a point to an ellipse,
+        an ellipsoid, or a hyperellipsoid", Geometric Tools, 2013).
+
+        Reflected into the first quadrant, longer semi-axis e0 first, and
+        divided by the semi-axes (no raw coordinate is squared), a point is
+        (z0, z1) and its foot (cos v, sin v), cos v = r z0 / (s + r - 1) with
+        r = e0^2 / e1^2 and s the root of the decreasing
+        (r z0 / (s + r - 1))^2 + (z1 / s)^2 - 1 between z1 and |(r z0, z1)|
+        (Eberly's t / e1^2 + 1); on the major axis inside the evolute s
+        tends to 0.  Bisection keeps the foot in the minimum's basin, which
+        Newton from the polar angle misses there (it is the maximum).
+        """
+        swap = self.b > self.a
+        e = np.array([self.b, self.a] if swap else [self.a, self.b])
+        # z1 > 0 keeps s > 0; a foot moved by 1e-308 is the same foot
+        z = np.maximum(np.abs(pts[:, ::-1] if swap else pts) / e, np.finfo(float).tiny)
+        r = (e[0] / e[1]) ** 2
+        rz, z1 = r * z[:, 0], z[:, 1].copy()
+        s = z1.copy()                    # the bracket's lower end, where G > 0
+        half = np.hypot(rz, z1) - s
+        for _ in range(FOOT_BISECTIONS):
+            half *= 0.5
+            mid = s + half
+            g = (rz / (mid + (r - 1.0))) ** 2 + (z1 / mid) ** 2
+            s = np.where(g > 1.0, mid, s)
+        c = np.minimum(rz / (s + (r - 1.0)), 1.0)
+        foot = np.column_stack([c, np.sqrt((1.0 - c) * (1.0 + c))])
+        if swap:
+            foot = foot[:, ::-1]
+        return np.arctan2(np.copysign(foot[:, 1], pts[:, 1]), np.copysign(foot[:, 0], pts[:, 0]))
 
     def interior_margin(self, n_spacings=3.0):
         """Margin below which quadrature kernels are under-resolved."""

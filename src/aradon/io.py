@@ -152,19 +152,27 @@ def read_sinogram(path, boundary=None, angular=None):
                     attenuated=bool(header["attenuated"]), meta=header.get("meta", {}))
 
 
+def _write_csv(path, head, row_format, blocks):
+    """CSV of the header `head` and one row per row of each (rows, cols)
+    block, each row `row_format` (say "%d,%.17g") applied to its values:
+    the bytes csv.writer writes for those strings, "\r\n" line ends and
+    no quoting, one string per block."""
+    line = row_format + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(head) + "\r\n")
+        for block in blocks:
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def sinogram_to_csv(path, sino):
     pos = sino.boundary.positions
     angles = sino.angular.angles
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "angle_index", "z_x", "z_y", "phi", "value"])
-        for i in range(sino.boundary.n_nodes):
-            for j in range(sino.angular.n_angles):
-                writer.writerow([
-                    i, j,
-                    "%.17g" % pos[i, 0], "%.17g" % pos[i, 1],
-                    "%.17g" % angles[j], "%.17g" % sino.data[i, j],
-                ])
+    m = sino.angular.n_angles
+    blocks = (np.column_stack([np.full(m, i), np.arange(m), np.full(m, pos[i, 0]),
+                               np.full(m, pos[i, 1]), angles, sino.data[i]])
+              for i in range(sino.boundary.n_nodes))
+    _write_csv(path, ["node_index", "angle_index", "z_x", "z_y", "phi", "value"],
+               "%d,%d,%.17g,%.17g,%.17g,%.17g", blocks)
 
 
 def write_residual_report(path, report, extra=None):
@@ -179,14 +187,9 @@ def write_residual_report(path, report, extra=None):
 
 def write_field_csv(path, xs, ys, picture):
     picture = np.asarray(picture)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for iy in range(len(ys)):
-            for ix in range(len(xs)):
-                writer.writerow([
-                    "%.17g" % xs[ix], "%.17g" % ys[iy], "%.17g" % picture[iy, ix],
-                ])
+    blocks = (np.column_stack([xs, np.full(len(xs), y), picture[iy]])
+              for iy, y in enumerate(ys))
+    _write_csv(path, ["x", "y", "value"], "%.17g,%.17g,%.17g", blocks)
 
 
 def read_field_csv(path):

@@ -6,7 +6,8 @@ a second operator ordering), so it can judge the library's outputs
 without sharing their quadratures.  It also holds the dense n x n
 principal-value kernel, the reference for the boundary sweep's S, the
 long-double node G of a disk or an ellipse, the reference for its FFT, the
-closed-form integrating factor of a bump attenuation on the disk, and the
+closed-form integrating factor of a bump attenuation on the disk, the
+signed distance by a search over curve samples, and the
 identities of the paper's Lemma 2.1 and the chord-length jump at
 tangency, which no command needs.  Tests import it like conftest.
 """
@@ -173,6 +174,40 @@ def nearest_param(boundary, point):
             break
         u = u - min(max(g / gp, -0.5), 0.5)
     return float(np.mod(u, 2.0 * np.pi))
+
+
+def searched_distance(boundary, points):
+    """Signed distance by search: for each point the nearest of 8n curve
+    samples by its own squared distances (in chunks of points, which
+    changes no point's values), six Newton steps on
+    d/du |w(u) - p|^2 = 0 over all points in one piece, and the side of
+    the tangent at the foot.  Coordinates are squared raw, so points stay
+    within about 1e150 of the curve."""
+    pts = np.asarray(points, dtype=float)
+    t = np.linspace(0.0, 2.0 * np.pi, 8 * boundary.n_nodes, endpoint=False)
+    cand = boundary.position_at(t)
+    nearest = np.empty(len(pts), dtype=int)
+    for lo in range(0, len(pts), 256):
+        p = pts[lo:lo + 256]
+        sq = (p[:, :1] - cand[:, 0]) ** 2 + (p[:, 1:] - cand[:, 1]) ** 2
+        nearest[lo:lo + 256] = np.argmin(sq, axis=1)
+    u = t[nearest]
+    for _ in range(6):
+        r = boundary.position_at(u) - pts
+        dw = boundary._derivative_at(u)
+        ddw = boundary._second_derivative_at(u)
+        g = np.sum(r * dw, axis=1)
+        gp = np.sum(dw * dw, axis=1) + np.sum(r * ddw, axis=1)
+        # no step where gp is roundoff (the point on the evolute, the sample
+        # at its foot): g / gp would jump to another critical point
+        flat = np.abs(gp) <= 8.0 * np.finfo(float).eps * (
+            np.sum(dw * dw, axis=1) + np.sum(np.abs(r * ddw), axis=1))
+        step = np.where(flat, 0.0, g / np.where(flat, 1.0, gp))
+        u = u - np.clip(step, -0.5, 0.5)
+    r = pts - boundary.position_at(u)
+    d = np.hypot(r[:, 0], r[:, 1])
+    dw = boundary._derivative_at(u)
+    return np.where(dw[:, 0] * r[:, 1] - dw[:, 1] * r[:, 0] < 0.0, -d, d)
 
 
 def _trig_interp_columns(data, u_query):

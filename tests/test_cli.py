@@ -13,13 +13,15 @@ import sys
 import numpy as np
 import pytest
 
+import aradon.config
 from aradon import io as aio
-from aradon.bukhgeim import range_residual_0
+from aradon.bukhgeim import CartesianGrid, range_residual_0
 from aradon.cli import main
 from aradon.config import load_config
-from aradon.geometry import ConvexBoundary
+from aradon.geometry import ON_BOUNDARY_TOL, ConvexBoundary
 from aradon.harmonics import project_minus
 from aradon.xray import forward_sinogram, phantom
+from oracles import searched_distance
 
 
 def write_config(path, **overrides):
@@ -209,6 +211,32 @@ class TestReconstructCommand:
                      sino]) == 0
         assert [s for s in calls if s != (2,)] == [(20 * 20, 2)]
         assert len(calls) == 1 + (2 if attenuated else 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_odd_grid_on_long_ellipse(self, tmp_path, monkeypatch):
+        """A 33 x 33 grid of the 3 x 1 ellipse has points on the centre and
+        on both axes; the grid the reconstruct builds reads the search's
+        signed distance there, and nothing warns."""
+        grids = []
+
+        class Recorded(CartesianGrid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                grids.append(self)
+
+        monkeypatch.setattr(aradon.config, "CartesianGrid", Recorded)
+        boundary = {"kind": "ellipse", "n_nodes": 128, "a": 3.0, "b": 1.0}
+        cfg, sino = self._sinogram(tmp_path, boundary, grid={"nx": 33, "ny": 33})
+        assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "rec"),
+                     sino]) == 0
+        (grid,) = grids
+        pts = grid.points_all
+        assert np.any(np.all(pts == 0.0, axis=1))
+        assert np.sum(pts[:, 0] == 0.0) == 33 and np.sum(pts[:, 1] == 0.0) == 33
+        ref = searched_distance(grid.boundary, pts)
+        assert np.max(np.abs(grid.distance - ref[grid.valid])) <= 1e-14
+        assert np.array_equal(grid.inside, ref >= -ON_BOUNDARY_TOL)
+        assert np.array_equal(grid.valid, ref >= grid.margin)
 
     def test_grid_margin_below_kernel_margin_exits_two(self, tmp_path, capsys):
         """The interior kernels need every grid point 3h from the curve: a

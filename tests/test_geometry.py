@@ -7,7 +7,7 @@ import pytest
 from aradon.bukhgeim import CartesianGrid
 from aradon.errors import NonConvex, TooFewNodes
 from aradon.geometry import ON_BOUNDARY_TOL, make_boundary
-from oracles import tau_angular_jump
+from oracles import searched_distance, tau_angular_jump
 
 
 def ellipse_chord_oracle(a, b, z, d):
@@ -338,9 +338,11 @@ class TestExtent:
 
 class TestDistanceToBoundary:
     def test_chunked_search_exact_and_bounded(self):
-        """4096 points on the 512-node 1.5 x 1 ellipse: small peak, unchanged
-        magnitudes, the sign of the side of the tangent at the foot."""
-        b = make_boundary("ellipse", 512, a=1.5, b=1.0)
+        """4096 points on the 512-node table of the 1.5 x 1 ellipse, the
+        kind that searches curve samples: small peak, the search's bits,
+        the sign of the side of the tangent at the foot."""
+        ell = make_boundary("ellipse", 512, a=1.5, b=1.0)
+        b = make_boundary("table", 512, table=ell.positions)
         xs, ys = np.meshgrid(np.linspace(-1.6, 1.6, 64), np.linspace(-1.1, 1.1, 64))
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         tracemalloc.start()
@@ -353,21 +355,90 @@ class TestDistanceToBoundary:
 
         # reference: the nearest of 8n candidates for each point on its own,
         # then the Newton polish over all points in one piece
-        t = np.linspace(0.0, 2.0 * np.pi, 8 * b.n_nodes, endpoint=False)
-        cand = b.position_at(t)
-        u = t[[np.argmin((x - cand[:, 0]) ** 2 + (y - cand[:, 1]) ** 2) for x, y in pts]]
-        for _ in range(6):
-            r = b.position_at(u) - pts
-            dw = b._derivative_at(u)
-            g = np.sum(r * dw, axis=1)
-            gp = np.sum(dw * dw, axis=1) + np.sum(r * b._second_derivative_at(u), axis=1)
-            step = g / np.where(np.abs(gp) > 1e-300, gp, 1e-300)
-            u = u - np.clip(step, -0.5, 0.5)
-        ref = np.hypot(*(b.position_at(u) - pts).T)
-        assert np.array_equal(np.abs(d), ref)
+        assert np.array_equal(d, searched_distance(b, pts))
         form = (pts[:, 0] / 1.5) ** 2 + pts[:, 1] ** 2
         assert np.array_equal(d > 0.0, form < 1.0)
         assert 0 < np.sum(d > 0.0) < len(pts)
+
+
+def _cusps(b):
+    """The ellipse's evolute cusps on its major axis, as offsets along it."""
+    e0, e1 = max(b.a, b.b), min(b.a, b.b)
+    return np.array([-1.0, 1.0]) * (e0 ** 2 - e1 ** 2) / e0
+
+
+def _on_major_axis(b, along, off):
+    """Points at offsets `along` the ellipse's major axis, `off` across it."""
+    pts = np.column_stack(np.broadcast_arrays(np.asarray(along, dtype=float),
+                                              np.asarray(off, dtype=float)))
+    return pts[:, ::-1] if b.b > b.a else pts
+
+
+class TestEllipseDistance:
+    """The ellipse's foot from its foot-point equation against the search."""
+
+    @staticmethod
+    def _points(b, rng):
+        """Random points round the ellipse, both axes, the centre, lines
+        1e-9 and 1e-6 off the major axis, and points 1e-10 either side of
+        the curve.  The lines' 240 points miss the evolute's cusps (see
+        test_cusps)."""
+        pts = [rng.uniform(-1.3 * np.array([b.a, b.b]), 1.3 * np.array([b.a, b.b]), size=(20000, 2))]
+        line = np.linspace(-1.2, 1.2, 240)
+        pts += [_on_major_axis(b, line * max(b.a, b.b), off)
+                for off in (0.0, 1e-9, -1e-9, 1e-6, -1e-6)]
+        pts.append(_on_major_axis(b, 0.0, line * min(b.a, b.b)))    # the minor axis
+        u = np.linspace(0.0, 2.0 * np.pi, 1001)
+        normal = b.position_at(u) / np.array([b.a, b.b]) ** 2
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        pts += [b.position_at(u) + 1e-10 * normal, b.position_at(u) - 1e-10 * normal]
+        return np.vstack(pts + [np.zeros((1, 2))])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 1.5)],
+                             ids=["1.5x1", "2x1", "3x1", "1x1.5"])
+    def test_against_search(self, axes):
+        """Within 1e-14 of the search, with its sign wherever the curve is
+        more than roundoff away."""
+        b = make_boundary("ellipse", 512, a=axes[0], b=axes[1])
+        pts = self._points(b, np.random.default_rng(11))
+        d = b.distance_to_boundary(pts)
+        ref = searched_distance(b, pts)
+        assert np.max(np.abs(d - ref)) <= 1e-14
+        clear = np.abs(ref) > 1e-15
+        assert np.array_equal(np.sign(d[clear]), np.sign(ref[clear]))
+        assert np.sum(d > 0.0) > 1000 and np.sum(d < 0.0) > 1000
+        assert b.distance_to_boundary(np.zeros(2)) == pytest.approx(min(axes), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("axes", [(1.5, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 1.5)],
+                             ids=["1.5x1", "2x1", "3x1", "1x1.5"])
+    def test_cusps(self, axes):
+        """At the evolute's cusps, on the major axis and 1e-9 and 1e-6 off
+        it, within 1e-14 of the nearest of 400001 curve samples round the
+        vertex.  The search is no reference there: the distance is quartic
+        in the foot and Newton's denominator vanishes at the vertex, so six
+        steps from the nearest of 8n samples stop short of the foot."""
+        b = make_boundary("ellipse", 512, a=axes[0], b=axes[1])
+        pts = np.vstack([_on_major_axis(b, _cusps(b), off)
+                         for off in (0.0, 1e-9, -1e-9, 1e-6, -1e-6)])
+        u = np.linspace(-0.2, 0.2, 400001) + (0.0 if b.a >= b.b else 0.5 * np.pi)
+        w = np.vstack([b.position_at(u), -b.position_at(u)])
+        dense = np.array([np.min(np.hypot(w[:, 0] - x, w[:, 1] - y)) for x, y in pts])
+        assert np.max(np.abs(b.distance_to_boundary(pts) - dense)) <= 1e-14
+
+    def test_memory_bounded(self):
+        """The 64 x 64 grid of the 512-node 1.5 x 1 ellipse: small peak."""
+        b = make_boundary("ellipse", 512, a=1.5, b=1.0)
+        xs, ys = np.meshgrid(np.linspace(-1.6, 1.6, 64), np.linspace(-1.1, 1.1, 64))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        tracemalloc.start()
+        try:
+            b.distance_to_boundary(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestContains:

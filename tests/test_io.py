@@ -1,4 +1,5 @@
 """File-format round trips: binary containers, CSV exports, caches."""
+import csv
 import json
 
 import numpy as np
@@ -58,6 +59,42 @@ class TestSinogram:
         assert rows[k, 5] == sino.data[i, j]
         assert abs(rows[k, 4] - ang.angles[j]) < 1e-15
         assert np.allclose(rows[k, 2:4], disk256.positions[i], atol=1e-15)
+
+
+def _csv_writer_bytes(path, head, rows):
+    """The file csv.writer makes of `head` and the rows, for the writers'
+    byte-for-byte reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(head)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestCsvBytes:
+    """Both CSV writers give the bytes of csv.writer on "%.17g" strings."""
+
+    def test_field(self, tmp_path):
+        xs = np.linspace(-1.5, 1.5, 9)
+        ys = np.array([-1.0, -0.0, 1e-300, 0.7])
+        pic = np.random.default_rng(2).standard_normal((4, 9)) * 10.0 ** np.linspace(-150, 200, 9)
+        pic[0, :5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        write_field_csv(tmp_path / "new.csv", xs, ys, pic)
+        rows = [["%.17g" % x, "%.17g" % y, "%.17g" % pic[iy, ix]]
+                for iy, y in enumerate(ys) for ix, x in enumerate(xs)]
+        ref = _csv_writer_bytes(tmp_path / "ref.csv", ["x", "y", "value"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == ref
+
+    def test_sinogram(self, tmp_path, disk256):
+        sino = forward_sinogram(
+            phantom("poly-bump", disk256), phantom("zero", disk256), disk256, AngularGrid(16)
+        )
+        sinogram_to_csv(tmp_path / "new.csv", sino)
+        pos, angles = disk256.positions, sino.angular.angles
+        rows = [[i, j, "%.17g" % pos[i, 0], "%.17g" % pos[i, 1], "%.17g" % angles[j],
+                 "%.17g" % sino.data[i, j]] for i in range(256) for j in range(16)]
+        head = ["node_index", "angle_index", "z_x", "z_y", "phi", "value"]
+        assert (tmp_path / "new.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", head, rows)
 
 
 class TestFieldCsv:
