@@ -43,13 +43,23 @@ import warnings
 import numpy as np
 
 from .errors import (AradonError, ConfigError, GridMismatch, InconsistentInput,
-                     SupportViolation)
-from .config import load_config, parse_config
+                     NonConvex, SupportViolation)
+from .config import SWEEP_AXES, load_config, parse_config
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
 from .bukhgeim import range_residual_0, reconstruct_f0
 from .attenuation import build_h, range_residual_a, reconstruct_f_attenuated
 from . import io as aio
+
+
+# The arguments a subcommand may take beyond --config and --out.
+_ARGUMENTS = {
+    "--attenuated": dict(action="store_true", help="use the attenuation phantom from the config"),
+    "--factors-cache": dict(help="integrating-factor cache file to reuse or create"),
+    "--csv": dict(action="store_true", help="also export the sinogram as CSV"),
+    "sinogram": dict(help="path to a sinogram file"),
+    "axis": dict(choices=SWEEP_AXES),
+}
 
 
 def _build_parser():
@@ -60,28 +70,23 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sino_arg=False):
+    def command(name, summary, *arguments):
+        """A subcommand that takes only the arguments it reads."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (default: config io.out_dir)")
-        p.add_argument("--factors-cache", default=None,
-                       help="integrating-factor cache file to reuse or create")
-        p.add_argument("--attenuated", action="store_true",
-                       help="use the attenuation phantom from the config")
-        if sino_arg:
-            p.add_argument("sinogram", help="path to a sinogram file")
+        for arg in arguments:
+            p.add_argument(arg, **_ARGUMENTS[arg])
 
-    common(sub.add_parser("phantom", help="evaluate the source phantom on the grid"))
-    fw = sub.add_parser("forward", help="compute boundary data for the configured phantoms")
-    common(fw)
-    fw.add_argument("--csv", action="store_true", help="also export the sinogram as CSV")
-    common(sub.add_parser("check", help="test boundary data against the range condition"),
-           sino_arg=True)
-    common(sub.add_parser("reconstruct", help="recover the source from boundary data"),
-           sino_arg=True)
-    common(sub.add_parser("factors", help="build and cache the integrating factors"))
-    sw = sub.add_parser("sweep", help="run the cycle across a resolution ladder")
-    common(sw)
-    sw.add_argument("axis", choices=("nodes", "modes", "angles", "quad"))
+    command("phantom", "evaluate the source phantom on the grid", "--attenuated")
+    command("forward", "compute boundary data for the configured phantoms",
+            "--attenuated", "--csv")
+    command("check", "test boundary data against the range condition",
+            "--attenuated", "--factors-cache", "sinogram")
+    command("reconstruct", "recover the source from boundary data",
+            "--attenuated", "--factors-cache", "sinogram")
+    command("factors", "build and cache the integrating factors", "--factors-cache")
+    command("sweep", "run the cycle across a resolution ladder", "--attenuated", "axis")
     return parser
 
 
@@ -223,7 +228,7 @@ def cmd_forward(cfg, args):
     sino = _forward(cfg, args.attenuated)
     path = os.path.join(out, "sinogram.bin")
     aio.write_sinogram(path, sino, config_hash=cfg.config_hash)
-    if getattr(args, "csv", False):
+    if args.csv:
         aio.sinogram_to_csv(os.path.join(out, "sinogram.csv"), sino)
     boundary, angular = sino.boundary, sino.angular
     dirs = np.stack([np.cos(angular.angles), np.sin(angular.angles)], axis=1)
@@ -299,33 +304,16 @@ def cmd_factors(cfg, args):
     return 0
 
 
-_SWEEP_DEFAULTS = {
-    "nodes": (128, 256, 512),
-    "modes": (8, 16, 32),
-    "angles": (64, 128, 256),
-    "quad": (2, 4, 8),
-}
-
-
 def _rung_config(cfg, axis, value):
+    section, key, _ = SWEEP_AXES[axis]
     doc = json.loads(json.dumps(cfg.raw))
-    doc.setdefault("boundary", {})
-    doc.setdefault("modes", {})
-    doc.setdefault("quad", {})
-    if axis == "nodes":
-        doc["boundary"]["n_nodes"] = value
-    elif axis == "modes":
-        doc["modes"]["n"] = value
-    elif axis == "angles":
-        doc["modes"]["angles"] = value
-    elif axis == "quad":
-        doc["quad"]["panels"] = value
+    doc.setdefault(section, {})[key] = value
     return parse_config(doc)
 
 
 def cmd_sweep(cfg, args):
     out = _outdir(cfg, args)
-    values = list(cfg.sweep_values or _SWEEP_DEFAULTS[args.axis])
+    values = cfg.sweep_values or SWEEP_AXES[args.axis][2]
     path = os.path.join(out, "sweep_%s.csv" % args.axis)
     failed = None
     with open(path, "w", newline="") as fh:
@@ -344,7 +332,7 @@ def cmd_sweep(cfg, args):
                 rr = _residual(trace, factors)
                 pic, _, _ = _reconstruct(rung, trace, factors, grid)
                 err = _recon_error(rung, grid, pic, rung.make_phantom("f", sino.boundary))
-            except SupportViolation:
+            except (SupportViolation, NonConvex):
                 raise                            # the same on every rung: exit 2
             except (AradonError, ValueError) as exc:
                 failed = "rung %s=%d failed: %s" % (args.axis, value, exc)
@@ -378,7 +366,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, GridMismatch, SupportViolation) as exc:
+    except (ConfigError, GridMismatch, NonConvex, SupportViolation) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

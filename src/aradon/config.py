@@ -1,34 +1,67 @@
 """Run configuration: one JSON document, validated before any compute.
 
-Unknown keys are rejected so typos fail loudly.  The config hash (first
-16 hex chars of the sha256 of the canonical JSON) is embedded in every
-output file for provenance.
+Every key a config may hold is one entry of KEYS, which gives its type,
+default and bound; unknown keys are rejected so typos fail loudly.  The
+config hash (first 16 hex chars of the sha256 of the canonical JSON) is
+embedded in every output file for provenance.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
 
 from .errors import ConfigError
 from .geometry import KIND_ALIASES, make_boundary
 from .harmonics import AngularGrid
-from .xray import QuadSettings, phantom
+from .xray import PHANTOMS, POSITIVE_PARAMS, QuadSettings, phantom
 from .bukhgeim import CartesianGrid
 
-# The params each phantom takes.
-_PHANTOM_PARAMS = {
-    "poly-bump": ("amplitude",),
-    "shifted-poly-bump": ("center", "radius", "amplitude"),
-    "gaussian-truncated": ("center", "sigma", "amplitude"),
-    "zero": (),
+# Config spellings of the boundary kinds, each the value it reads as.
+_KINDS = {"disk": "disk", "ellipse": "ellipse", "table": "table",
+          **{name: key for key, name in KIND_ALIASES.items()}}
+
+# Every config key: (section, key, RunConfig attribute, type, default,
+# bound).  A type is int, float, str, a choice (a mapping of each accepted
+# spelling to its value), list (of integers) or "phantom" (an object of a
+# name from xray.PHANTOMS, whose default is given, and its params).  A
+# bound is (">=", x) or (">", x).  grid.margin's None is the boundary's
+# own minimum (CartesianGrid).
+KEYS = (
+    ("boundary", "kind", "boundary_kind", _KINDS, "disk", None),
+    ("boundary", "n_nodes", "n_nodes", int, 512, (">=", 16)),
+    ("boundary", "a", "boundary_a", float, 1.0, (">", 0.0)),
+    ("boundary", "b", "boundary_b", float, 1.0, (">", 0.0)),
+    ("boundary", "table_path", "table_path", str, "", None),
+    ("modes", "n", "n_modes", int, 32, (">=", 1)),
+    ("modes", "angles", "n_angles", int, 128, (">=", 4)),
+    ("quad", "panels", "quad_panels", int, 8, (">=", 1)),
+    ("quad", "points", "quad_points", int, 8, (">=", 1)),
+    ("grid", "nx", "grid_nx", int, 64, (">=", 2)),
+    ("grid", "ny", "grid_ny", int, 64, (">=", 2)),
+    ("grid", "margin", "grid_margin", float, None, (">=", 0.0)),
+    ("phantoms", "f", "phantom_f", "phantom", "poly-bump", None),
+    ("phantoms", "a", "phantom_a", "phantom", "zero", None),
+    ("io", "out_dir", "out_dir", str, ".", None),
+    ("tolerances", "residual_gate", "residual_gate", float, 0.01, (">=", 0.0)),
+    ("tolerances", "recon_gate", "recon_gate", float, 0.05, (">=", 0.0)),
+    ("tolerances", "tol_neg", "tol_neg", float, 1e-6, (">=", 0.0)),
+    ("tolerances", "tol_identity", "tol_identity", float, 1e-8, (">=", 0.0)),
+    ("tolerances", "s_samples", "s_samples", int, 2048, (">=", 64)),
+    ("tolerances", "error_radius", "error_radius", float, 0.9, (">=", 0.0)),
+    ("sweep", "values", "sweep_values", list, (), None),
+)
+
+# Each section's keys.
+_SECTIONS = {section: [key for sec, key, *_ in KEYS if sec == section]
+             for section in dict.fromkeys(entry[0] for entry in KEYS)}
+
+# Each sweep axis: the config key its rungs set, and its default rungs.
+SWEEP_AXES = {
+    "nodes": ("boundary", "n_nodes", (128, 256, 512)),
+    "modes": ("modes", "n", (8, 16, 32)),
+    "angles": ("modes", "angles", (64, 128, 256)),
+    "quad": ("quad", "panels", (2, 4, 8)),
 }
-
-
-def _expect_mapping(doc, key, where):
-    val = doc.get(key, {})
-    if not isinstance(val, dict):
-        raise ConfigError("%s.%s: expected an object" % (where, key))
-    return dict(val)
 
 
 def _reject_unknown(d, allowed, where):
@@ -37,52 +70,82 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError("%s: unknown keys %s" % (where, sorted(extra)))
 
 
-def _get_num(d, key, where, default, lo=None, integer=False, above=None):
-    val = d.get(key, default)
-    if val is None and key not in d:
-        return None
+def _section(doc, key, where, allowed):
+    """doc[key] ({} when absent): an object of `allowed` keys only."""
+    val = doc.get(key, {})
+    if not isinstance(val, dict):
+        raise ConfigError("%s.%s: expected an object" % (where, key))
+    _reject_unknown(val, allowed, "%s.%s" % (where, key))
+    return dict(val)
+
+
+def _number(val, path, integer=False, bound=None):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError("%s.%s: expected a number" % (where, key))
+        raise ConfigError("%s: expected a number" % path)
     # json reads NaN, Infinity and overflowing literals such as 1e400.  No
     # size, length, amplitude or tolerance of a run comes near 1e6; a larger
     # one would overflow a square or an allocation long before it ran.
     if not abs(val) <= 1e6:
-        raise ConfigError("%s.%s: expected a finite number of size at most 1e6"
-                          % (where, key))
+        raise ConfigError("%s: expected a finite number of size at most 1e6" % path)
     if integer and int(val) != val:
-        raise ConfigError("%s.%s: expected an integer" % (where, key))
-    if lo is not None and val < lo:
-        raise ConfigError("%s.%s: must be >= %s" % (where, key, lo))
-    if above is not None and val <= above:
-        raise ConfigError("%s.%s: must be > %s" % (where, key, above))
+        raise ConfigError("%s: expected an integer" % path)
+    if bound and (val <= bound[1] if bound[0] == ">" else val < bound[1]):
+        raise ConfigError("%s: must be %s %s" % (path, bound[0], bound[1]))
     return int(val) if integer else float(val)
 
 
-@dataclass
+def _numbers(val, path, expected, integer=False, length=None):
+    """The numbers of a JSON list; `expected` words what it must hold."""
+    if not isinstance(val, list) or None in val or length not in (None, len(val)):
+        raise ConfigError("%s: expected %s" % (path, expected))
+    return [_number(v, path, integer) for v in val]
+
+
+def _phantom_spec(d, where, key, default_name):
+    path = "%s.%s" % (where, key)
+    spec = _section(d, key, where, ("name", "params"))
+    name = spec.get("name", default_name)
+    if not isinstance(name, str) or name not in PHANTOMS:
+        raise ConfigError("%s.name: unknown phantom %r (choices: %s)"
+                          % (path, name, ", ".join(PHANTOMS)))
+    params = _section(spec, "params", path, PHANTOMS[name])
+    for key, val in params.items():
+        where = "%s.params.%s" % (path, key)
+        if isinstance(PHANTOMS[name][key], tuple):
+            _numbers(val, where, "two numbers", length=2)
+        else:
+            _number(val, where, bound=(">", 0.0) if key in POSITIVE_PARAMS else None)
+    return {"name": name, "params": params}
+
+
+def _value(d, where, key, kind, default, bound):
+    """The checked value of `key` in the section `d` at `where`."""
+    if kind == "phantom":
+        return _phantom_spec(d, where, key, default)
+    path = "%s.%s" % (where, key)
+    if key not in d:
+        return default
+    val = d[key]
+    if kind is str:
+        if not isinstance(val, str):
+            raise ConfigError("%s: expected a string" % path)
+        return val
+    if kind is list:
+        return tuple(_numbers(val, path, "a list of integers", integer=True))
+    if isinstance(kind, dict):
+        if not isinstance(val, str) or val not in kind:
+            raise ConfigError("%s: unknown %s %r" % (path, key, val))
+        return kind[val]
+    return _number(val, path, kind is int, bound)
+
+
 class RunConfig:
-    raw: dict
-    boundary_kind: str
-    n_nodes: int
-    boundary_a: float
-    boundary_b: float
-    table_path: str
-    n_modes: int
-    n_angles: int
-    quad_panels: int
-    quad_points: int
-    grid_nx: int
-    grid_ny: int
-    grid_margin: float  # None means the default interior margin
-    phantom_f: dict = field(default_factory=dict)
-    phantom_a: dict = field(default_factory=dict)
-    out_dir: str = "."
-    residual_gate: float = 0.01
-    recon_gate: float = 0.05
-    tol_neg: float = 1e-6
-    tol_identity: float = 1e-8
-    s_samples: int = 2048
-    error_radius: float = 0.9
-    sweep_values: tuple = ()
+    """A checked config: `raw`, the document as read, and one attribute
+    per key, named in its KEYS entry."""
+
+    def __init__(self, raw, **values):
+        self.raw = raw
+        vars(self).update(values)
 
     @property
     def config_hash(self):
@@ -113,128 +176,24 @@ class RunConfig:
         return phantom(spec["name"], boundary, params=spec.get("params"))
 
 
-def _phantom_spec(d, key, where, default_name):
-    spec = _expect_mapping(d, key, where)
-    _reject_unknown(spec, ("name", "params"), "%s.%s" % (where, key))
-    name = spec.get("name", default_name)
-    if not isinstance(name, str) or name not in _PHANTOM_PARAMS:
-        raise ConfigError(
-            "%s.%s.name: unknown phantom %r (choices: %s)"
-            % (where, key, name, ", ".join(_PHANTOM_PARAMS))
-        )
-    params = _expect_mapping(spec, "params", "%s.%s" % (where, key))
-    where = "%s.%s.params" % (where, key)
-    _reject_unknown(params, _PHANTOM_PARAMS[name], where)
-    center = params.get("center", [0.0, 0.0])
-    if not isinstance(center, list) or len(center) != 2 or None in center:
-        raise ConfigError("%s.center: expected two numbers" % where)
-    for c in center:
-        _get_num({"center": c}, "center", where, None)
-    _get_num(params, "amplitude", where, None)
-    for positive in ("radius", "sigma"):
-        _get_num(params, positive, where, None, above=0.0)
-    return {"name": name, "params": params}
-
-
 def parse_config(doc):
     """Validate a config mapping and return a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    _reject_unknown(
-        doc,
-        ("boundary", "modes", "quad", "grid", "phantoms", "io", "tolerances", "sweep"),
-        "config",
-    )
-    b = _expect_mapping(doc, "boundary", "config")
-    _reject_unknown(b, ("kind", "n_nodes", "a", "b", "table_path"), "config.boundary")
-    kind = b.get("kind", "disk")
-    if kind not in ("ellipse", *KIND_ALIASES, *KIND_ALIASES.values()):
-        raise ConfigError("config.boundary.kind: unknown kind %r" % (kind,))
-    kind = {v: k for k, v in KIND_ALIASES.items()}.get(kind, kind)
-    n_nodes = _get_num(b, "n_nodes", "config.boundary", 512, lo=16, integer=True)
-    ba = _get_num(b, "a", "config.boundary", 1.0, above=0.0)
-    bb = _get_num(b, "b", "config.boundary", 1.0, above=0.0)
-    table_path = b.get("table_path", "")
-    if kind == "table" and not table_path:
+    _reject_unknown(doc, _SECTIONS, "config")
+    sections = {section: _section(doc, section, "config", keys)
+                for section, keys in _SECTIONS.items()}
+    cfg = RunConfig(doc, **{
+        attr: _value(sections[section], "config." + section, key, kind, default, bound)
+        for section, key, attr, kind, default, bound in KEYS})
+    if cfg.boundary_kind == "table" and not cfg.table_path:
         raise ConfigError("config.boundary.table_path: required for kind 'table'")
-
-    m = _expect_mapping(doc, "modes", "config")
-    _reject_unknown(m, ("n", "angles"), "config.modes")
-    n_modes = _get_num(m, "n", "config.modes", 32, lo=1, integer=True)
-    n_angles = _get_num(m, "angles", "config.modes", 128, lo=4, integer=True)
-    if n_angles < 2 * n_modes + 2:
+    if cfg.n_angles < 2 * cfg.n_modes + 2:
         raise ConfigError(
             "config.modes.angles: %d angles cannot resolve N=%d modes "
-            "(need >= 2N+2 = %d)" % (n_angles, n_modes, 2 * n_modes + 2)
+            "(need >= 2N+2 = %d)" % (cfg.n_angles, cfg.n_modes, 2 * cfg.n_modes + 2)
         )
-
-    q = _expect_mapping(doc, "quad", "config")
-    _reject_unknown(q, ("panels", "points"), "config.quad")
-    panels = _get_num(q, "panels", "config.quad", 8, lo=1, integer=True)
-    points = _get_num(q, "points", "config.quad", 8, lo=1, integer=True)
-
-    g = _expect_mapping(doc, "grid", "config")
-    _reject_unknown(g, ("nx", "ny", "margin"), "config.grid")
-    nx = _get_num(g, "nx", "config.grid", 64, lo=2, integer=True)
-    ny = _get_num(g, "ny", "config.grid", 64, lo=2, integer=True)
-    margin = _get_num(g, "margin", "config.grid", None, lo=0.0)
-
-    ph = _expect_mapping(doc, "phantoms", "config")
-    _reject_unknown(ph, ("f", "a"), "config.phantoms")
-    f_spec = _phantom_spec(ph, "f", "config.phantoms", "poly-bump")
-    a_spec = _phantom_spec(ph, "a", "config.phantoms", "zero")
-
-    io_d = _expect_mapping(doc, "io", "config")
-    _reject_unknown(io_d, ("out_dir",), "config.io")
-    out_dir = io_d.get("out_dir", ".")
-
-    t = _expect_mapping(doc, "tolerances", "config")
-    _reject_unknown(
-        t,
-        ("residual_gate", "recon_gate", "tol_neg", "tol_identity",
-         "s_samples", "error_radius"),
-        "config.tolerances",
-    )
-    residual_gate = _get_num(t, "residual_gate", "config.tolerances", 0.01, lo=0.0)
-    recon_gate = _get_num(t, "recon_gate", "config.tolerances", 0.05, lo=0.0)
-    tol_neg = _get_num(t, "tol_neg", "config.tolerances", 1e-6, lo=0.0)
-    tol_identity = _get_num(t, "tol_identity", "config.tolerances", 1e-8, lo=0.0)
-    s_samples = _get_num(t, "s_samples", "config.tolerances", 2048, lo=64, integer=True)
-    error_radius = _get_num(t, "error_radius", "config.tolerances", 0.9, lo=0.0)
-
-    sw = _expect_mapping(doc, "sweep", "config")
-    _reject_unknown(sw, ("values",), "config.sweep")
-    values = sw.get("values", [])
-    if not isinstance(values, list) or None in values:
-        raise ConfigError("config.sweep.values: expected a list of integers")
-    values = [_get_num({"values": v}, "values", "config.sweep", None, integer=True)
-              for v in values]
-
-    return RunConfig(
-        raw=doc,
-        boundary_kind=kind,
-        n_nodes=n_nodes,
-        boundary_a=ba,
-        boundary_b=bb,
-        table_path=table_path,
-        n_modes=n_modes,
-        n_angles=n_angles,
-        quad_panels=panels,
-        quad_points=points,
-        grid_nx=nx,
-        grid_ny=ny,
-        grid_margin=margin,
-        phantom_f=f_spec,
-        phantom_a=a_spec,
-        out_dir=out_dir,
-        residual_gate=residual_gate,
-        recon_gate=recon_gate,
-        tol_neg=tol_neg,
-        tol_identity=tol_identity,
-        s_samples=s_samples,
-        error_radius=error_radius,
-        sweep_values=tuple(values),
-    )
+    return cfg
 
 
 def load_config(path):
@@ -246,11 +205,6 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     cfg = parse_config(doc)
-    if cfg.boundary_kind == "table":
-        import os
-
-        if not os.path.exists(cfg.table_path):
-            raise ConfigError(
-                "config.boundary.table_path: no such file: %s" % cfg.table_path
-            )
+    if cfg.boundary_kind == "table" and not os.path.exists(cfg.table_path):
+        raise ConfigError("config.boundary.table_path: no such file: %s" % cfg.table_path)
     return cfg

@@ -11,6 +11,7 @@ readers verify it before trusting the data.
 import csv
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -148,7 +149,7 @@ def read_sinogram(path, boundary=None, angular=None):
                           % (path, len(payload), shape[0], shape[1]))
     boundary, angular = _grids(header, path, boundary, angular)
     data = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    return Sinogram(boundary, angular, data.copy(),
+    return Sinogram(boundary, angular, data,
                     attenuated=bool(header["attenuated"]), meta=header.get("meta", {}))
 
 
@@ -304,16 +305,21 @@ def read_factors_cache(path, boundary=None, angular=None):
 
 
 def read_boundary_table(path):
-    """Boundary node table: CSV of x,y rows, closed implicitly."""
+    """Boundary node table: CSV of x,y rows, closed implicitly.  A row that
+    is not two finite numbers is a ConfigError naming the file and line."""
     pts = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:  # a bad byte fails its row
         reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() in ("x", ""):
-                continue
-            pts.append([float(row[0]), float(row[1])])
-    if len(pts) < 3:
-        raise ConfigError("%s: boundary table needs at least 3 points" % path)
+        try:
+            for row in reader:
+                if not row or row[0].strip().startswith("#"):
+                    continue
+                if row[0].strip().lower() in ("x", ""):
+                    continue
+                pts.append([float(row[0]), float(row[1])])
+                if not all(map(math.isfinite, pts[-1])):
+                    raise ValueError("a coordinate is not finite")
+        except (ValueError, IndexError, csv.Error) as exc:
+            raise ConfigError("%s, line %d: expected an x,y row of finite numbers (%s)"
+                              % (path, reader.line_num, exc))
     return np.asarray(pts, dtype=float)

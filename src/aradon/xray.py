@@ -151,6 +151,17 @@ def _bump(name, boundary, center, radius, amp, params):
     return ScalarField(f, line, name=name, params=params, support=(c, r), center=c)
 
 
+# The shipped phantoms: each one's params and their defaults.  A support
+# radius or a width (POSITIVE_PARAMS) must be positive.
+PHANTOMS = {
+    "poly-bump": {"amplitude": 1.0},
+    "shifted-poly-bump": {"center": (0.3, 0.15), "radius": 0.55, "amplitude": 1.0},
+    "gaussian-truncated": {"center": (0.0, 0.0), "sigma": 0.18, "amplitude": 1.0},
+    "zero": {},
+}
+POSITIVE_PARAMS = ("radius", "sigma")
+
+
 def phantom(name, boundary, params=None):
     """Named analytic test field on the given domain.
 
@@ -166,20 +177,20 @@ def phantom(name, boundary, params=None):
     to -2 off / sigma^2 times that; scipy.special.erf is imported at the
     first such integral.
     """
-    p = dict(params or {})
+    if not isinstance(name, str) or name not in PHANTOMS:
+        raise UnknownPhantom("unknown phantom %r" % (name,))
+    p = {**PHANTOMS[name], **(params or {})}
     if name == "poly-bump":
-        amp = float(p.get("amplitude", 1.0))
+        amp = float(p["amplitude"])
         return _bump(name, boundary, np.zeros(2), 1.0, amp, {"amplitude": amp})
     if name == "shifted-poly-bump":
-        c = np.asarray(p.get("center", (0.3, 0.15)), dtype=float)
-        r = float(p.get("radius", 0.55))
-        amp = float(p.get("amplitude", 1.0))
+        c = np.asarray(p["center"], dtype=float)
+        r, amp = float(p["radius"]), float(p["amplitude"])
         return _bump(name, boundary, c, r, amp,
                      {"center": tuple(c), "radius": r, "amplitude": amp})
     if name == "gaussian-truncated":
-        c = np.asarray(p.get("center", (0.0, 0.0)), dtype=float)
-        sig = float(p.get("sigma", 0.18))
-        amp = float(p.get("amplitude", 1.0))
+        c = np.asarray(p["center"], dtype=float)
+        sig, amp = float(p["sigma"]), float(p["amplitude"])
 
         def f(x, y):
             dx, dy = x - c[0], y - c[1]
@@ -193,12 +204,12 @@ def phantom(name, boundary, params=None):
             return (val, (-2.0 / sig ** 2) * off * val) if slope else val
         return ScalarField(f, line, name=name, center=c,
                            params={"center": tuple(c), "sigma": sig, "amplitude": amp})
-    if name == "zero":
-        def line(s_lo, s_hi, off, slope):
-            val = np.zeros(np.broadcast(s_lo, s_hi, off).shape)
-            return (val, val) if slope else val
-        return ScalarField(lambda x, y: np.zeros(np.shape(x)), line, name="zero")
-    raise UnknownPhantom("unknown phantom %r" % (name,))
+
+    # the one name left, "zero"
+    def line(s_lo, s_hi, off, slope):
+        val = np.zeros(np.broadcast(s_lo, s_hi, off).shape)
+        return (val, val) if slope else val
+    return ScalarField(lambda x, y: np.zeros(np.shape(x)), line, name="zero")
 
 
 def _check_disk_support(boundary, center, radius, name):

@@ -7,6 +7,7 @@ module entry point and run-to-run determinism.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import aradon.config
 from aradon import io as aio
 from aradon.bukhgeim import CartesianGrid, range_residual_0
 from aradon.cli import main
-from aradon.config import load_config
+from aradon.config import load_config, parse_config
 from aradon.geometry import ON_BOUNDARY_TOL, ConvexBoundary
 from aradon.harmonics import project_minus
 from aradon.xray import forward_sinogram, phantom
@@ -253,6 +254,14 @@ class TestReconstructCommand:
         assert main(["phantom", "--config", cfg, "--out", str(tmp_path / "ph")]) == 0
 
 
+_U = 2.0 * np.pi * np.arange(64) / 64
+# Table rows of the 1.5 x 1 ellipse, and of the five-petal r = 1 + 0.5 cos 5u,
+# which is not convex.
+ELLIPSE_ROWS = ["%.17g,%.17g" % xy for xy in zip(1.5 * np.cos(_U), np.sin(_U))]
+FLOWER_ROWS = ["%.17g,%.17g" % xy for xy in zip((1.0 + 0.5 * np.cos(5.0 * _U)) * np.cos(_U),
+                                                 (1.0 + 0.5 * np.cos(5.0 * _U)) * np.sin(_U))]
+
+
 class TestTableBoundary:
     """Forward, check and reconstruct on a point-table boundary."""
 
@@ -308,6 +317,22 @@ class TestTableBoundary:
                      str(tmp_path / "rec"), sino]) == 2
         assert main(["check", "--config", ellipse, "--out",
                      str(tmp_path / "chk"), sino]) == 0
+
+    @pytest.mark.parametrize("rows, message", [
+        (ELLIPSE_ROWS[:4] + ["abc,0.5"] + ELLIPSE_ROWS[5:], "table.csv, line 6: "),
+        (ELLIPSE_ROWS[:4] + ["0.5"] + ELLIPSE_ROWS[5:], "table.csv, line 6: "),
+        (ELLIPSE_ROWS[:4] + ["nan,0.5"] + ELLIPSE_ROWS[5:], "table.csv, line 6: "),
+        (ELLIPSE_ROWS[:5], "at least 8 (x, y) rows"),
+        (FLOWER_ROWS, "curvature lower bound violated"),
+    ], ids=["non-numeric", "one-column", "non-finite", "five-rows", "non-convex"])
+    def test_bad_table_exits_two(self, tmp_path, capsys, rows, message):
+        """A table file that is no convex curve of finite x,y rows is a
+        config input error: exit 2, naming the file and line of a bad row."""
+        cfg = self._table_config(tmp_path, "table", 1.5)
+        (tmp_path / "table.csv").write_text("\n".join(["x,y"] + rows) + "\n")
+        capsys.readouterr()
+        assert main(["forward", "--config", cfg, "--out", str(tmp_path / "fw")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_sinogram_without_table_checksum_exits_zero(self, tmp_path):
         """A table sinogram with no table checksum in its meta, or a stale one,
@@ -703,6 +728,11 @@ class TestConfigErrors:
         ("boundary", {"kind": "ellipse", "n_nodes": 64, "b": 0.0},
          "config.boundary.b: must be > 0"),
         ("boundary", {"kind": "ellipse", "n_nodes": 64, "a": -1.5}, "config.boundary.a: must be > 0"),
+        ("boundary", {"table_path": 7}, "config.boundary.table_path: expected a string"),
+        ("boundary", {"kind": "table", "n_nodes": 64, "table_path": ["a.csv"]},
+         "config.boundary.table_path: expected a string"),
+        ("io", {"out_dir": 5}, "config.io.out_dir: expected a string"),
+        ("io", {"out_dir": None}, "config.io.out_dir: expected a string"),
     ])
     def test_bad_value_exits_two(self, tmp_path, capsys, section, value, path):
         """Each value names its key path and exits 2; "@x" writes the JSON
@@ -738,11 +768,55 @@ class TestConfigErrors:
             assert err.startswith("error: ")
             assert "support disk (center (0.9, 0.0), radius 0.55) leaks" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["phantom", "--factors-cache", "x"],
+        ["forward", "--factors-cache", "x"],
+        ["sweep", "--factors-cache", "x", "modes"],
+        ["factors", "--attenuated"],
+    ], ids=["phantom", "forward", "sweep", "factors"])
+    def test_unread_flag_is_usage_error(self, cfg_path, argv):
+        """A subcommand takes only the flags it reads."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg_path])
+        assert exc.value.code == 2
+
     def test_angles_too_few_for_modes(self, tmp_path):
         path = write_config(tmp_path / "coarse.json",
                             modes={"n": 32, "angles": 32})
         assert main(["forward", "--config", path,
                      "--out", str(tmp_path)]) == 2
+
+
+class TestConfigDefaults:
+    """The defaults README's key table documents, every attribute of a
+    RunConfig but `raw`."""
+
+    DEFAULTS = {
+        "boundary_kind": "disk", "n_nodes": 512, "boundary_a": 1.0, "boundary_b": 1.0,
+        "table_path": "", "n_modes": 32, "n_angles": 128, "quad_panels": 8,
+        "quad_points": 8, "grid_nx": 64, "grid_ny": 64, "grid_margin": None,
+        "phantom_f": {"name": "poly-bump", "params": {}},
+        "phantom_a": {"name": "zero", "params": {}},
+        "out_dir": ".", "residual_gate": 0.01, "recon_gate": 0.05, "tol_neg": 1e-6,
+        "tol_identity": 1e-8, "s_samples": 2048, "error_radius": 0.9, "sweep_values": (),
+    }
+
+    @staticmethod
+    def _fields(cfg):
+        return {key: val for key, val in vars(cfg).items() if key != "raw"}
+
+    def test_empty_config(self):
+        assert self._fields(parse_config({})) == self.DEFAULTS
+
+    def test_readme_minimal_config(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        doc = json.loads(re.search(r"A minimal one:\s*```json\n(.*?)```", text, re.S).group(1))
+        expected = dict(self.DEFAULTS,
+                        phantom_a={"name": "poly-bump", "params": {"amplitude": 0.3}})
+        assert self._fields(parse_config(doc)) == expected
 
 
 def _halve_angles(header, payload):

@@ -2,11 +2,12 @@
 
 One field of a small valid config is mutated at a time: a wrong type, 0,
 a negative, NaN, a huge value, or an extra key in a section.  forward,
-check, reconstruct and factors run on it through cli.main, on a disk and
-on an ellipse.  Each must exit 0, 2 or 3 (check also 1, its verdict on
-inconsistent data), never with a traceback, and on exit 0 its outputs
-must be finite.  The bad values come from stdlib `random`, seeded; the
-huge ones (10^200 and up) fail any array allocation before it starts.
+check, reconstruct and factors run on it through cli.main, on a disk, on
+an ellipse and on a 64-point table, and write to the config's io.out_dir.
+Each must exit 0, 2 or 3 (check also 1, its verdict on inconsistent
+data), never with a traceback, and on exit 0 its outputs must be finite.
+The bad values come from stdlib `random`, seeded; the huge ones (10^200
+and up) fail any array allocation before it starts.
 """
 
 import copy
@@ -32,12 +33,17 @@ DISK = {
                        "params": {"center": [0.1, 0.0], "radius": 0.5, "amplitude": 1.0}},
                  "a": {"name": "gaussian-truncated",
                        "params": {"center": [0.0, 0.1], "sigma": 0.5, "amplitude": 0.02}}},
+    "io": {"out_dir": "out"},
     "tolerances": {"residual_gate": 0.1, "recon_gate": 0.05, "tol_neg": 1e-6,
                    "tol_identity": 1e-8, "s_samples": 64, "error_radius": 0.9},
 }
 ELLIPSE = copy.deepcopy(DISK)
 ELLIPSE["boundary"].update(kind="ellipse", a=1.2)
 ELLIPSE["grid"]["margin"] = 0.35
+# The ellipse's curve as a table; each config runs in its own directory
+# beside the table file.
+TABLE = copy.deepcopy(ELLIPSE)
+TABLE["boundary"] = {"kind": "table", "n_nodes": 64, "table_path": "../table.csv"}
 
 BAD_VALUES = (
     lambda rng: rng.choice(["abc", True, None, [1], {"x": 1}]),      # wrong type
@@ -111,31 +117,34 @@ def _cycle(doc, where, fallback_sino):
     """Exit code and stderr of each command on the config doc, and the
     commands that broke the contract."""
     os.makedirs(where)
-    cfg = os.path.join(where, "run.json")
-    with open(cfg, "w") as fh:
+    os.chdir(where)                 # relative paths of the config start here
+    with open("run.json", "w") as fh:
         json.dump(doc, fh)
-    codes = {"forward": _run(["forward", "--config", cfg, "--out",
-                              os.path.join(where, "forward"), "--attenuated"])}
-    sino = os.path.join(where, "forward", "sinogram.bin")
+    out = doc.get("io", {}).get("out_dir")
+    codes = {"forward": _run(["forward", "--config", "run.json", "--attenuated"])}
+    sino = os.path.join(where, str(out), "sinogram.bin")
     if codes["forward"][0] != 0:
         sino = fallback_sino
     for command in ("check", "reconstruct"):
-        codes[command] = _run([command, "--config", cfg, "--out",
-                               os.path.join(where, command), sino])
-    codes["factors"] = _run(["factors", "--config", cfg, "--out", os.path.join(where, "factors")])
+        codes[command] = _run([command, "--config", "run.json", sino])
+    codes["factors"] = _run(["factors", "--config", "run.json"])
     broken = []
     for command, (code, err) in codes.items():
         allowed = (0, 1, 2, 3) if command == "check" else (0, 2, 3)
-        if code not in allowed or (code == 0 and not _finite(command, os.path.join(where, command))):
+        if code not in allowed or (code == 0 and not _finite(command, out)):
             broken.append((command, code, err.strip()[-160:]))
     return codes, broken
 
 
-@pytest.mark.parametrize("base", [DISK, ELLIPSE], ids=["disk", "ellipse"])
-def test_exit_codes(tmp_path, base):
+@pytest.mark.parametrize("base", [DISK, ELLIPSE, TABLE], ids=["disk", "ellipse", "table"])
+def test_exit_codes(tmp_path, monkeypatch, base):
+    monkeypatch.chdir(tmp_path)
+    u = 2.0 * np.pi * np.arange(64) / 64
+    np.savetxt(tmp_path / "table.csv", np.column_stack([1.2 * np.cos(u), np.sin(u)]),
+               delimiter=",", header="x,y", comments="", fmt="%.17g")
     codes, broken = _cycle(base, str(tmp_path / "base"), None)
     assert {command: code for command, (code, _) in codes.items()} == dict.fromkeys(codes, 0)
-    base_sino = str(tmp_path / "base" / "forward" / "sinogram.bin")
+    base_sino = str(tmp_path / "base" / "out" / "sinogram.bin")
     failures = []
     for i, (what, doc) in enumerate(_mutants(base, seed=16)):
         _, broken = _cycle(doc, str(tmp_path / ("m%d" % i)), base_sino)

@@ -8,7 +8,7 @@ import pytest
 from aradon import io as aio
 from aradon.attenuation import build_h
 from aradon.bukhgeim import CartesianGrid
-from aradon.errors import ConfigError, GridMismatch
+from aradon.errors import ConfigError, GridMismatch, NonConvex
 from aradon.geometry import make_boundary
 from aradon.harmonics import AngularGrid
 from aradon.io import (
@@ -339,7 +339,9 @@ class TestBoundaryTable:
         assert np.allclose(table, pts, atol=0)
 
     def test_too_short_rejected(self, tmp_path):
+        """The reader takes any count of rows; the boundary refuses fewer
+        than 8."""
         p = tmp_path / "short.csv"
         p.write_text("0,0\n1,0\n")
-        with pytest.raises(ConfigError):
-            read_boundary_table(p)
+        with pytest.raises(NonConvex):
+            make_boundary("table", 64, table=read_boundary_table(p))
