@@ -23,11 +23,9 @@ the convolution identity and the negative modes of e^{+-h} must vanish
 to tolerance, otherwise the build raises instead of guessing at signs.
 """
 
-import warnings
-
 import numpy as np
 
-from .errors import ConfigError, FactorBuildError, GridMismatch, InconsistentInput
+from .errors import ConfigError, FactorBuildError, GridMismatch
 from .harmonics import ModeTrace, convolve, convolve_seq
 from .bukhgeim import (
     hilbert_H0,
@@ -184,9 +182,10 @@ class _HSampler:
     largest, roundoff of the samples and the transform, go.
     With an even number of angles, direction j + M/2 reads the series of
     direction j at -s, conjugated (Ra(s, theta + pi) = Ra(-s, theta), and
-    H is odd under the flip).  Da is taken for every direction.  Ra, Da and
-    theta_perp . grad Da are `a`'s closed-form line integrals
-    (ScalarField.line_integral), so h reads no quadrature.
+    H is odd under the flip), so one evaluation serves both (at).  Da is
+    taken for every direction.  Ra, Da and theta_perp . grad Da are `a`'s
+    closed-form line integrals (ScalarField.line_integral), so h reads no
+    quadrature.
     """
 
     def __init__(self, a, boundary, angular, s_samples):
@@ -226,29 +225,30 @@ class _HSampler:
 
     def at(self, points, slopes=False):
         """h at the points (p, 2), (p, M); with `slopes`, the pair of h and
-        theta_perp . grad h (the opposite direction reads the series' slope
-        as minus its conjugate).  Da runs along each ray from its point to
-        the ray's end (ray_span); from a node that is the whole chord on
-        incoming rays and, to roundoff, nothing on the others."""
+        theta_perp . grad h.  A point's offset on direction j + M/2 is
+        minus its offset on j, where j + M/2 reads j's series at -s: so
+        the series runs once, at j's offsets, and j + M/2 takes its
+        conjugate and minus the conjugate of its slope.  Da runs along each
+        ray from its point to the ray's end (ray_span); from a node that is
+        the whole chord on incoming rays and, to roundoff, nothing on the
+        others."""
         dirs = self.dirs
         h = np.empty((len(points), len(dirs)), dtype=complex)
         dh = np.empty_like(h) if slopes else None
         for j, (mid, half, b) in enumerate(self.series):
-            # (direction, sign): the opposite direction reads the series at -s
-            pair = ((j, 1.0), (j + self.n_base, -1.0)) if self.paired else ((j, 1.0),)
-            offsets = np.concatenate([sign * (points @ np.array([-dirs[k][1], dirs[k][0]]))
-                                      for k, sign in pair])
-            series = finite_hilbert(b, (offsets - mid) / half, slope=slopes)
-            if slopes:
-                series, dlin = series
-                dlin = ((-1.0j / half) * dlin).reshape(len(pair), -1)
-            lin = (-1.0j * series).reshape(len(pair), -1)
-            for i, (k, sign) in enumerate(pair):
+            u = (points @ np.array([-dirs[j][1], dirs[j][0]]) - mid) / half
+            series = finite_hilbert(b, u, slope=slopes)
+            lin, dlin = series if slopes else (series, 0.0)
+            lin, dlin = -1.0j * lin, (-1.0j / half) * dlin
+            sides = [(j, lin, dlin)]
+            if self.paired:
+                sides.append((j + self.n_base, np.conj(lin), -np.conj(dlin)))
+            for k, lin_k, dlin_k in sides:
                 da = self._da(points, k, slopes)
                 if slopes:
                     da, dda = da
-                    dh[:, k] = dda - 0.5 * (-np.conj(dlin[i]) if sign < 0.0 else dlin[i])
-                h[:, k] = da - 0.5 * (np.conj(lin[i]) if sign < 0.0 else lin[i])
+                    dh[:, k] = dda - 0.5 * dlin_k
+                h[:, k] = da - 0.5 * lin_k
         return (h, dh) if slopes else h
 
     def _da(self, points, k, slopes):
@@ -330,7 +330,7 @@ def _beta_slopes(sampler, points, n_modes):
     return beta, -0.5 * a_values * beta[1:] - 0.5j * modes[1:], a_values, neg
 
 
-def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
+def reconstruct_f_attenuated(g, factors, grid):
     """Source reconstruction from attenuated boundary data.
 
     Builds v from the conjugated trace alpha * g and evaluates
@@ -340,21 +340,13 @@ def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
     The points run band by band (bukhgeim._kernel_bands: far points read
     the trace on fewer nodes), in chunks of RECON_CHUNK within each band;
     no value depends on the chunks.
-    d beta_0 vanishes exactly: with `return_dbeta0` the call returns the
-    picture and max |d beta_0| over the points (0.0 without attenuation).
+    Returns the picture and max |d beta_0| over the points, which vanishes
+    exactly (0.0 without attenuation).  Like reconstruct_f0 it runs no
+    range test (range_residual_a).
     """
     _check_match(g, factors)
     if factors.zero_attenuation:
-        pic = reconstruct_f0(g, grid, gate=gate)
-        return (pic, 0.0) if return_dbeta0 else pic
-
-    check = range_residual_a(g, factors)
-    if check.relative > gate:
-        warnings.warn(
-            "attenuated range residual %.3g exceeds the gate %.3g"
-            % (check.relative, gate),
-            InconsistentInput,
-        )
+        return reconstruct_f0(g, grid), 0.0
 
     sampler = factors.sampler
     n_modes = g.n_modes
@@ -375,5 +367,4 @@ def reconstruct_f_attenuated(g, factors, grid, gate=0.05, return_dbeta0=False):
             u0 = np.real(np.sum(beta * v, axis=0))
             del_u1 = np.sum(beta[:n_modes] * dv + dbeta * v[1:], axis=0)
             f_vals[idx] = 2.0 * np.real(del_u1) + a_values * u0
-    pic = grid.unflatten(f_vals)
-    return (pic, dbeta0) if return_dbeta0 else pic
+    return grid.unflatten(f_vals), dbeta0

@@ -36,12 +36,11 @@ kernels depend on t_i + t_l alone), and _hankel_G applies it by FFTs in
 O(N^2 n + N n log n) in place of the sweep's N^2/4 dense n x n products.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooCloseToBoundary, InconsistentInput, OutsideDomain
+from .errors import TooCloseToBoundary, OutsideDomain
 from .geometry import ON_BOUNDARY_TOL, make_boundary
 from .harmonics import ModeTrace, weighted_norms
 
@@ -451,21 +450,13 @@ def del_v_minus(g, d, points, field=False, part=slice(None)):
     return (out, 0.5 * gg + cg) if field else out
 
 
-def reconstruct_f0(g, grid, gate=0.05):
-    """Source term from consistent non-attenuated boundary data.
+def reconstruct_f0(g, grid):
+    """Source term from non-attenuated boundary data.
 
     Returns the picture 2 Re(d v_{-1}) on the grid (zeros outside the
-    evaluated region).  A residual above the gate only warns: the
-    reconstruction formula stays well defined on inconsistent input, it
-    just stops meaning anything.
+    evaluated region).  The formula is defined on any trace; whether the
+    trace is in the range is the range test's to say (range_residual_0).
     """
-    check = range_residual_0(g)
-    if check.relative > gate:
-        warnings.warn(
-            "range residual %.3g exceeds the gate %.3g; input may not be "
-            "in range" % (check.relative, gate),
-            InconsistentInput,
-        )
     vals = np.empty(len(grid.points))
     for band in _kernel_bands(g, grid):
         vals[band.index] = 2.0 * np.real(del_v_minus(band, 1, grid, part=band.index))

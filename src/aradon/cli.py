@@ -38,12 +38,10 @@ import argparse
 import json
 import sys
 import time
-import warnings
 
 import numpy as np
 
-from .errors import (AradonError, ConfigError, GridMismatch, InconsistentInput,
-                     NonConvex, SupportViolation)
+from .errors import AradonError, ConfigError, GridMismatch, NonConvex, SupportViolation
 from .config import SWEEP_AXES, load_config, parse_config
 from .harmonics import project_minus
 from .xray import forward_sinogram, phantom
@@ -179,18 +177,12 @@ def _residual(trace, factors):
     return range_residual_a(trace, factors)
 
 
-def _reconstruct(cfg, trace, factors, grid):
-    """Picture, InconsistentInput warning count and max |d beta_0| over the
-    points (0.0 without attenuation), which vanishes exactly."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", InconsistentInput)
-        if factors is None:
-            pic, dbeta0 = reconstruct_f0(trace, grid, gate=cfg.recon_gate), 0.0
-        else:
-            pic, dbeta0 = reconstruct_f_attenuated(trace, factors, grid, gate=cfg.recon_gate,
-                                                   return_dbeta0=True)
-    flagged = sum(1 for w in caught if issubclass(w.category, InconsistentInput))
-    return pic, flagged, dbeta0
+def _reconstruct(trace, factors, grid):
+    """Picture and max |d beta_0| over the points (0.0 without
+    attenuation), which vanishes exactly."""
+    if factors is None:
+        return reconstruct_f0(trace, grid), 0.0
+    return reconstruct_f_attenuated(trace, factors, grid)
 
 
 def _recon_error(cfg, grid, pic, truth_field):
@@ -255,7 +247,7 @@ def cmd_check(cfg, args):
         "verdict": "consistent" if consistent else "inconsistent",
     }
     path = os.path.join(out, "residual.json")
-    aio.write_residual_report(path, rr.report(), extra=extra)
+    aio.write_residual_report(path, rr, extra=extra)
     print("range residual: relative %.6g (gate %.3g) -> %s [%s]"
           % (rr.relative, cfg.residual_gate, path, extra["verdict"]))
     return 0 if consistent else 1
@@ -264,7 +256,8 @@ def cmd_check(cfg, args):
 def cmd_reconstruct(cfg, args):
     out = _outdir(cfg, args)
     trace, grid, factors = _load(cfg, args, with_grid=True)
-    pic, flagged, dbeta0 = _reconstruct(cfg, trace, factors, grid)
+    flagged = int(_residual(trace, factors).relative > cfg.recon_gate)
+    pic, dbeta0 = _reconstruct(trace, factors, grid)
     path = os.path.join(out, "reconstruction.csv")
     aio.write_field_csv(path, grid.xs, grid.ys, pic)
     report = {
@@ -330,7 +323,7 @@ def cmd_sweep(cfg, args):
                 if args.attenuated:
                     factors = _build_factors(rung, sino.boundary, sino.angular)
                 rr = _residual(trace, factors)
-                pic, _, _ = _reconstruct(rung, trace, factors, grid)
+                pic, _ = _reconstruct(trace, factors, grid)
                 err = _recon_error(rung, grid, pic, rung.make_phantom("f", sino.boundary))
             except (SupportViolation, NonConvex):
                 raise                            # the same on every rung: exit 2

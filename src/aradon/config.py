@@ -10,7 +10,7 @@ import hashlib
 import json
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, NonConvex
 from .geometry import KIND_ALIASES, make_boundary
 from .harmonics import AngularGrid
 from .xray import PHANTOMS, POSITIVE_PARAMS, QuadSettings, phantom
@@ -157,7 +157,11 @@ class RunConfig:
             from .io import read_boundary_table
 
             table = read_boundary_table(self.table_path)
-            return make_boundary("table", self.n_nodes, table=table)
+            try:
+                return make_boundary("table", self.n_nodes, table=table)
+            except NonConvex as exc:
+                raise NonConvex("config.boundary.table_path: %s: %s"
+                                % (self.table_path, exc)) from None
         return make_boundary(self.boundary_kind, self.n_nodes,
                              a=self.boundary_a, b=self.boundary_b)
 

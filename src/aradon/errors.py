@@ -48,7 +48,3 @@ class GridMismatch(AradonError):
 
 class FactorBuildError(AradonError):
     """Integrating factor failed its analyticity self-checks."""
-
-
-class InconsistentInput(UserWarning):
-    """Range-residual gate exceeded; reconstruction proceeds with a warning."""

@@ -176,9 +176,9 @@ def sinogram_to_csv(path, sino):
                "%d,%d,%.17g,%.17g,%.17g,%.17g", blocks)
 
 
-def write_residual_report(path, report, extra=None):
-    """RangeResidual report JSON, optionally merged with verdict fields."""
-    doc = dict(report.report()) if hasattr(report, "report") else dict(report)
+def write_residual_report(path, residual, extra=None):
+    """A RangeResidual's report as JSON, optionally merged with verdict fields."""
+    doc = residual.report()
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:

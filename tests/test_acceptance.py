@@ -237,7 +237,7 @@ def test_08_attenuated_cycle(disk512, ang128, att_sino, att_factors,
     truth, region = truth64
     g = project_minus(att_sino, 32)
     rr = range_residual_a(g, att_factors)
-    pic = reconstruct_f_attenuated(g, att_factors, grid64)
+    pic, _ = reconstruct_f_attenuated(g, att_factors, grid64)
     err = rel_l2(pic, truth, region)
     print(f"attenuated residual {rr.relative:.3e} (gate 5e-3); "
           f"recon rel L2 {err:.3e} (gate 0.08)")
@@ -250,7 +250,7 @@ def test_08_attenuated_cycle(disk512, ang128, att_sino, att_factors,
         range_residual_a(polybump_trace, factors0).residual.data
         - range_residual_0(polybump_trace).residual.data)))
     pic_gap = float(np.max(np.abs(
-        reconstruct_f_attenuated(polybump_trace, factors0, grid64)
+        reconstruct_f_attenuated(polybump_trace, factors0, grid64)[0]
         - reconstruct_f0(polybump_trace, grid64))))
     print(f"zero-attenuation reduction gaps: residual {res_gap:.3e}, "
           f"reconstruction {pic_gap:.3e} (gate 1e-6)")
@@ -305,8 +305,7 @@ def test_11_attenuated_floors(disk512, ang128, grid64, truth64, a_name, a_params
     f = phantom("poly-bump", disk512)
     a = phantom(a_name, disk512, params=a_params)
     g = project_minus(forward_sinogram(f, a, disk512, ang128), 32)
-    pic, dbeta0 = reconstruct_f_attenuated(g, build_h(a, disk512, ang128, 32), grid64,
-                                           return_dbeta0=True)
+    pic, dbeta0 = reconstruct_f_attenuated(g, build_h(a, disk512, ang128, 32), grid64)
     far = (1.0 - np.hypot(grid64.points[:, 0], grid64.points[:, 1])) > 0.07
     far_err = float(np.max(np.abs(pic.ravel()[grid64.valid] - truth.ravel()[grid64.valid])[far]))
     err = rel_l2(pic, truth, region)

@@ -549,17 +549,6 @@ class TestReconstructF0:
         pic2 = reconstruct_f0(doubled, grid)
         assert np.max(np.abs(pic2 - 2.0 * pic1)) < 1e-10
 
-    def test_gate_warns_on_inconsistent_input(self, disk512, polybump_trace):
-        from aradon.errors import InconsistentInput
-        from aradon.harmonics import ModeTrace
-
-        bad = polybump_trace.data.copy()
-        bad[0] += 0.5 * np.conj(disk512.complex_nodes())
-        g = ModeTrace(disk512, polybump_trace.n_modes, bad)
-        grid = CartesianGrid(disk512, 8, 8, margin=0.05)
-        with pytest.warns(InconsistentInput):
-            reconstruct_f0(g, grid)
-
 
 class TestGridAndPatch:
     def test_unflatten_round_trip(self, disk256):

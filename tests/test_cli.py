@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import aradon.config
+from aradon import bukhgeim
 from aradon import io as aio
 from aradon.bukhgeim import CartesianGrid, range_residual_0
 from aradon.cli import main
@@ -180,6 +181,25 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", cfg_path, "--out",
                      str(tmp_path / "rec"), str(tmp_path / "nope.bin")]) == 2
 
+    @pytest.mark.parametrize("attenuated", [False, True], ids=["plain", "attenuated"])
+    def test_inconsistent_data_flags_and_reconstructs(self, tmp_path, attenuated):
+        """Data off the range, a Re(w) profile on every angle, fails the
+        range test at recon_gate: the report's consistency_flag reads 1,
+        and the picture is still written, with exit 0."""
+        cfg, sino_path = self._sinogram(tmp_path, DISK, attenuated)
+        sino = aio.read_sinogram(sino_path)
+        sino.data += 0.5 * np.max(np.abs(sino.data)) * sino.boundary.positions[:, :1]
+        bad = str(tmp_path / "bad.bin")
+        aio.write_sinogram(bad, sino)
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out), bad]) == 0
+        _, _, pic = aio.read_field_csv(str(out / "reconstruction.csv"))
+        assert pic.shape == (20, 20) and np.all(np.isfinite(pic))
+        with open(out / "recon_report.json") as fh:
+            doc = json.load(fh)
+        assert doc["attenuated"] is attenuated
+        assert doc["consistency_flag"] == 1
+
     @staticmethod
     def _sinogram(tmp_path, boundary, attenuated=False, **overrides):
         phantoms = {"f": {"name": "poly-bump"}}
@@ -327,12 +347,14 @@ class TestTableBoundary:
     ], ids=["non-numeric", "one-column", "non-finite", "five-rows", "non-convex"])
     def test_bad_table_exits_two(self, tmp_path, capsys, rows, message):
         """A table file that is no convex curve of finite x,y rows is a
-        config input error: exit 2, naming the file and line of a bad row."""
+        config input error: exit 2, naming the file, and the line of a bad
+        row."""
         cfg = self._table_config(tmp_path, "table", 1.5)
         (tmp_path / "table.csv").write_text("\n".join(["x,y"] + rows) + "\n")
         capsys.readouterr()
         assert main(["forward", "--config", cfg, "--out", str(tmp_path / "fw")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "table.csv" in err
 
     def test_sinogram_without_table_checksum_exits_zero(self, tmp_path):
         """A table sinogram with no table checksum in its meta, or a stale one,
@@ -626,6 +648,26 @@ class TestSweepCommand:
         assert residual == "%.12g" % check["relative"]
         assert recon_error == "%.12g" % recon["relative_l2_error"]
 
+    @pytest.mark.parametrize("attenuated", [False, True], ids=["plain", "attenuated"])
+    def test_one_range_test_per_rung(self, tmp_path, monkeypatch, attenuated):
+        """A rung's residual and its reconstruct share one range test: one
+        S and G build at the nodes per rung."""
+        calls = []
+        boundary_S_G = bukhgeim._boundary_S_G
+
+        def counted(g, with_g=True):
+            calls.append(g.boundary.n_nodes)
+            return boundary_S_G(g, with_g)
+
+        monkeypatch.setattr(bukhgeim, "_boundary_S_G", counted)
+        cfg = write_config(tmp_path / "run.json", grid={"nx": 12, "ny": 12},
+                           phantoms={"f": {"name": "poly-bump"},
+                                     "a": {"name": "poly-bump", "params": {"amplitude": 0.2}}},
+                           sweep={"values": [64, 128]})
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "sw"), "nodes"]
+        assert main(argv + (["--attenuated"] if attenuated else [])) == 0
+        assert calls == [64, 128]
+
     def test_plain_quad_rungs_identical(self, tmp_path):
         """A plain poly-bump forward takes one exact panel per chord, so the
         quad rungs do not differ."""
@@ -743,7 +785,8 @@ class TestConfigErrors:
             cfg = write_config(tmp_path / "bad.json", phantoms=phantoms)
         else:
             cfg = write_config(tmp_path / "bad.json", **{section: value})
-        text = open(cfg).read()
+        with open(cfg) as fh:
+            text = fh.read()
         for literal in ("NaN", "Infinity", "1e400"):
             text = text.replace('"@%s"' % literal, literal)
         with open(cfg, "w") as fh:

@@ -37,7 +37,7 @@ def tracing():
 def _reconstruct(boundary, ang, a, trace):
     grid = bukhgeim.CartesianGrid(boundary, 16, 16)
     factors = attenuation.build_h(a, boundary, ang, trace.n_modes, s_samples=512)
-    return grid, attenuation.reconstruct_f_attenuated(trace, factors, grid)
+    return grid, attenuation.reconstruct_f_attenuated(trace, factors, grid)[0]
 
 
 def test_traced_attenuated_reconstruct(tracing):
